@@ -2,7 +2,7 @@
 
 Exit codes: 0 = success / Confirmed, 1 = Refuted (a mathematically
 meaningful negative), 2 = Inconclusive, 64 = usage error, 65 = malformed
-input data.
+input data, 70 = internal error (an engine fault, never a verdict).
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .weights import bbw_resolve, dual_weight
 
 EX_USAGE = 64
 EX_DATAERR = 65
+EX_SOFTWARE = 70
 
 
 class _Parser(argparse.ArgumentParser):
@@ -287,6 +288,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print("flagcoh: %s" % exc, file=sys.stderr)
         return EX_DATAERR
+    except Exception as exc:  # an engine fault; exit 1 would read as "refuted"
+        sys.excepthook(type(exc), exc, exc.__traceback__)  # the traceback, to stderr
+        print("flagcoh: internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return EX_SOFTWARE
 
 
 if __name__ == "__main__":

@@ -12,6 +12,8 @@ Two routes are provided for H^*(F, E):
 * ``cohomology_stepwise`` pushes forward one relative Grassmann bundle at
   a time, deferring filtration splits as long as possible.  It often
   certifies exact vanishing where the one-shot route only yields a bound.
+
+``certify`` is the one place where the two routes are combined.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .flagvar import (
     minimal_base,
     tensor,
 )
-from .schur import CharacterSum, pad, tensor_schur
+from .schur import CharacterSum, pad, tensor_character
 from .weights import bbw_resolve, dual_weight
 
 EXACT = "exact"
@@ -91,18 +93,25 @@ class CohomologyOutcome:
         return cls(rank=euler.rank, grade=EULER_ONLY, by_degree={}, euler=euler)
 
 
-def cohomology_graded(gm: GradedMonomial, shape: FlagShape):
-    """Resolve one block-graded monomial: ``None`` (vanishes) or
+def _bbw_blocks(weights) -> tuple | None:
+    """Borel-Bott-Weil for Sigma^w_1 (x) ... (x) Sigma^w_k of the consecutive
+    quotients of a full filtration of V: ``None`` (vanishes) or
     (degree, dominant GL(V) weight w) meaning H^degree = Sigma^w(V)."""
-    if gm.shape != shape:
-        raise ValueError("graded monomial does not live on the given shape")
     chi = []
-    for w in gm.block_weights:
+    for w in weights:
         chi.extend(dual_weight(w))
     res = bbw_resolve(tuple(chi))
     if res.singular:
         return None
     return res.degree, dual_weight(res.dominant)
+
+
+def cohomology_graded(gm: GradedMonomial, shape: FlagShape):
+    """Resolve one block-graded monomial: ``None`` (vanishes) or
+    (degree, dominant GL(V) weight w) meaning H^degree = Sigma^w(V)."""
+    if gm.shape != shape:
+        raise ValueError("graded monomial does not live on the given shape")
+    return _bbw_blocks(gm.block_weights)
 
 
 @lru_cache(maxsize=None)
@@ -119,49 +128,30 @@ def _monomial_pieces_graded(mono: SchurMonomial) -> tuple:
     return tuple(pieces), len(expansion) > 1
 
 
-def _assemble(per_monomial, rank: int) -> CohomologyOutcome:
+def _run(e: BundleExpr, reduce: bool, route) -> CohomologyOutcome:
+    """Sum a per-monomial route's pieces over ``e``.  The answer is exact
+    unless some monomial needed a filtration and has pieces in adjacent
+    degrees, where a spectral sequence differential might cancel them."""
+    if reduce:
+        _shape, e = minimal_base(e)
+    rank = e.shape.n
     by_degree: dict[int, CharacterSum] = {}
     exact = True
-    for pieces, filtered in per_monomial:
+    for mono, mult in e.monomials():
+        pieces, filtered = route(mono)
         degrees = {d for d, _w, _c in pieces}
         if filtered and any(d + 1 in degrees for d in degrees):
             exact = False
         for d, w, c in pieces:
             by_degree.setdefault(d, CharacterSum(rank))
-            by_degree[d].add_term(w, c)
+            by_degree[d].add_term(w, c * mult)
     by_degree = {d: cs for d, cs in by_degree.items() if cs}
     return CohomologyOutcome(rank=rank, grade=EXACT if exact else E1_BOUND, by_degree=by_degree)
 
 
 def cohomology(e: BundleExpr, reduce: bool = True) -> CohomologyOutcome:
     """H^*(F, e) by one-shot graded expansion and Borel-Bott-Weil."""
-    if reduce:
-        _shape, e = minimal_base(e)
-    per_monomial = []
-    for mono, mult in e.monomials():
-        pieces, filtered = _monomial_pieces_graded(mono)
-        per_monomial.append(
-            ([(d, w, c * mult) for d, w, c in pieces], filtered)
-        )
-    return _assemble(per_monomial, e.shape.n)
-
-
-def pushforward_grassmann(alpha, beta, m: int):
-    """Single relative Grassmann pushforward of
-    Sigma^alpha(W) (x) Sigma^beta(V/W) with rank V = m.
-
-    Returns ``None`` (vanishes) or (degree, dominant weight a) meaning the
-    pushforward is Sigma^(-a) of the rank-m bundle, concentrated there.
-    """
-    alpha = tuple(alpha)
-    beta = tuple(beta)
-    if len(alpha) + len(beta) != m:
-        raise ValueError("len(alpha) + len(beta) must equal the ambient rank")
-    chi = dual_weight(alpha) + dual_weight(beta)
-    res = bbw_resolve(chi)
-    if res.singular:
-        return None
-    return res.degree, res.dominant
+    return _run(e, reduce, _monomial_pieces_graded)
 
 
 # ---------------------------------------------------------------------------
@@ -210,18 +200,17 @@ def _monomial_pieces_stepwise(mono: SchurMonomial) -> tuple:
                         slot = Slot(QUOT, t) if j == len(ws) - 1 else Slot(BLOCK, j + 2)
                         _merge_factor(new_factors, slot, piece, slot.rank(cur_shape))
                 # re-queue with Quot(1) resolved; multiple merge keys handled below
-                for nf, cm in _explode(new_factors, cur_shape):
+                for nf, cm in _explode(new_factors):
                     states.append((cur_shape, nf, degree, mult * c * cm))
             continue
 
         alpha = factors.pop(Slot(SUB, 1), pad((), sizes[0]))
         beta_slot = Slot(QUOT, 1) if t == 1 else Slot(BLOCK, 2)
         beta = factors.pop(beta_slot, pad((), e2 - sizes[0]))
-        res = pushforward_grassmann(alpha, beta, e2)
+        res = _bbw_blocks((alpha, beta))
         if res is None:
             continue
-        step_degree, dominant = res
-        new_weight = dual_weight(dominant)
+        step_degree, new_weight = res
 
         if t == 1:
             if factors:
@@ -243,7 +232,7 @@ def _monomial_pieces_stepwise(mono: SchurMonomial) -> tuple:
                     new_slot = Slot(QUOT, new_shape.s)
             new_factors[new_slot] = w
         _merge_factor(new_factors, Slot(SUB, 1), new_weight, e2)
-        for nf, cm in _explode(new_factors, new_shape):
+        for nf, cm in _explode(new_factors):
             states.append((new_shape, nf, degree + step_degree, mult * cm))
 
     pieces = tuple(
@@ -258,18 +247,14 @@ def _merge_factor(factors: dict, slot, weight: tuple, rank: int):
         return
     if slot in factors:
         prev = factors[slot]
-        if isinstance(prev, CharacterSum):
-            acc = CharacterSum(rank)
-            for w, m in prev.items():
-                acc = acc + tensor_schur(w, weight, rank).scale(m)
-            factors[slot] = acc
-        else:
-            factors[slot] = tensor_schur(prev, weight, rank)
+        if not isinstance(prev, CharacterSum):
+            prev = CharacterSum(rank, {prev: 1})
+        factors[slot] = tensor_character(prev, weight)
     else:
         factors[slot] = weight
 
 
-def _explode(factors: dict, shape: FlagShape):
+def _explode(factors: dict):
     """Resolve CharacterSum-valued entries into plain-weight factor dicts,
     yielding (factors, multiplicity) pairs."""
     sum_slots = [s for s, v in factors.items() if isinstance(v, CharacterSum)]
@@ -284,21 +269,29 @@ def _explode(factors: dict, shape: FlagShape):
             nxt[slot] = w
         else:
             nxt.pop(slot)
-        for f2, m2 in _explode(nxt, shape):
+        for f2, m2 in _explode(nxt):
             yield f2, m * m2
 
 
 def cohomology_stepwise(e: BundleExpr, reduce: bool = True) -> CohomologyOutcome:
     """H^*(F, e) by level-by-level relative pushforward."""
-    if reduce:
-        _shape, e = minimal_base(e)
-    per_monomial = []
-    for mono, mult in e.monomials():
-        pieces, filtered = _monomial_pieces_stepwise(mono)
-        per_monomial.append(
-            ([(d, w, c * mult) for d, w, c in pieces], filtered)
-        )
-    return _assemble(per_monomial, e.shape.n)
+    return _run(e, reduce, _monomial_pieces_stepwise)
+
+
+def certify(e: BundleExpr) -> CohomologyOutcome:
+    """H^*(F, e) by the best route: the one-shot answer when it is exact,
+    else the stepwise answer when that is exact, else the one-shot E1
+    bound.  Both routes compute the Euler character exactly, so an exact
+    stepwise answer whose Euler character differs is an engine fault."""
+    outcome = cohomology(e)
+    if outcome.grade == EXACT:
+        return outcome
+    refined = cohomology_stepwise(e)
+    if refined.grade != EXACT:
+        return outcome
+    if refined.euler != outcome.euler:
+        raise RuntimeError("routes disagree on the Euler character of %s" % e)
+    return refined
 
 
 # ---------------------------------------------------------------------------
@@ -306,24 +299,13 @@ def cohomology_stepwise(e: BundleExpr, reduce: bool = True) -> CohomologyOutcome
 
 
 def ext_groups(a: BundleExpr, b: BundleExpr) -> CohomologyOutcome:
-    """Ext^*(a, b) = H^*(F, a^v (x) b) for locally free a, b."""
-    if a.shape != b.shape:
-        raise ValueError("shape mismatch")
+    """Ext^*(a, b) = H^*(F, a^v (x) b) for locally free a, b, one-shot."""
     return cohomology(tensor(dual(a), b))
 
 
 def ext_groups_best(a: BundleExpr, b: BundleExpr) -> CohomologyOutcome:
-    """Ext^*(a, b), refining an E1 bound by the stepwise route when that
-    route certifies an exact answer."""
-    outcome = ext_groups(a, b)
-    if outcome.grade == EXACT:
-        return outcome
-    e = tensor(dual(a), b)
-    refined = cohomology_stepwise(e)
-    if refined.grade == EXACT:
-        assert refined.euler == outcome.euler
-        return refined
-    return outcome
+    """Ext^*(a, b) = H^*(F, a^v (x) b) by ``certify``."""
+    return certify(tensor(dual(a), b))
 
 
 def euler_characteristic(e: BundleExpr) -> CharacterSum:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .schur import CharacterSum, _strip_zeros, pad, schur_dim, tensor_schur
-from .weights import dual_weight, is_weakly_decreasing
+from .schur import CharacterSum, _strip_zeros, pad, schur_dim, tensor_character
+from .weights import dual_weight, is_weakly_decreasing, strict_int
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class FlagShape:
 
     @classmethod
     def from_json(cls, data):
-        return cls(int(data["n"]), tuple(int(d) for d in data["dims"]))
+        return cls(strict_int(data["n"]), tuple(map(strict_int, data["dims"])))
 
 
 SUB, QUOT, BLOCK = "sub", "quot", "block"
@@ -148,10 +148,7 @@ def make_monomial(shape: FlagShape, factors: Iterable) -> "BundleExpr":
         rank = slot.rank(shape)
         cs = CharacterSum(rank, {pad(ws[0], rank): 1})
         for w in ws[1:]:
-            acc = CharacterSum(rank)
-            for key, mult in cs.items():
-                acc = acc + tensor_schur(key, pad(w, rank), rank).scale(mult)
-            cs = acc
+            cs = tensor_character(cs, pad(w, rank))
         terms = {}
         for mono, m in expr.terms.items():
             for key, mult in cs.items():
@@ -236,33 +233,38 @@ class BundleExpr:
     @classmethod
     def from_json(cls, data) -> "BundleExpr":
         shape = FlagShape.from_json(data["flag"])
-        out = cls(shape)
+        terms: dict = {}
         for term in data["terms"]:
             factors = [
-                (Slot(f["slot"], int(f["index"])), tuple(int(x) for x in f["weight"]))
+                (Slot(f["slot"], strict_int(f["index"])), tuple(map(strict_int, f["weight"])))
                 for f in term["factors"]
             ]
-            expr = make_monomial(shape, factors)
-            for mono, m in expr.terms.items():
-                out = out + BundleExpr(shape, {mono: m * int(term["mult"])})
-        return out
+            mult = strict_int(term["mult"])
+            for mono, m in make_monomial(shape, factors).terms.items():
+                terms[mono] = terms.get(mono, 0) + m * mult
+        return cls(shape, terms)
 
 
 def trivial(shape: FlagShape) -> BundleExpr:
     return BundleExpr(shape, {SchurMonomial(shape, ()): 1})
 
 
-def dual(e: BundleExpr) -> BundleExpr:
-    out = BundleExpr(e.shape)
+def _relabel(e: BundleExpr, shape: FlagShape, factor) -> BundleExpr:
+    """Map every factor (slot, w) of every monomial of ``e`` through
+    ``factor`` to a factor on ``shape``, summing equal monomials."""
+    terms: dict = {}
     for mono, m in e.terms.items():
-        factors = tuple(
-            sorted(
-                ((slot, dual_weight(w)) for slot, w in mono.factors),
-                key=lambda fw: fw[0].sort_key(),
-            )
+        factors = sorted(
+            (factor(slot, w) for slot, w in mono.factors),
+            key=lambda fw: fw[0].sort_key(),
         )
-        out = out + BundleExpr(e.shape, {SchurMonomial(e.shape, factors): m})
-    return out
+        new = SchurMonomial(shape, tuple(factors))
+        terms[new] = terms.get(new, 0) + m
+    return BundleExpr(shape, terms)
+
+
+def dual(e: BundleExpr) -> BundleExpr:
+    return _relabel(e, e.shape, lambda slot, w: (slot, dual_weight(w)))
 
 
 def sigma_pullback(e: BundleExpr) -> BundleExpr:
@@ -272,32 +274,29 @@ def sigma_pullback(e: BundleExpr) -> BundleExpr:
     if not shape.is_symmetric():
         raise ValueError("sigma pullback needs a symmetric shape")
     s = shape.s
-    out = BundleExpr(shape)
-    for mono, m in e.terms.items():
-        factors = []
-        for slot, w in mono.factors:
-            if slot.kind == SUB:
-                new = Slot(QUOT, s - slot.index + 1)
-            elif slot.kind == QUOT:
-                new = Slot(SUB, s - slot.index + 1)
-            else:
-                new = _normalize_slot(Slot(BLOCK, s + 2 - slot.index), shape)
-            factors.append((new, dual_weight(w)))
-        factors.sort(key=lambda fw: fw[0].sort_key())
-        out = out + BundleExpr(shape, {SchurMonomial(shape, tuple(factors)): m})
-    return out
+
+    def factor(slot, w):
+        if slot.kind == SUB:
+            new = Slot(QUOT, s - slot.index + 1)
+        elif slot.kind == QUOT:
+            new = Slot(SUB, s - slot.index + 1)
+        else:
+            new = _normalize_slot(Slot(BLOCK, s + 2 - slot.index), shape)
+        return new, dual_weight(w)
+
+    return _relabel(e, shape, factor)
 
 
 def tensor(e1: BundleExpr, e2: BundleExpr) -> BundleExpr:
     if e1.shape != e2.shape:
         raise ValueError("shape mismatch")
-    out = BundleExpr(e1.shape)
+    terms: dict = {}
     for m1, c1 in e1.terms.items():
         for m2, c2 in e2.terms.items():
-            prod = make_monomial(e1.shape, list(m1.factors) + list(m2.factors))
+            prod = make_monomial(e1.shape, m1.factors + m2.factors)
             for mono, c in prod.terms.items():
-                out = out + BundleExpr(e1.shape, {mono: c * c1 * c2})
-    return out
+                terms[mono] = terms.get(mono, 0) + c * c1 * c2
+    return BundleExpr(e1.shape, terms)
 
 
 def _referenced_dims(mono: SchurMonomial) -> set:
@@ -330,26 +329,20 @@ def minimal_base(e: BundleExpr):
     new_shape = FlagShape(e.shape.n, new_dims)
     pos = {d: i + 1 for i, d in enumerate(new_dims)}
     old = e.shape.dims
-    out = BundleExpr(new_shape)
-    for mono, m in e.terms.items():
-        factors = []
-        for slot, w in mono.factors:
-            if slot.kind in (SUB, QUOT):
-                new_slot = Slot(slot.kind, pos[old[slot.index - 1]])
-            else:
-                # block j = W_{d_j} / W_{d_(j-1)}; both endpoints retained,
-                # hence adjacent in the new shape as well
-                j = slot.index
-                if j == 1:
-                    new_slot = Slot(SUB, 1)
-                elif j == e.shape.s + 1:
-                    new_slot = Slot(QUOT, new_shape.s)
-                else:
-                    new_slot = _normalize_slot(Slot(BLOCK, pos[old[j - 1]]), new_shape)
-            factors.append((new_slot, w))
-        factors.sort(key=lambda fw: fw[0].sort_key())
-        out = out + BundleExpr(new_shape, {SchurMonomial(new_shape, tuple(factors)): m})
-    return new_shape, out
+
+    def factor(slot, w):
+        if slot.kind in (SUB, QUOT):
+            return Slot(slot.kind, pos[old[slot.index - 1]]), w
+        # block j = W_{d_j} / W_{d_(j-1)}; both endpoints retained,
+        # hence adjacent in the new shape as well
+        j = slot.index
+        if j == 1:
+            return Slot(SUB, 1), w
+        if j == e.shape.s + 1:
+            return Slot(QUOT, new_shape.s), w
+        return _normalize_slot(Slot(BLOCK, pos[old[j - 1]]), new_shape), w
+
+    return new_shape, _relabel(e, new_shape, factor)
 
 
 @dataclass(frozen=True)
@@ -505,16 +498,10 @@ def _expand_monomial(mono: SchurMonomial) -> tuple:
         for vec, c in pieces.items():
             for fvec, fc in _expand_factor(shape, slot, tuple(w)):
                 # tensor the two block-weight vectors blockwise
-                options = [CharacterSum(sizes[j], {vec[j]: 1}) for j in range(len(sizes))]
-                merged = []
-                for j in range(len(sizes)):
-                    if any(x != 0 for x in fvec[j]):
-                        if any(x != 0 for x in vec[j]):
-                            merged.append(tensor_schur(vec[j], fvec[j], sizes[j]))
-                        else:
-                            merged.append(CharacterSum(sizes[j], {fvec[j]: 1}))
-                    else:
-                        merged.append(options[j])
+                merged = [
+                    tensor_character(CharacterSum(b, {v: 1}), f)
+                    for b, v, f in zip(sizes, vec, fvec)
+                ]
                 _combine(nxt, merged, c * fc, sizes)
         pieces = nxt
     result = []

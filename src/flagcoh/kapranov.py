@@ -29,6 +29,12 @@ HIGHER = "higher"  # Ext^k must vanish for k > 0
 TOTAL = "total"  # Ext^k must vanish for every k
 
 _STATUS_RANK = {CONFIRMED: 0, INCONCLUSIVE: 1, REFUTED: 2}
+EXIT_CODE = {CONFIRMED: 0, REFUTED: 1, INCONCLUSIVE: 2}
+
+
+def worst_status(pairs) -> str:
+    """The verdict on a set of pair verdicts: refuted > inconclusive > confirmed."""
+    return max((p.status for p in pairs), key=_STATUS_RANK.__getitem__, default=CONFIRMED)
 
 
 def _box_partitions(rows: int, width: int):
@@ -172,15 +178,11 @@ class PairReport:
 
     @property
     def overall(self) -> str:
-        worst = CONFIRMED
-        for p in self.pairs:
-            if _STATUS_RANK[p.status] > _STATUS_RANK[worst]:
-                worst = p.status
-        return worst
+        return worst_status(self.pairs)
 
     @property
     def exit_code(self) -> int:
-        return {CONFIRMED: 0, REFUTED: 1, INCONCLUSIVE: 2}[self.overall]
+        return EXIT_CODE[self.overall]
 
     def refutations(self):
         return [p for p in self.pairs if p.status == REFUTED]

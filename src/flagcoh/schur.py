@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .weights import dual_weight, is_weakly_decreasing
+from .weights import dual_weight, is_weakly_decreasing, strict_int
 
 
 def _strip_zeros(p: Sequence[int]) -> tuple:
@@ -116,7 +116,7 @@ class CharacterSum:
     def from_json(cls, data: Iterable[dict], rank: int) -> "CharacterSum":
         out = cls(rank)
         for entry in data:
-            out.add_term(tuple(entry["weight"]), int(entry["mult"]))
+            out.add_term(tuple(map(strict_int, entry["weight"])), strict_int(entry["mult"]))
         return out
 
 
@@ -220,6 +220,20 @@ def tensor_schur(a: Sequence[int], b: Sequence[int], rank: int) -> CharacterSum:
     return out
 
 
+def tensor_character(cs: CharacterSum, w: tuple) -> CharacterSum:
+    """cs (x) Sigma^w at GL_(cs.rank); trivial factors skip the LR step."""
+    if not any(w):
+        return cs
+    out = CharacterSum(cs.rank)
+    for key, mult in cs._terms.items():
+        if not any(key):
+            out.add_term(w, mult)
+            continue
+        for lam, c in tensor_schur(key, w, cs.rank)._terms.items():
+            out.add_term(lam, c * mult)
+    return out
+
+
 @lru_cache(maxsize=None)
 def schur_dim(lam: tuple, m: int) -> int:
     """Dimension of Sigma^lam(k^m) by the Weyl dimension formula."""
@@ -232,7 +246,8 @@ def schur_dim(lam: tuple, m: int) -> int:
     for i in range(m):
         for j in range(i + 1, m):
             val *= Fraction(lam[i] - lam[j] + j - i, j - i)
-    assert val.denominator == 1
+    if val.denominator != 1:
+        raise RuntimeError("Weyl dimension of %r is not an integer" % (lam,))
     return int(val)
 
 

@@ -25,8 +25,8 @@ import itertools
 from dataclasses import dataclass, field
 from math import comb
 
-CONFIRMED = "confirmed"
-REFUTED = "refuted"
+from .kapranov import CONFIRMED, EXIT_CODE, REFUTED
+from .weights import strict_int
 
 
 @dataclass(frozen=True)
@@ -124,14 +124,13 @@ class TowerSpec:
         levels = tuple(
             Level(
                 bundles=tuple(
-                    tuple(tuple(int(x) for x in md) for md in b)
-                    for b in lv["bundles"]
+                    tuple(tuple(map(strict_int, md)) for md in b) for b in lv["bundles"]
                 ),
-                perms=tuple(tuple(int(x) for x in p) for p in lv.get("perms", [])),
+                perms=tuple(tuple(map(strict_int, p)) for p in lv.get("perms", [])),
             )
             for lv in data["levels"]
         )
-        return cls(int(data["base_dim"]), levels)
+        return cls(strict_int(data["base_dim"]), levels)
 
 
 def _proj_cohomology(r: int, t: int) -> dict:
@@ -217,7 +216,7 @@ class GridReport:
 
     @property
     def exit_code(self) -> int:
-        return 0 if self.status == CONFIRMED else 1
+        return EXIT_CODE[self.status]
 
     def to_json(self):
         return {

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 from .cohomology import (
     CohomologyOutcome,
+    certify,
     cohomology,
     cohomology_stepwise,
     ext_groups_best,
@@ -34,12 +35,12 @@ from .flagvar import (
     tensor,
 )
 from .kapranov import (
-    CONFIRMED,
+    EXIT_CODE,
     HIGHER,
-    INCONCLUSIVE,
     REFUTED,
     PairVerdict,
     classify_vanishing,
+    worst_status,
 )
 from .schur import pad
 
@@ -88,16 +89,11 @@ class DescentReport:
 
     @property
     def status(self) -> str:
-        worst = CONFIRMED
-        rank = {CONFIRMED: 0, INCONCLUSIVE: 1, REFUTED: 2}
-        for p in self.pairs:
-            if rank[p.status] > rank[worst]:
-                worst = p.status
-        return worst
+        return worst_status(self.pairs)
 
     @property
     def exit_code(self) -> int:
-        return {CONFIRMED: 0, REFUTED: 1, INCONCLUSIVE: 2}[self.status]
+        return EXIT_CODE[self.status]
 
     def certificates(self):
         return [
@@ -158,7 +154,7 @@ class ReadingReport:
     sigma_F: BundleExpr
     ext_outcome: CohomologyOutcome  # one-shot graded view
     refined: CohomologyOutcome  # stepwise view
-    status: str
+    status: str  # classified on the certified outcome
     certificate: dict | None
 
     def to_json(self):
@@ -200,15 +196,10 @@ class CounterexampleReport:
 def _reading(label: str, F: BundleExpr, G: BundleExpr) -> ReadingReport:
     sigma_F = sigma_pullback(F)
     e = tensor(dual(sigma_F), G)
-    one_shot = cohomology(e)
-    refined = cohomology_stepwise(e)
-    status, certificate = classify_vanishing(one_shot, HIGHER)
-    if status != REFUTED:
-        status2, certificate2 = classify_vanishing(refined, HIGHER)
-        # the stepwise view may be exact where the one-shot view is a bound
-        if status2 == REFUTED or status == INCONCLUSIVE:
-            status, certificate = status2, certificate2
-    return ReadingReport(label, F, G, sigma_F, one_shot, refined, status, certificate)
+    status, certificate = classify_vanishing(certify(e), HIGHER)
+    return ReadingReport(
+        label, F, G, sigma_F, cohomology(e), cohomology_stepwise(e), status, certificate
+    )
 
 
 def counterexample_case(case: int, shape: FlagShape) -> CounterexampleReport:

@@ -47,6 +47,14 @@ def dual_weight(chi: Sequence[int]) -> tuple:
     return tuple(-c for c in reversed(chi))
 
 
+def strict_int(value) -> int:
+    """An integer read from JSON input.  Booleans, floats and strings are
+    rejected rather than coerced, so 1.5 is never read as 1."""
+    if type(value) is not int:
+        raise ValueError("expected an integer, got %r" % (value,))
+    return value
+
+
 def is_weakly_decreasing(v: Sequence[int]) -> bool:
     return all(v[i] >= v[i + 1] for i in range(len(v) - 1))
 
@@ -63,7 +71,8 @@ class BBWResolution:
     def __post_init__(self):
         if not self.singular:
             n = len(self.dominant)
-            assert 0 <= self.degree <= n * (n - 1) // 2
+            if not 0 <= self.degree <= n * (n - 1) // 2:
+                raise ValueError("BBW degree %r out of range for rank %d" % (self.degree, n))
 
 
 def _inversions(v: Sequence[int]) -> int:

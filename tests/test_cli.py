@@ -1,8 +1,13 @@
+import importlib
 import json
 
 import pytest
 
-from flagcoh.cli import EX_DATAERR, EX_USAGE, main
+from flagcoh.cli import EX_DATAERR, EX_SOFTWARE, EX_USAGE, main
+from flagcoh.schur import CharacterSum
+
+# the package's ``cohomology`` attribute is the function, not the module
+engine = importlib.import_module("flagcoh.cohomology")
 
 
 def run(capsys, *argv):
@@ -72,6 +77,72 @@ def test_cohom(tmp_path, capsys):
     assert data["by_degree"] == {"4": [{"weight": [0, 0, 0, 0], "mult": 1}]}
     code, data = run_json(capsys, "cohom", "--expr", str(path), "--euler-only")
     assert data["grade"] == "euler_only" and data["by_degree"] == {}
+
+
+def _cohom_expr(mult=1, weight=(2, 2), n=4):
+    return {
+        "flag": {"n": n, "dims": [2]},
+        "terms": [
+            {
+                "mult": mult,
+                "factors": [{"slot": "sub", "index": 1, "weight": list(weight)}],
+            }
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        _cohom_expr(mult=True),
+        _cohom_expr(mult=1.0),
+        _cohom_expr(weight=(1.5, 0)),
+        _cohom_expr(weight=("1", 0)),
+        _cohom_expr(n=4.0),
+    ],
+)
+def test_cohom_rejects_non_integers(tmp_path, capsys, expr):
+    path = tmp_path / "expr.json"
+    path.write_text(json.dumps(expr))
+    code, out, err = run(capsys, "cohom", "--expr", str(path))
+    assert code == EX_DATAERR and out == ""
+    assert "input error" in err
+
+
+def test_toric_rejects_non_integers(tmp_path, capsys):
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps({"base_dim": 1, "levels": [{"bundles": [[[0], [0.5]]]}]}))
+    code, _, _ = run(capsys, "toric-check", "--tower", str(path))
+    assert code == EX_DATAERR
+
+
+def test_internal_errors_exit_70(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "expr.json"
+    path.write_text(json.dumps(_cohom_expr()))
+
+    def broken(mono):
+        raise AssertionError("unconsumed factors at the last level")
+
+    monkeypatch.setattr(engine, "_monomial_pieces_stepwise", broken)
+    code, out, err = run(capsys, "cohom", "--expr", str(path), "--stepwise")
+    assert code == EX_SOFTWARE and out == ""
+    assert "flagcoh: internal error: AssertionError" in err
+
+
+def test_route_disagreement_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    # W_2 against W_1 on F(1,2;3): one-shot is a bound, so certify asks
+    # the stepwise route, here replaced by one with a wrong Euler character
+    a = _write_member(
+        tmp_path, "a.json", 3, [1, 2], [{"slot": "sub", "index": 2, "weight": [1, 0]}]
+    )
+    b = _write_member(
+        tmp_path, "b.json", 3, [1, 2], [{"slot": "sub", "index": 1, "weight": [1]}]
+    )
+    wrong = engine.CohomologyOutcome(3, engine.EXACT, {0: CharacterSum(3, {(0, 0, 0): 1})})
+    monkeypatch.setattr(engine, "cohomology_stepwise", lambda e: wrong)
+    code, out, err = run(capsys, "ext", "--expr", a, "--expr", b, "--best")
+    assert code == EX_SOFTWARE and out == ""
+    assert "routes disagree" in err
 
 
 def test_cohom_missing_file(capsys):

@@ -12,7 +12,6 @@ from flagcoh.cohomology import (
     euler_characteristic,
     ext_groups,
     ext_groups_best,
-    pushforward_grassmann,
 )
 from flagcoh.flagvar import (
     QUOT,
@@ -125,19 +124,20 @@ def test_endomorphisms_trivial():
 
 
 def test_pushforward_grassmann_examples():
-    assert pushforward_grassmann((0, 0), (0,), 3) == (0, (0, 0, 0))
-    # W_(n-2) pushed down one step at n=3: chi = (0,-1,0) + rho has a repeat
-    assert pushforward_grassmann((1, 0), (0,), 3) is None
-    # Sigma^(1,0)(W) (x) (W_top/W): chi = (0,-1,-1), degree 0, Lambda^2
-    res = pushforward_grassmann((1, 0), (1,), 3)
-    assert res is not None
-    deg, dominant = res
-    assert deg == 0
-    from flagcoh.weights import dual_weight
+    # one relative Grassmann pushforward is cohomology_graded on Gr(2,3)
+    gr23 = FlagShape(3, (2,))
 
-    assert dual_weight(dominant) == (1, 1, 0)
+    def push(alpha, beta):
+        return cohomology_graded(GradedMonomial(gr23, (alpha, beta)), gr23)
+
+    assert push((0, 0), (0,)) == (0, (0, 0, 0))
+    # W_(n-2) pushed down one step at n=3: chi = (0,-1,0) + rho has a repeat
+    assert push((1, 0), (0,)) is None
+    # Sigma^(1,0)(W) (x) (W_top/W): chi = (0,-1,-1), degree 0, Lambda^2
+    assert push((1, 0), (1,)) == (0, (1, 1, 0))
+    # block lengths 2 + 1 do not add up to the ambient rank 4
     with pytest.raises(ValueError):
-        pushforward_grassmann((1, 0), (0,), 4)
+        GradedMonomial(FlagShape(4, (2,)), ((1, 0), (0,)))
 
 
 def test_one_shot_bound_and_stepwise_refinement():

@@ -48,6 +48,9 @@ def test_character_sum_basics():
 def test_character_sum_json_roundtrip():
     cs = CharacterSum(3, {(2, 1, 0): 2, (1, 1, 1): -1})
     assert CharacterSum.from_json(cs.to_json(), 3) == cs
+    for bad in ({"weight": [1, 0, 0], "mult": 1.5}, {"weight": [True, 0, 0], "mult": 1}):
+        with pytest.raises(ValueError):
+            CharacterSum.from_json([bad], 3)
 
 
 def test_schur_dim():

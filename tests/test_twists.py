@@ -137,6 +137,22 @@ def test_case3_both_readings():
     assert r2.certificate is not None
 
 
+def test_case3_w2_witness_is_the_exact_stepwise_group():
+    # the one-shot view of F=W_2 is only a bound; the stepwise route is
+    # exact and its degree-1 group Lambda^3 is the witness
+    for n, dims in ((3, (1, 2)), (4, (1, 2, 3)), (5, (1, 2, 3, 4)), (7, (1, 2, 5, 6))):
+        report = counterexample_case(3, FlagShape(n, dims))
+        r2 = {r.label: r for r in report.readings}["F=W_2"]
+        lam3 = CharacterSum(n, {(1, 1, 1) + (0,) * (n - 3): 1})
+        assert r2.ext_outcome.grade == E1_BOUND and r2.refined.grade == EXACT
+        assert r2.status == REFUTED
+        assert r2.certificate == {
+            "kind": "exact_degree",
+            "degree": 1,
+            "character": lam3.to_json(),
+        }
+
+
 def test_case_preconditions():
     with pytest.raises(ValueError):
         counterexample_case(1, F123)  # d_1 = 1 < 2
