@@ -10,8 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from .cohomology import (
+    EULER_ONLY,
     CohomologyOutcome,
     cohomology,
     cohomology_stepwise,
@@ -19,7 +21,14 @@ from .cohomology import (
     ext_groups_best,
 )
 from .flagvar import BundleExpr, FlagShape
-from .kapranov import Collection, check_strong_exceptional, enumerate_collection
+from .kapranov import (
+    CONFIRMED,
+    EXIT_CODE,
+    REFUTED,
+    Collection,
+    check_strong_exceptional,
+    enumerate_collection,
+)
 from .toric import TowerSpec, check_grid_collection, galois_orbit_check
 from .twists import (
     INNER_ONLY,
@@ -28,7 +37,7 @@ from .twists import (
     check_T2,
     counterexample_case,
 )
-from .weights import bbw_resolve, dual_weight
+from .weights import InputError, bbw_resolve, dual_weight
 
 EX_USAGE = 64
 EX_DATAERR = 65
@@ -50,20 +59,32 @@ def _emit(payload: dict, args, text_lines):
             print(line)
 
 
+@contextmanager
+def _parsing():
+    """Report a ValueError, KeyError or TypeError raised while reading
+    the user's input as an input error."""
+    try:
+        yield
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InputError(str(exc)) from exc
+
+
 def _parse_ints(s: str) -> tuple:
     try:
         return tuple(int(x) for x in s.split(",") if x.strip() != "")
     except ValueError:
-        raise ValueError("expected comma-separated integers, got %r" % s)
+        raise InputError("expected comma-separated integers, got %r" % s)
 
 
 def _shape(args) -> FlagShape:
-    return FlagShape(args.n, _parse_ints(args.dims))
+    with _parsing():
+        return FlagShape(args.n, _parse_ints(args.dims))
 
 
-def _load_json(path: str):
-    with open(path) as fh:
-        return json.load(fh)
+def _load(path: str, cls):
+    """Read an object of ``cls`` from a JSON file through ``cls.from_json``."""
+    with open(path) as fh, _parsing():
+        return cls.from_json(json.load(fh))
 
 
 def _character_text(cs) -> str:
@@ -81,7 +102,7 @@ def _outcome_lines(outcome: CohomologyOutcome):
         lines.append(
             "H^%d = %s  (dim %d)" % (t, _character_text(cs), cs.dimension())
         )
-    if not outcome.degrees() and outcome.grade != "euler_only":
+    if not outcome.degrees() and outcome.grade != EULER_ONLY:
         lines.append("all cohomology vanishes (within the reported grade)")
     lines.append("euler = %s" % _character_text(outcome.euler))
     return lines
@@ -96,8 +117,8 @@ def _kapranov_sum(shape: FlagShape) -> BundleExpr:
 
 def _cmd_bbw(args):
     weight = _parse_ints(args.weight)
-    if len(weight) != args.n:
-        raise ValueError("weight length must equal n")
+    if args.n < 1 or len(weight) != args.n:
+        raise InputError("weight length must equal n >= 1")
     res = bbw_resolve(weight)
     if res.singular:
         _emit({"singular": True}, args, ["singular: all cohomology vanishes"])
@@ -120,7 +141,7 @@ def _cmd_bbw(args):
 
 
 def _cmd_cohom(args):
-    expr = BundleExpr.from_json(_load_json(args.expr))
+    expr = _load(args.expr, BundleExpr)
     if args.euler_only:
         outcome = CohomologyOutcome.euler_only(cohomology(expr).euler)
     elif args.stepwise:
@@ -133,9 +154,11 @@ def _cmd_cohom(args):
 
 def _cmd_ext(args):
     if len(args.expr) != 2:
-        raise ValueError("ext requires exactly two --expr files (source, target)")
-    a = BundleExpr.from_json(_load_json(args.expr[0]))
-    b = BundleExpr.from_json(_load_json(args.expr[1]))
+        raise InputError("ext requires exactly two --expr files (source, target)")
+    a = _load(args.expr[0], BundleExpr)
+    b = _load(args.expr[1], BundleExpr)
+    if a.shape != b.shape:
+        raise InputError("source and target live on different flag shapes")
     outcome = ext_groups_best(a, b) if args.best else ext_groups(a, b)
     _emit(outcome.to_json(), args, _outcome_lines(outcome))
     return 0
@@ -153,15 +176,15 @@ def _cmd_kapranov(args):
 
 def _cmd_check_strong(args):
     if args.collection:
-        c = Collection.from_json(_load_json(args.collection))
+        c = _load(args.collection, Collection)
     elif args.dims is not None:
         c = enumerate_collection(_shape(args))
     else:
-        raise ValueError("check-strong needs --collection or --n/--dims")
+        raise InputError("check-strong needs --collection or --n/--dims")
     report = check_strong_exceptional(c)
     lines = ["overall: %s" % report.overall]
     for p in report.pairs:
-        if p.status != "confirmed":
+        if p.status != CONFIRMED:
             lines.append(
                 "  pair (%d, %d) [%s]: %s %s"
                 % (p.i, p.j, p.requirement, p.status, p.witness or "")
@@ -173,13 +196,9 @@ def _cmd_check_strong(args):
 def _cmd_twist_check(args):
     shape = _shape(args)
     group = TwistGroup(WITH_SIGMA if args.sigma else INNER_ONLY)
-    t = (
-        BundleExpr.from_json(_load_json(args.expr))
-        if args.expr
-        else _kapranov_sum(shape)
-    )
+    t = _load(args.expr, BundleExpr) if args.expr else _kapranov_sum(shape)
     if t.shape != shape:
-        raise ValueError("expression shape does not match --n/--dims")
+        raise InputError("expression shape does not match --n/--dims")
     report = check_T2(t, group)
     lines = ["group: %s" % group.kind, "T2 status: %s" % report.status]
     for cert in report.certificates():
@@ -202,7 +221,7 @@ def _cmd_counterexample(args):
 
 
 def _cmd_toric_check(args):
-    tower = TowerSpec.from_json(_load_json(args.tower))
+    tower = _load(args.tower, TowerSpec)
     report = check_grid_collection(tower)
     payload = report.to_json()
     lines = [
@@ -217,7 +236,7 @@ def _cmd_toric_check(args):
         lines.append("orbit closure: %s" % orbits["orbit_closed"])
         lines.append("orbit classes: %d" % len(orbits["orbit_classes"]))
         if not orbits["orbit_closed"]:
-            code = max(code, 1)
+            code = EXIT_CODE[REFUTED]
     _emit(payload, args, lines)
     return code
 
@@ -282,7 +301,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EX_USAGE
     try:
         return args.func(args)
-    except (ValueError, KeyError, TypeError) as exc:
+    except InputError as exc:
         print("flagcoh: input error: %s" % exc, file=sys.stderr)
         return EX_DATAERR
     except OSError as exc:

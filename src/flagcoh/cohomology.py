@@ -10,7 +10,9 @@ Two routes are provided for H^*(F, E):
   exact regardless.
 
 * ``cohomology_stepwise`` pushes forward one relative Grassmann bundle at
-  a time, deferring filtration splits as long as possible.  It often
+  a time, deferring filtration splits as long as possible.  It handles one
+  level of the tower per call and caches its pieces per monomial, so a
+  state reached along several branches is computed once.  It often
   certifies exact vanishing where the one-shot route only yields a bound.
 
 ``certify`` is the one place where the two routes are combined.
@@ -31,12 +33,14 @@ from .flagvar import (
     SchurMonomial,
     Slot,
     _expand_monomial,
+    _forget_steps,
     _split_weight,
     dual,
+    make_monomial,
     minimal_base,
     tensor,
 )
-from .schur import CharacterSum, pad, tensor_character
+from .schur import CharacterSum, pad
 from .weights import bbw_resolve, dual_weight
 
 EXACT = "exact"
@@ -158,119 +162,59 @@ def cohomology(e: BundleExpr, reduce: bool = True) -> CohomologyOutcome:
 # stepwise pushforward down the tower of relative Grassmann bundles
 
 
-def _factor_map(mono: SchurMonomial) -> dict:
-    return {slot: tuple(w) for slot, w in mono.factors}
+def _lower_pieces(terms, shift: int, filtered: bool) -> tuple:
+    """Sum the stepwise pieces of the (monomial, mult) pairs ``terms``,
+    ``shift`` degrees up; ``filtered`` is or-ed with theirs."""
+    acc: dict = {}
+    for mono, mult in terms:
+        pieces, below = _monomial_pieces_stepwise(mono)
+        filtered = filtered or below
+        for d, w, c in pieces:
+            acc[d + shift, w] = acc.get((d + shift, w), 0) + c * mult
+    return tuple(sorted((d, w, c) for (d, w), c in acc.items() if c)), filtered
 
 
 @lru_cache(maxsize=None)
 def _monomial_pieces_stepwise(mono: SchurMonomial) -> tuple:
-    """Stepwise pieces of a monomial: pushes along
-    F(d_1,...) -> F(d_2,...) -> ... -> Spec k, expanding V/W_{d_1} into
-    its filtration only when that level is integrated out."""
+    """Stepwise pieces of a monomial, ((degree, weight, mult), ...) plus the
+    filtration flag, one level of the tower per call.
+
+    A factor on V/W_{d_1} is first split into its filtration pieces on the
+    blocks above d_1.  Otherwise F(d_1, d_2, ...) -> F(d_2, ...) is the
+    Grassmann bundle Gr(d_1, W_{d_2}) (W_{d_2} = V when s = 1);
+    Borel-Bott-Weil on its fibre turns the factors on W_{d_1} and
+    W_{d_2}/W_{d_1} into one weight on W_{d_2}, and the rest of the
+    monomial is relabelled onto the base."""
     shape = mono.shape
-    n = shape.n
     if shape.s == 0:
-        fm = _factor_map(mono)
-        w = fm.get(Slot(BLOCK, 1), pad((), n))
-        return ((0, tuple(w), 1),), False
-
-    filtration_used = False
-    # state: (shape, factors frozenset of (slot, weight), degree, mult)
-    states = [(shape, _factor_map(mono), 0, 1)]
-    final = {}
-
-    while states:
-        cur_shape, factors, degree, mult = states.pop()
-        t = cur_shape.s
-        sizes = cur_shape.blocks()
-        e2 = cur_shape.dims[1] if t >= 2 else n
-
-        # expand any factor on Quot(1): a genuine filtration split
-        q1 = Slot(QUOT, 1)
-        if t >= 2 and q1 in factors:
-            w = factors.pop(q1)
-            ranks = tuple(sizes[1:])
-            pieces = _split_weight(w, ranks)
-            if len(pieces) > 1:
-                filtration_used = True
-            for ws, c in pieces:
-                new_factors = dict(factors)
-                for j, piece in enumerate(ws):
-                    if any(x != 0 for x in piece):
-                        slot = Slot(QUOT, t) if j == len(ws) - 1 else Slot(BLOCK, j + 2)
-                        _merge_factor(new_factors, slot, piece, slot.rank(cur_shape))
-                # re-queue with Quot(1) resolved; multiple merge keys handled below
-                for nf, cm in _explode(new_factors):
-                    states.append((cur_shape, nf, degree, mult * c * cm))
-            continue
-
-        alpha = factors.pop(Slot(SUB, 1), pad((), sizes[0]))
-        beta_slot = Slot(QUOT, 1) if t == 1 else Slot(BLOCK, 2)
-        beta = factors.pop(beta_slot, pad((), e2 - sizes[0]))
-        res = _bbw_blocks((alpha, beta))
-        if res is None:
-            continue
-        step_degree, new_weight = res
-
-        if t == 1:
-            if factors:
-                raise AssertionError("unconsumed factors at the last level")
-            key = (degree + step_degree, new_weight)
-            final[key] = final.get(key, 0) + mult
-            continue
-
-        new_shape = FlagShape(n, cur_shape.dims[1:])
-        new_factors: dict[Slot, tuple] = {}
-        for slot, w in factors.items():
-            if slot.kind == SUB:
-                new_slot = Slot(SUB, slot.index - 1)
-            elif slot.kind == QUOT:
-                new_slot = Slot(QUOT, slot.index - 1)
-            else:
-                new_slot = Slot(BLOCK, slot.index - 1)
-                if new_slot.index == new_shape.s + 1:
-                    new_slot = Slot(QUOT, new_shape.s)
-            new_factors[new_slot] = w
-        _merge_factor(new_factors, Slot(SUB, 1), new_weight, e2)
-        for nf, cm in _explode(new_factors):
-            states.append((new_shape, nf, degree + step_degree, mult * cm))
-
-    pieces = tuple(
-        sorted((d, w, c) for (d, w), c in final.items() if c)
+        w = mono.factors[0][1] if mono.factors else pad((), shape.n)
+        return ((0, w, 1),), False
+    factors = dict(mono.factors)
+    sizes = shape.blocks()
+    q1 = Slot(QUOT, 1)
+    if shape.s >= 2 and q1 in factors:
+        pieces = _split_weight(factors.pop(q1), sizes[1:])
+        blocks = [Slot(BLOCK, j) for j in range(2, shape.s + 2)]
+        rest = list(factors.items())
+        terms = (
+            (split, c * m)
+            for ws, c in pieces
+            for split, m in make_monomial(shape, rest + list(zip(blocks, ws))).terms.items()
+        )
+        return _lower_pieces(terms, 0, len(pieces) > 1)
+    alpha = factors.pop(Slot(SUB, 1), pad((), sizes[0]))
+    beta = factors.pop(q1 if shape.s == 1 else Slot(BLOCK, 2), pad((), sizes[1]))
+    res = _bbw_blocks((alpha, beta))
+    if res is None:
+        return (), False
+    degree, weight = res
+    if shape.s == 1:
+        return ((degree, weight, 1),), False
+    lower, factor = _forget_steps(shape, shape.dims[1:])
+    pushed = make_monomial(
+        lower, [factor(slot, w) for slot, w in factors.items()] + [(Slot(SUB, 1), weight)]
     )
-    return pieces, filtration_used
-
-
-def _merge_factor(factors: dict, slot, weight: tuple, rank: int):
-    """Tensor a weight into a factor dict; values may become CharacterSums."""
-    if all(x == 0 for x in weight):
-        return
-    if slot in factors:
-        prev = factors[slot]
-        if not isinstance(prev, CharacterSum):
-            prev = CharacterSum(rank, {prev: 1})
-        factors[slot] = tensor_character(prev, weight)
-    else:
-        factors[slot] = weight
-
-
-def _explode(factors: dict):
-    """Resolve CharacterSum-valued entries into plain-weight factor dicts,
-    yielding (factors, multiplicity) pairs."""
-    sum_slots = [s for s, v in factors.items() if isinstance(v, CharacterSum)]
-    if not sum_slots:
-        yield {s: w for s, w in factors.items() if any(x != 0 for x in w)}, 1
-        return
-    slot = sum_slots[0]
-    cs = factors[slot]
-    for w, m in cs.items():
-        nxt = dict(factors)
-        if any(x != 0 for x in w):
-            nxt[slot] = w
-        else:
-            nxt.pop(slot)
-        for f2, m2 in _explode(nxt):
-            yield f2, m * m2
+    return _lower_pieces(pushed.terms.items(), degree, False)
 
 
 def cohomology_stepwise(e: BundleExpr, reduce: bool = True) -> CohomologyOutcome:

@@ -143,27 +143,20 @@ def make_monomial(shape: FlagShape, factors: Iterable) -> "BundleExpr":
     for slot, w in factors:
         slot = _normalize_slot(slot, shape)
         by_slot.setdefault(slot, []).append(tuple(w))
-    expr = BundleExpr(shape, {SchurMonomial(shape, ()): 1})
+    # factor tuples grown in slot order are already canonical
+    products = {(): 1}
     for slot, ws in sorted(by_slot.items(), key=lambda kv: kv[0].sort_key()):
         rank = slot.rank(shape)
         cs = CharacterSum(rank, {pad(ws[0], rank): 1})
         for w in ws[1:]:
             cs = tensor_character(cs, pad(w, rank))
-        terms = {}
-        for mono, m in expr.terms.items():
+        grown = {}
+        for fs, m in products.items():
             for key, mult in cs.items():
-                new = _with_factor(mono, slot, key)
-                terms[new] = terms.get(new, 0) + m * mult
-        expr = BundleExpr(shape, terms)
-    return expr
-
-
-def _with_factor(mono: SchurMonomial, slot: Slot, weight: tuple) -> SchurMonomial:
-    factors = list(mono.factors)
-    if any(x != 0 for x in weight):
-        factors.append((slot, tuple(weight)))
-        factors.sort(key=lambda fw: fw[0].sort_key())
-    return SchurMonomial(mono.shape, tuple(factors))
+                new = fs + ((slot, key),) if any(key) else fs
+                grown[new] = grown.get(new, 0) + m * mult
+        products = grown
+    return BundleExpr(shape, {SchurMonomial(shape, fs): m for fs, m in products.items()})
 
 
 class BundleExpr:
@@ -314,6 +307,30 @@ def _referenced_dims(mono: SchurMonomial) -> set:
     return refs
 
 
+@lru_cache(maxsize=None)
+def _forget_steps(shape: FlagShape, dims: tuple):
+    """(new_shape, factor): the shape keeping only the flag steps ``dims``
+    of ``shape``, and the map of a factor (slot, w) onto it.  Every slot
+    mapped must have both its endpoints among the kept steps."""
+    new_shape = FlagShape(shape.n, dims)
+    pos = {d: i + 1 for i, d in enumerate(dims)}
+    old = shape.dims
+
+    def factor(slot, w):
+        if slot.kind in (SUB, QUOT):
+            return Slot(slot.kind, pos[old[slot.index - 1]]), w
+        # block j = W_{d_j} / W_{d_(j-1)}; both endpoints retained,
+        # hence adjacent in the new shape as well
+        j = slot.index
+        if j == 1:
+            return Slot(SUB, 1), w
+        if j == shape.s + 1:
+            return Slot(QUOT, new_shape.s), w
+        return _normalize_slot(Slot(BLOCK, pos[old[j - 1]]), new_shape), w
+
+    return new_shape, factor
+
+
 def minimal_base(e: BundleExpr):
     """Drop flag steps not referenced by any slot of ``e``.
 
@@ -326,22 +343,7 @@ def minimal_base(e: BundleExpr):
     new_dims = tuple(sorted(refs))
     if new_dims == e.shape.dims:
         return e.shape, e
-    new_shape = FlagShape(e.shape.n, new_dims)
-    pos = {d: i + 1 for i, d in enumerate(new_dims)}
-    old = e.shape.dims
-
-    def factor(slot, w):
-        if slot.kind in (SUB, QUOT):
-            return Slot(slot.kind, pos[old[slot.index - 1]]), w
-        # block j = W_{d_j} / W_{d_(j-1)}; both endpoints retained,
-        # hence adjacent in the new shape as well
-        j = slot.index
-        if j == 1:
-            return Slot(SUB, 1), w
-        if j == e.shape.s + 1:
-            return Slot(QUOT, new_shape.s), w
-        return _normalize_slot(Slot(BLOCK, pos[old[j - 1]]), new_shape), w
-
+    new_shape, factor = _forget_steps(e.shape, new_dims)
     return new_shape, _relabel(e, new_shape, factor)
 
 
@@ -484,7 +486,6 @@ def _expand_factor(shape: FlagShape, slot: Slot, w: tuple) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def _expand_monomial(mono: SchurMonomial) -> tuple:
     """Graded pieces of a monomial: ((GradedMonomial, coeff), ...).
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .kapranov import CONFIRMED, EXIT_CODE, REFUTED
-from .weights import strict_int
+from .weights import InputError, strict_int
 
 
 @dataclass(frozen=True)
@@ -301,7 +301,7 @@ def _validate_generators(tower: TowerSpec):
                 )
                 dst = sorted(level.bundles[perm[k]])
                 if src != dst:
-                    raise ValueError(
+                    raise InputError(
                         "permutation does not preserve the level structure"
                     )
             lo += level.m

@@ -37,12 +37,14 @@ from .flagvar import (
 from .kapranov import (
     EXIT_CODE,
     HIGHER,
+    INCONCLUSIVE,
     REFUTED,
     PairVerdict,
     classify_vanishing,
     worst_status,
 )
 from .schur import pad
+from .weights import InputError
 
 INNER_ONLY = "inner_only"
 WITH_SIGMA = "with_sigma"
@@ -58,7 +60,7 @@ class TwistGroup:
 
     def check_shape(self, shape: FlagShape):
         if self.kind == WITH_SIGMA and not shape.is_symmetric():
-            raise ValueError(
+            raise InputError(
                 "the duality twist exists only on symmetric shapes "
                 "(d_i + d_(s-i+1) = n)"
             )
@@ -182,7 +184,7 @@ class CounterexampleReport:
 
     @property
     def exit_code(self) -> int:
-        return 1 if self.established else 2
+        return EXIT_CODE[REFUTED if self.established else INCONCLUSIVE]
 
     def to_json(self):
         return {
@@ -206,24 +208,24 @@ def counterexample_case(case: int, shape: FlagShape) -> CounterexampleReport:
     """The three families of pairs (F, G) in Kapranov's collection with
     Ext^{>0}(sigma*F, G) != 0 on the outer twisted form's flag variety."""
     if not shape.is_symmetric():
-        raise ValueError("counterexamples live on symmetric shapes")
+        raise InputError("counterexamples live on symmetric shapes")
     dims = shape.dims
     s = shape.s
     if case == 1:
-        if dims[0] < 2:
-            raise ValueError("case 1 requires d_1 >= 2")
+        if s < 1 or dims[0] < 2:
+            raise InputError("case 1 requires d_1 >= 2")
         F = make_monomial(shape, [(Slot(SUB, 1), _column(dims[0] - 1, dims[0]))])
         G = make_monomial(shape, [(Slot(SUB, s), pad((2,), dims[-1]))])
         readings = [_reading("standard", F, G)]
     elif case == 2:
         if s < 2 or dims[0] != 1 or dims[1] < 3:
-            raise ValueError("case 2 requires d_1 = 1 and d_2 >= 3")
+            raise InputError("case 2 requires d_1 = 1 and d_2 >= 3")
         F = make_monomial(shape, [(Slot(SUB, 2), _column(dims[1] - 1, dims[1]))])
         G = make_monomial(shape, [(Slot(SUB, s - 1), pad((2,), dims[s - 2]))])
         readings = [_reading("standard", F, G)]
     elif case == 3:
         if s < 2 or dims[0] != 1 or dims[1] != 2:
-            raise ValueError("case 3 requires d_1 = 1 and d_2 = 2")
+            raise InputError("case 3 requires d_1 = 1 and d_2 = 2")
         G = tensor(
             make_monomial(shape, [(Slot(SUB, s - 1), pad((1,), dims[s - 2]))]),
             make_monomial(shape, [(Slot(SUB, s), pad((1,), dims[s - 1]))]),
@@ -232,5 +234,5 @@ def counterexample_case(case: int, shape: FlagShape) -> CounterexampleReport:
         F2 = make_monomial(shape, [(Slot(SUB, 2), (1, 0))])
         readings = [_reading("F=W_1", F1, G), _reading("F=W_2", F2, G)]
     else:
-        raise ValueError("case must be 1, 2 or 3")
+        raise InputError("case must be 1, 2 or 3")
     return CounterexampleReport(case, shape, readings)

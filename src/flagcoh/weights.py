@@ -47,11 +47,17 @@ def dual_weight(chi: Sequence[int]) -> tuple:
     return tuple(-c for c in reversed(chi))
 
 
+class InputError(ValueError):
+    """Malformed or unsupported input.  Only this (and a file that cannot
+    be read) is reported as an input error; any other exception raised
+    during a run is an engine fault."""
+
+
 def strict_int(value) -> int:
     """An integer read from JSON input.  Booleans, floats and strings are
     rejected rather than coerced, so 1.5 is never read as 1."""
     if type(value) is not int:
-        raise ValueError("expected an integer, got %r" % (value,))
+        raise InputError("expected an integer, got %r" % (value,))
     return value
 
 

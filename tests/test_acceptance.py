@@ -11,6 +11,8 @@ import math
 import random
 from math import comb
 
+from localization import character_value, localized_euler
+
 from flagcoh.cohomology import (
     EXACT,
     cohomology,
@@ -292,6 +294,9 @@ def test_acceptance_11_engine_consistency():
             alternating = alternating + cs.scale((-1) ** t)
         if out.grade == EXACT:
             assert euler_characteristic(expr) == alternating
+        # independent of the engine: Atiyah-Bott localization at a torus point
+        point = (2, 3, 5, 7)[: shape.n]
+        assert character_value(out.euler.items(), point) == localized_euler(expr.to_json(), point)
         assert out.euler == alternating  # the E1 page has the same Euler sum
         unreduced = cohomology(expr, reduce=False)
         assert unreduced.euler == out.euler

@@ -145,6 +145,51 @@ def test_route_disagreement_is_an_internal_error(tmp_path, capsys, monkeypatch):
     assert "routes disagree" in err
 
 
+def test_engine_value_error_is_not_an_input_error(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "expr.json"
+    path.write_text(json.dumps(_cohom_expr()))
+
+    def broken(mono):
+        raise ValueError("engine bug")
+
+    monkeypatch.setattr(engine, "_monomial_pieces_stepwise", broken)
+    code, out, err = run(capsys, "cohom", "--expr", str(path), "--stepwise")
+    assert code == EX_SOFTWARE and out == ""
+    assert "flagcoh: internal error: ValueError: engine bug" in err
+    assert "input error" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bbw", "--n", "0", "--weight", ""],
+        ["check-strong", "--dims", "1,2"],
+        ["kapranov", "--n", "3", "--dims", "2,1"],
+        ["counterexample", "--case", "1", "--n", "2", "--dims", ""],
+        ["counterexample", "--case", "2", "--n", "4", "--dims", "1,2,3"],
+    ],
+)
+def test_bad_arguments_are_input_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EX_DATAERR and out == ""
+    assert "flagcoh: input error:" in err
+
+
+def test_ext_shape_mismatch_is_an_input_error(tmp_path, capsys):
+    a = _write_member(tmp_path, "a.json", 3, [1], [{"slot": "sub", "index": 1, "weight": [1]}])
+    b = _write_member(tmp_path, "b.json", 3, [2], [{"slot": "sub", "index": 1, "weight": [1, 0]}])
+    code, _, err = run(capsys, "ext", "--expr", a, "--expr", b)
+    assert code == EX_DATAERR and "input error" in err
+
+
+def test_unpreserved_toric_permutation_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "tower.json"
+    tower = {"base_dim": 1, "levels": [{"bundles": [[[0], [1]], [[0], [2]]], "perms": [[1, 0]]}]}
+    path.write_text(json.dumps(tower))
+    code, _, err = run(capsys, "toric-check", "--tower", str(path))
+    assert code == EX_DATAERR and "does not preserve" in err
+
+
 def test_cohom_missing_file(capsys):
     code, _, err = run(capsys, "cohom", "--expr", "/no/such/file.json")
     assert code == EX_DATAERR

@@ -1,0 +1,82 @@
+"""Byte-identity of the CLI output: the benchmark's smoke jobs and three
+counterexample jobs, each in JSON and text format, must print exactly the
+recorded stdout (by sha256) and exit with the recorded code.  A change of
+the engine's answers, or of how they are printed, shows up here."""
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import sys
+from pathlib import Path
+
+from flagcoh.cli import main
+
+WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+COUNTEREXAMPLES = (
+    ["counterexample", "--case", "1", "--n", "4", "--dims", "2"],
+    ["counterexample", "--case", "2", "--n", "5", "--dims", "1,4"],
+    ["counterexample", "--case", "3", "--n", "4", "--dims", "1,2,3"],
+)
+
+# job [format] -> (stdout sha256, exit code)
+GOLDEN = {
+    'kapranov-strong: check-strong F(1,2,3;4) [json]': ('f37a151083fb009710b1e8984dde98ed567271f7d1b770eb3dc15eb9f5f37f4c', 0),
+    'kapranov-strong: check-strong F(1,2,3;4) [text]': ('f8da5bef827b21c1b93c5c84d07091f11022ed3762efef034b961f88e12f2f18', 0),
+    'large-weight: cohom k=6 [json]': ('897a6a4e255905b16a2f5f53fa21834a8913090235262aa1d0e685406822162e', 0),
+    'large-weight: cohom k=6 [text]': ('c276f9ba9bdc0dcf50696dbfcbdd62a643d0c2dddf15b375e75c987961c6d246', 0),
+    'large-weight: cohom --stepwise k=6 [json]': ('4d040188dc103c979ed55e336ab72e927895b1c11d3d46de540707ebaccd1801', 0),
+    'large-weight: cohom --stepwise k=6 [text]': ('fef762cd86312fcde7a316c885b5a774466307fa0a6c3f47584bb50d63b3f382', 0),
+    'twist-sigma: twist-check --sigma F(1,2;3) [json]': ('3985c57a7ea99b23e278dcbd98bf80e0d080dd67c9c2d0faa55499d0b16ca0ed', 1),
+    'twist-sigma: twist-check --sigma F(1,2;3) [text]': ('603dbaf1963b09d18c9121eea697d9b3d7b0e9d470e009ada7dcfba230b8e6cf', 1),
+    'twist-sigma: twist-check --sigma F(1,3;4) [json]': ('fa0582a4022bd5412a0c4c8c1110698f0de7377012def2c2d776299909cbc854', 1),
+    'twist-sigma: twist-check --sigma F(1,3;4) [text]': ('b59e56cda15c46fc4035d0d8c95140ecfe00e11b1cf4277de8bf26bcd8e780c6', 1),
+    'toric-grid: toric-check tower=smoke [json]': ('823b74198a9aefddedbf1e7ae3735ecb5992f11570906858f2ee9a6566f5c3db', 0),
+    'toric-grid: toric-check tower=smoke [text]': ('b64de174d7773cb0e523bce4544cd3fa1ad3008fbf4f1f1d2507d4e58ae41c0f', 0),
+    'counterexample --case 1 --n 4 --dims 2 [json]': ('72803e1592e95b56b6cd7a9596d4400d62538c77c70edd90a2d7fa1aa7de0b87', 1),
+    'counterexample --case 1 --n 4 --dims 2 [text]': ('dc6f94c123d102e662bf42d209048d4d01466c38054ecd6e2b3150f99bfa8a1e', 1),
+    'counterexample --case 2 --n 5 --dims 1,4 [json]': ('675fa932f1fb75cebd86dbfe44f58a4bf9c53b254202e5b39fced6dbb692d919', 1),
+    'counterexample --case 2 --n 5 --dims 1,4 [text]': ('56bb8ad40325cd95d03b17df4250d6e59e03c17a6fa37b1484e2072ebf2dccf4', 1),
+    'counterexample --case 3 --n 4 --dims 1,2,3 [json]': ('d1823062c28c88d8afe0c739b4cc1264bf0a621f7a837c49762aba216bb7f307', 1),
+    'counterexample --case 3 --n 4 --dims 1,2,3 [text]': ('e906d18d7cf74fc8fdf99b86982132fcfeb5fa2f13c4c627b8d9974f54235d05', 1),
+}
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _jobs(folder: Path) -> dict:
+    """Job name -> flagcoh arguments, with input files written to ``folder``."""
+    workloads = _workloads()
+    out = {}
+    for workload in workloads.WORKLOADS:
+        for job in workloads.jobs(workload, 0, smoke=True):
+            for name, data in job.files.items():
+                (folder / name).write_text(json.dumps(data))
+            out["%s: %s" % (workload, job.name)] = job.argv(folder)
+    for argv in COUNTEREXAMPLES:
+        out[" ".join(argv)] = argv
+    return out
+
+
+def _digests(folder: Path) -> dict:
+    out = {}
+    for name, argv in _jobs(folder).items():
+        for fmt in ("json", "text"):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv + ["--format", fmt])  # the last --format wins
+            digest = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+            out["%s [%s]" % (name, fmt)] = (digest, code)
+    return out
+
+
+def test_cli_output_is_byte_identical(tmp_path):
+    assert _digests(tmp_path) == GOLDEN
