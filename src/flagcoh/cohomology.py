@@ -3,17 +3,20 @@
 Two routes are provided for H^*(F, E):
 
 * ``cohomology`` expands E into block-graded pieces in one shot and
-  resolves each piece by Borel-Bott-Weil.  When the nonzero degrees of a
-  monomial's filtration pieces are pairwise non-adjacent no spectral
-  sequence differential can exist and the answer is exact; otherwise the
-  result is an upper bound (the E1 page) while the Euler character is
-  exact regardless.
+  resolves each piece by Borel-Bott-Weil.  A piece is a monomial on the
+  blocks of the flag, read off by ``block_weights``.  When the nonzero
+  degrees of a monomial's filtration pieces are pairwise non-adjacent no
+  spectral sequence differential can exist and the answer is exact;
+  otherwise the result is an upper bound (the E1 page) while the Euler
+  character is exact regardless.
 
 * ``cohomology_stepwise`` pushes forward one relative Grassmann bundle at
-  a time, deferring filtration splits as long as possible.  It handles one
-  level of the tower per call and caches its pieces per monomial, so a
-  state reached along several branches is computed once.  It often
-  certifies exact vanishing where the one-shot route only yields a bound.
+  a time, deferring filtration splits as long as possible.  It splits a
+  factor with the same ``_graded_factor`` as the one-shot route and merges
+  with ``make_monomial``.  It handles one level of the tower per call and
+  caches its pieces per monomial, so a state reached along several
+  branches is computed once.  It often certifies exact vanishing where the
+  one-shot route only yields a bound.
 
 ``certify`` is the one place where the two routes are combined.
 """
@@ -29,12 +32,12 @@ from .flagvar import (
     SUB,
     BundleExpr,
     FlagShape,
-    GradedMonomial,
     SchurMonomial,
     Slot,
     _expand_monomial,
     _forget_steps,
-    _split_weight,
+    _graded_factor,
+    block_weights,
     dual,
     make_monomial,
     minimal_base,
@@ -110,23 +113,22 @@ def _bbw_blocks(weights) -> tuple | None:
     return res.degree, dual_weight(res.dominant)
 
 
-def cohomology_graded(gm: GradedMonomial, shape: FlagShape):
-    """Resolve one block-graded monomial: ``None`` (vanishes) or
-    (degree, dominant GL(V) weight w) meaning H^degree = Sigma^w(V)."""
+def cohomology_graded(gm: SchurMonomial, shape: FlagShape):
+    """Resolve one monomial on the blocks of ``shape``: ``None`` (vanishes)
+    or (degree, dominant GL(V) weight w) meaning H^degree = Sigma^w(V)."""
     if gm.shape != shape:
         raise ValueError("graded monomial does not live on the given shape")
-    return _bbw_blocks(gm.block_weights)
+    return _bbw_blocks(block_weights(gm))
 
 
 @lru_cache(maxsize=None)
 def _monomial_pieces_graded(mono: SchurMonomial) -> tuple:
     """One-shot pieces of a monomial: ((degree, weight, mult), ...) plus a
     flag telling whether more than one filtration piece was involved."""
-    shape = mono.shape
     expansion = _expand_monomial(mono)
     pieces = []
     for gm, c in expansion:
-        res = cohomology_graded(gm, shape)
+        res = _bbw_blocks(block_weights(gm))
         if res is not None:
             pieces.append((res[0], res[1], c))
     return tuple(pieces), len(expansion) > 1
@@ -193,15 +195,9 @@ def _monomial_pieces_stepwise(mono: SchurMonomial) -> tuple:
     sizes = shape.blocks()
     q1 = Slot(QUOT, 1)
     if shape.s >= 2 and q1 in factors:
-        pieces = _split_weight(factors.pop(q1), sizes[1:])
-        blocks = [Slot(BLOCK, j) for j in range(2, shape.s + 2)]
-        rest = list(factors.items())
-        terms = (
-            (split, c * m)
-            for ws, c in pieces
-            for split, m in make_monomial(shape, rest + list(zip(blocks, ws))).terms.items()
-        )
-        return _lower_pieces(terms, 0, len(pieces) > 1)
+        split = _graded_factor(shape, q1, factors.pop(q1))
+        terms = tensor(make_monomial(shape, factors.items()), split).terms.items()
+        return _lower_pieces(terms, 0, len(split.terms) > 1)
     alpha = factors.pop(Slot(SUB, 1), pad((), sizes[0]))
     beta = factors.pop(q1 if shape.s == 1 else Slot(BLOCK, 2), pad((), sizes[1]))
     res = _bbw_blocks((alpha, beta))

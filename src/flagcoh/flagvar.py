@@ -5,14 +5,20 @@ each a tensor product of rational Schur functors applied to tautological
 bundles of a fixed flag shape: subbundles W_{d_i} (``sub``), quotients
 V/W_{d_i} (``quot``) and consecutive quotients W_{d_j}/W_{d_(j-1)}
 (``block``).  Everything is immutable and hashable so results can be
-cached aggressively.
+cached aggressively.  Shapes, slots and monomials compute their hash once;
+it is valid only in the process that made them, so they are not pickled.
+
+A graded piece of the filtration by the flag is an ordinary monomial on
+block slots (Sub(1), Block(j), Quot(s)).  ``_graded_factor`` splits one
+factor into such pieces and ``make_monomial`` merges them, both for the
+one-shot expansion here and for the stepwise route in ``cohomology``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .schur import CharacterSum, _strip_zeros, pad, schur_dim, tensor_character
 from .weights import dual_weight, is_weakly_decreasing, strict_int
@@ -34,6 +40,12 @@ class FlagShape:
             if not prev < d < self.n:
                 raise ValueError("dims must satisfy 0 < d_1 < ... < d_s < n")
             prev = d
+        ds = (0,) + self.dims + (self.n,)
+        object.__setattr__(self, "_blocks", tuple(b - a for a, b in zip(ds, ds[1:])))
+        object.__setattr__(self, "_hash", hash((self.n, self.dims)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def s(self) -> int:
@@ -41,8 +53,7 @@ class FlagShape:
 
     def blocks(self) -> tuple:
         """Sizes of the consecutive quotients; a composition of n."""
-        ds = (0,) + self.dims + (self.n,)
-        return tuple(ds[i + 1] - ds[i] for i in range(len(ds) - 1))
+        return self._blocks
 
     def dimension(self) -> int:
         b = self.blocks()
@@ -72,20 +83,19 @@ class Slot:
     def __post_init__(self):
         if self.kind not in (SUB, QUOT, BLOCK):
             raise ValueError("bad slot kind %r" % self.kind)
+        object.__setattr__(self, "_hash", hash((self.kind, self.index)))
+
+    def __hash__(self):
+        return self._hash
 
     def rank(self, shape: FlagShape) -> int:
+        if not 1 <= self.index <= (shape.s + 1 if self.kind == BLOCK else shape.s):
+            raise ValueError("slot %s(%d) invalid on %r" % (self.kind, self.index, shape))
         if self.kind == SUB:
-            self._check(shape, shape.s)
             return shape.dims[self.index - 1]
         if self.kind == QUOT:
-            self._check(shape, shape.s)
             return shape.n - shape.dims[self.index - 1]
-        self._check(shape, shape.s + 1)
         return shape.blocks()[self.index - 1]
-
-    def _check(self, shape: FlagShape, top: int):
-        if not 1 <= self.index <= top:
-            raise ValueError("slot %s(%d) invalid on %r" % (self.kind, self.index, shape))
 
     def sort_key(self):
         return (_SLOT_ORDER[self.kind], self.index)
@@ -121,6 +131,10 @@ class SchurMonomial:
                 raise ValueError("weight %r has wrong length for %s" % (w, slot))
             if not is_weakly_decreasing(w):
                 raise ValueError("weight %r not weakly decreasing" % (w,))
+        object.__setattr__(self, "_hash", hash((self.shape, self.factors)))
+
+    def __hash__(self):
+        return self._hash
 
     def rank(self) -> int:
         r = 1
@@ -138,21 +152,28 @@ class SchurMonomial:
 
 def make_monomial(shape: FlagShape, factors: Iterable) -> "BundleExpr":
     """Build a bundle expression from raw (slot, weight) pairs, merging
-    repeated slots by Littlewood-Richardson at the slot rank."""
+    repeated slots by Littlewood-Richardson at the slot rank.  Every
+    weight must have the slot's rank as its length."""
     by_slot: dict[Slot, list] = {}
     for slot, w in factors:
         slot = _normalize_slot(slot, shape)
-        by_slot.setdefault(slot, []).append(tuple(w))
+        w = tuple(w)
+        if len(w) != slot.rank(shape):
+            raise ValueError("weight %r has wrong length for %s" % (w, slot))
+        by_slot.setdefault(slot, []).append(w)
     # factor tuples grown in slot order are already canonical
     products = {(): 1}
     for slot, ws in sorted(by_slot.items(), key=lambda kv: kv[0].sort_key()):
-        rank = slot.rank(shape)
-        cs = CharacterSum(rank, {pad(ws[0], rank): 1})
-        for w in ws[1:]:
-            cs = tensor_character(cs, pad(w, rank))
+        if len(ws) == 1:
+            pieces = ((ws[0], 1),)  # validated by SchurMonomial below
+        else:
+            cs = CharacterSum(len(ws[0]), {ws[0]: 1})
+            for w in ws[1:]:
+                cs = tensor_character(cs, w)
+            pieces = cs.items()
         grown = {}
         for fs, m in products.items():
-            for key, mult in cs.items():
+            for key, mult in pieces:
                 new = fs + ((slot, key),) if any(key) else fs
                 grown[new] = grown.get(new, 0) + m * mult
         products = grown
@@ -347,29 +368,6 @@ def minimal_base(e: BundleExpr):
     return new_shape, _relabel(e, new_shape, factor)
 
 
-@dataclass(frozen=True)
-class GradedMonomial:
-    """One irreducible piece of the block-graded expansion: one weight per
-    consecutive quotient of the flag."""
-
-    shape: FlagShape
-    block_weights: tuple  # tuple[tuple[int, ...]] of length s+1
-
-    def __post_init__(self):
-        sizes = self.shape.blocks()
-        if len(self.block_weights) != len(sizes):
-            raise ValueError("wrong number of block weights")
-        for w, b in zip(self.block_weights, sizes):
-            if len(w) != b or not is_weakly_decreasing(w):
-                raise ValueError("bad block weight %r" % (w,))
-
-    def rank(self) -> int:
-        r = 1
-        for w, b in zip(self.block_weights, self.shape.blocks()):
-            r *= schur_dim(tuple(w), b)
-        return r
-
-
 @lru_cache(maxsize=None)
 def _split_partition(p: tuple, ranks: tuple) -> tuple:
     """Decompose Sigma^p of a direct sum with the given summand ranks.
@@ -445,91 +443,67 @@ def _partitions_bounded(total: int, max_rows: int, max_width: int):
     yield from rec(total, max_width, max_rows, [])
 
 
-def _split_weight(w: tuple, ranks: tuple) -> tuple:
-    """Like _split_partition but for arbitrary weakly decreasing weights,
-    absorbing negative entries into a determinant twist."""
-    k = -min(w) if w and min(w) < 0 else 0
-    p = tuple(x + k for x in w)
-    pieces = _split_partition(p, ranks)
-    if k == 0:
-        return pieces
-    out = []
-    for ws, c in pieces:
-        out.append((tuple(tuple(x - k for x in piece) for piece in ws), c))
+def block_weights(mono: SchurMonomial) -> tuple:
+    """One weight per consecutive quotient of the flag, zero where ``mono``
+    has no factor.  Every factor must be on a block: Sub(1), Block(j) or
+    Quot(s)."""
+    shape = mono.shape
+    out = [(0,) * b for b in shape.blocks()]
+    for slot, w in mono.factors:
+        if slot.kind == BLOCK:
+            j = slot.index
+        elif slot.kind == SUB and slot.index == 1:
+            j = 1
+        elif slot.kind == QUOT and slot.index == shape.s:
+            j = shape.s + 1
+        else:
+            raise ValueError("%s is not a block of %r" % (slot, shape))
+        out[j - 1] = w
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _expand_factor(shape: FlagShape, slot: Slot, w: tuple) -> tuple:
-    """Graded pieces of a single Schur factor: ((block_weight_vector, coeff),
-    ...) with one weight per block of the shape.  Returns the pieces of the
-    associated graded of the natural filtration (Sub over blocks 1..i, Quot
-    over blocks i+1..s+1)."""
-    sizes = shape.blocks()
-    nblocks = len(sizes)
-    zero = tuple(pad((), b) for b in sizes)
-    if slot.kind == BLOCK:
-        vec = list(zero)
-        vec[slot.index - 1] = pad(w, sizes[slot.index - 1])
-        return (((tuple(vec)), 1),)
+def _graded_factor(shape: FlagShape, slot: Slot, w: tuple) -> BundleExpr:
+    """The associated graded of Sigma^w(slot) for the natural filtration, as
+    monomials on the blocks the slot spans: Sub(i) spans blocks 1..i,
+    Quot(i) blocks i+1..s+1, and a block spans itself.  Negative entries
+    are absorbed into a determinant twist, which splits as the same twist
+    on every block."""
     if slot.kind == SUB:
-        span = tuple(range(0, slot.index))
+        span = range(1, slot.index + 1)
+    elif slot.kind == QUOT:
+        span = range(slot.index + 1, shape.s + 2)
     else:
-        span = tuple(range(slot.index, nblocks))
-    ranks = tuple(sizes[j] for j in span)
-    out = []
-    for ws, c in _split_weight(tuple(w), ranks):
-        vec = list(zero)
-        for j, piece in zip(span, ws):
-            vec[j] = piece
-        out.append((tuple(vec), c))
-    return tuple(out)
+        span = (slot.index,)
+    blocks = [Slot(BLOCK, j) for j in span]
+    sizes = shape.blocks()
+    k = max(0, -min(w))
+    terms: dict = {}
+    for ws, c in _split_partition(tuple(x + k for x in w), tuple(sizes[j - 1] for j in span)):
+        pieces = zip(blocks, (tuple(x - k for x in piece) for piece in ws))
+        for mono, m in make_monomial(shape, pieces).terms.items():
+            terms[mono] = terms.get(mono, 0) + c * m
+    return BundleExpr(shape, terms)
 
 
 def _expand_monomial(mono: SchurMonomial) -> tuple:
-    """Graded pieces of a monomial: ((GradedMonomial, coeff), ...).
+    """Graded pieces of a monomial: ((block monomial, coeff), ...) in
+    descending order of their block weights.
 
-    Expands every factor, then merges per block by Littlewood-Richardson.
+    The tensor product of the associated graded of every factor, folded
+    in one factor at a time.
     """
     shape = mono.shape
-    sizes = shape.blocks()
-    pieces = {tuple(pad((), b) for b in sizes): 1}
+    graded = trivial(shape)
     for slot, w in mono.factors:
-        nxt = {}
-        for vec, c in pieces.items():
-            for fvec, fc in _expand_factor(shape, slot, tuple(w)):
-                # tensor the two block-weight vectors blockwise
-                merged = [
-                    tensor_character(CharacterSum(b, {v: 1}), f)
-                    for b, v, f in zip(sizes, vec, fvec)
-                ]
-                _combine(nxt, merged, c * fc, sizes)
-        pieces = nxt
-    result = []
-    for vec, c in pieces.items():
-        result.append((GradedMonomial(shape, vec), c))
-    result.sort(key=lambda gc: gc[0].block_weights, reverse=True)
-    return tuple(result)
-
-
-def _combine(acc: dict, per_block: list, mult: int, sizes: tuple):
-    def rec(j, vec, c):
-        if j == len(sizes):
-            key = tuple(vec)
-            acc[key] = acc.get(key, 0) + c
-            return
-        for wkey, m in per_block[j].items():
-            vec.append(wkey)
-            rec(j + 1, vec, c * m)
-            vec.pop()
-
-    rec(0, [], mult)
+        graded = tensor(graded, _graded_factor(shape, slot, w))
+    return tuple(sorted(graded.terms.items(), key=lambda mc: block_weights(mc[0]), reverse=True))
 
 
 def graded_expansion(e: BundleExpr):
     """Expand into block-graded monomials.
 
-    Returns a list of (GradedMonomial, multiplicity, filtration_level)
+    Returns a list of (block monomial, multiplicity, filtration_level)
     with levels ordered so subbundle-side pieces precede quotient-side
     pieces (levels restart per monomial of the expression).
     """

@@ -18,7 +18,7 @@ from .cohomology import (
     CohomologyOutcome,
     ext_groups_best,
 )
-from .flagvar import SUB, BundleExpr, FlagShape, Slot, make_monomial
+from .flagvar import SUB, BundleExpr, FlagShape, Slot, _subpartitions, make_monomial
 from .schur import CharacterSum, pad
 
 CONFIRMED = "confirmed"
@@ -35,23 +35,6 @@ EXIT_CODE = {CONFIRMED: 0, REFUTED: 1, INCONCLUSIVE: 2}
 def worst_status(pairs) -> str:
     """The verdict on a set of pair verdicts: refuted > inconclusive > confirmed."""
     return max((p.status for p in pairs), key=_STATUS_RANK.__getitem__, default=CONFIRMED)
-
-
-def _box_partitions(rows: int, width: int):
-    """Partitions fitting in a rows x width box, as full-length weights."""
-    out = []
-
-    def rec(i, prev, cur):
-        if i == rows:
-            out.append(tuple(cur))
-            return
-        for v in range(min(prev, width), -1, -1):
-            cur.append(v)
-            rec(i + 1, v, cur)
-            cur.pop()
-
-    rec(0, width, [])
-    return out
 
 
 @dataclass
@@ -87,9 +70,7 @@ def enumerate_collection(shape: FlagShape) -> Collection:
     (larger diagrams first, ending with the structure sheaf).
     """
     dims = shape.dims + (shape.n,)
-    boxes = [
-        _box_partitions(dims[r], dims[r + 1] - dims[r]) for r in range(shape.s)
-    ]
+    boxes = [[pad(p, d) for p in _subpartitions((e - d,) * d)] for d, e in zip(dims, dims[1:])]
     tuples = [()]
     for box in boxes:
         tuples = [t + (a,) for t in tuples for a in box]

@@ -62,7 +62,7 @@ def strict_int(value) -> int:
 
 
 def is_weakly_decreasing(v: Sequence[int]) -> bool:
-    return all(v[i] >= v[i + 1] for i in range(len(v) - 1))
+    return list(v) == sorted(v, reverse=True)
 
 
 @dataclass(frozen=True)

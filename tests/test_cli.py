@@ -109,6 +109,16 @@ def test_cohom_rejects_non_integers(tmp_path, capsys, expr):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("weight", [(2,), (0,)])
+def test_cohom_rejects_short_weights(tmp_path, capsys, weight):
+    # Sub(1) on Gr(2,4) has rank 2; a shorter weight is not padded
+    path = tmp_path / "expr.json"
+    path.write_text(json.dumps(_cohom_expr(weight=weight)))
+    code, out, err = run(capsys, "cohom", "--expr", str(path))
+    assert code == EX_DATAERR and out == ""
+    assert "wrong length" in err
+
+
 def test_toric_rejects_non_integers(tmp_path, capsys):
     path = tmp_path / "tower.json"
     path.write_text(json.dumps({"base_dim": 1, "levels": [{"bundles": [[[0], [0.5]]]}]}))

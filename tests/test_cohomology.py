@@ -14,11 +14,13 @@ from flagcoh.cohomology import (
     ext_groups_best,
 )
 from flagcoh.flagvar import (
+    BLOCK,
     QUOT,
     SUB,
     FlagShape,
-    GradedMonomial,
+    SchurMonomial,
     Slot,
+    block_weights,
     dual,
     make_monomial,
     sigma_pullback,
@@ -61,21 +63,39 @@ def test_projective_space_oracle():
                 assert out.dimension(r) == comb(-d - 1, r)
 
 
+def _block_monomial(shape, weights):
+    """The one monomial with the given weight on each block of ``shape``."""
+    [gm] = make_monomial(
+        shape, [(Slot(BLOCK, j), w) for j, w in enumerate(weights, 1)]
+    ).terms
+    return gm
+
+
 def test_cohomology_graded_examples():
-    gm = GradedMonomial(GR24, ((0, 0), (0, 0)))
+    gm = _block_monomial(GR24, ((0, 0), (0, 0)))
     assert cohomology_graded(gm, GR24) == (0, (0, 0, 0, 0))
     # Case-1 monomial: Sigma^(2)(W_2) (x) Sigma^(1,1)... via chi = (0,-2,0,-1)
-    gm = GradedMonomial(GR24, ((2, 0), (1, 0)))
+    gm = _block_monomial(GR24, ((2, 0), (1, 0)))
     deg, w = cohomology_graded(gm, GR24)
     assert (deg, w) == (1, (1, 1, 1, 0))
     # det(V) filtration piece: H^0 = Lambda^3(V)
-    gm = GradedMonomial(F123, ((1,), (1,), (1,)))
+    gm = _block_monomial(F123, ((1,), (1,), (1,)))
     assert cohomology_graded(gm, F123) == (0, (1, 1, 1))
     # its dual: H^0 = Lambda^3(V)^v
-    gm = GradedMonomial(F123, ((-1,), (-1,), (-1,)))
+    gm = _block_monomial(F123, ((-1,), (-1,), (-1,)))
     assert cohomology_graded(gm, F123) == (0, (-1, -1, -1))
     with pytest.raises(ValueError):
         cohomology_graded(gm, GR24)
+
+
+def test_non_block_factor_rejected():
+    # Sub(2) on F(1,2,3;4) spans two blocks, so it is not a graded piece
+    f1234 = FlagShape(4, (1, 2, 3))
+    [gm] = make_monomial(f1234, [(Slot(SUB, 2), (1, 0))]).terms
+    with pytest.raises(ValueError):
+        block_weights(gm)
+    with pytest.raises(ValueError):
+        cohomology_graded(gm, f1234)
 
 
 def test_canonical_bundle_serre():
@@ -128,16 +148,16 @@ def test_pushforward_grassmann_examples():
     gr23 = FlagShape(3, (2,))
 
     def push(alpha, beta):
-        return cohomology_graded(GradedMonomial(gr23, (alpha, beta)), gr23)
+        return cohomology_graded(_block_monomial(gr23, (alpha, beta)), gr23)
 
     assert push((0, 0), (0,)) == (0, (0, 0, 0))
     # W_(n-2) pushed down one step at n=3: chi = (0,-1,0) + rho has a repeat
     assert push((1, 0), (0,)) is None
     # Sigma^(1,0)(W) (x) (W_top/W): chi = (0,-1,-1), degree 0, Lambda^2
     assert push((1, 0), (1,)) == (0, (1, 1, 0))
-    # block lengths 2 + 1 do not add up to the ambient rank 4
+    # the second block of Gr(2,4) has rank 2, not 1
     with pytest.raises(ValueError):
-        GradedMonomial(FlagShape(4, (2,)), ((1, 0), (0,)))
+        SchurMonomial(FlagShape(4, (2,)), ((Slot(SUB, 1), (1, 0)), (Slot(QUOT, 1), (0,))))
 
 
 def test_one_shot_bound_and_stepwise_refinement():

@@ -10,6 +10,7 @@ from flagcoh.flagvar import (
     FlagShape,
     SchurMonomial,
     Slot,
+    block_weights,
     dual,
     graded_expansion,
     make_monomial,
@@ -137,16 +138,16 @@ def test_minimal_base():
 def test_graded_expansion_examples():
     w1 = make_monomial(F123, [(Slot(SUB, 1), (1,))])
     [(gm, mult, level)] = graded_expansion(w1)
-    assert gm.block_weights == ((1,), (0,), (0,)) and mult == 1 and level == 0
+    assert block_weights(gm) == ((1,), (0,), (0,)) and mult == 1 and level == 0
 
     q1 = make_monomial(F123, [(Slot(QUOT, 1), (1, 0))])
     pieces = graded_expansion(q1)
     assert len(pieces) == 2
-    weights = {gm.block_weights for gm, _, _ in pieces}
+    weights = {block_weights(gm) for gm, _, _ in pieces}
     assert weights == {((0,), (1,), (0,)), ((0,), (0,), (1,))}
     assert all(m == 1 for _, m, _ in pieces)
     # sub-side piece (Block 2) precedes the quotient-side piece (Block 3)
-    levels = {gm.block_weights: lv for gm, _, lv in pieces}
+    levels = {block_weights(gm): lv for gm, _, lv in pieces}
     assert levels[((0,), (1,), (0,))] < levels[((0,), (0,), (1,))]
 
 
@@ -156,7 +157,7 @@ def test_graded_expansion_identity_on_graded():
     )
     pieces = graded_expansion(e)
     assert len(pieces) == 1
-    assert pieces[0][0].block_weights == ((2,), (-1,), (1,))
+    assert block_weights(pieces[0][0]) == ((2,), (-1,), (1,))
 
 
 def test_graded_expansion_rank_preserved():
@@ -175,6 +176,17 @@ def test_json_roundtrip():
         F123, [(Slot(SUB, 2), (1, 0)), (Slot(QUOT, 1), (0, -1))]
     ) + trivial(F123)
     assert BundleExpr.from_json(e.to_json()) == e
+
+
+def test_stored_hash_matches_equality():
+    # dual(dual(e)) rebuilds every monomial, slot and weight from scratch
+    e = make_monomial(
+        FlagShape(4, (1, 2, 3)), [(Slot(SUB, 2), (2, -1)), (Slot(BLOCK, 3), (1,))]
+    )
+    [mono] = e.terms
+    [again] = dual(dual(e)).terms
+    assert again is not mono
+    assert again == mono and hash(again) == hash(mono)
 
 
 SHAPES = [F123, GR24, FlagShape(4, (1, 3)), FlagShape(3, (1,))]

@@ -1,5 +1,7 @@
-"""The benchmark's per-layer tracer wraps engine functions by name; a
-renamed function would make its layer read 0 instead of failing."""
+"""Names that outside code looks up: the benchmark's per-layer tracer
+wraps engine functions by name, so a renamed function would make its layer
+read 0 instead of failing; and every name in ``flagcoh.__all__`` must
+still exist, so a deleted export does not linger there."""
 
 import importlib
 import importlib.util
@@ -17,3 +19,9 @@ def test_every_traced_layer_resolves_to_a_flagcoh_callable():
         assert module.startswith("flagcoh."), layer
         func = getattr(importlib.import_module(module), attr, None)
         assert callable(func), "%s: %s.%s is gone" % (layer, module, attr)
+
+
+def test_every_public_name_resolves():
+    flagcoh = importlib.import_module("flagcoh")
+    missing = [name for name in flagcoh.__all__ if not hasattr(flagcoh, name)]
+    assert not missing, "stale names in flagcoh.__all__: %s" % missing
