@@ -17,10 +17,10 @@ one-shot expansion here and for the stepwise route in ``cohomology``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable
 
-from .schur import CharacterSum, _strip_zeros, pad, schur_dim, tensor_character
+from .schur import CharacterSum, _lr_raw, _strip_zeros, pad, schur_dim, tensor_character
 from .weights import dual_weight, is_weakly_decreasing, strict_int
 
 
@@ -376,8 +376,6 @@ def _split_partition(p: tuple, ranks: tuple) -> tuple:
     the iterated Littlewood-Richardson multiplicity.  Summands with too
     many rows for their rank are discarded.
     """
-    from .schur import _lr_raw
-
     p = _strip_zeros(p)
     if len(ranks) == 1:
         if len(p) > ranks[0]:
@@ -389,11 +387,8 @@ def _split_partition(p: tuple, ranks: tuple) -> tuple:
     for kappa in _subpartitions(p):
         rest = total - sum(kappa)
         for lam in _partitions_bounded(rest, last, p[0] if p else 0):
-            coeff = 0
-            for shape, c in _lr_raw(kappa, lam):
-                if shape == p:
-                    coeff = c
-                    break
+            # bounded by p, the enumeration yields p or nothing
+            coeff = dict(_lr_raw(kappa, lam, p)).get(p)
             if not coeff:
                 continue
             for head_ws, c2 in _split_partition(kappa, head):
@@ -494,9 +489,8 @@ def _expand_monomial(mono: SchurMonomial) -> tuple:
     in one factor at a time.
     """
     shape = mono.shape
-    graded = trivial(shape)
-    for slot, w in mono.factors:
-        graded = tensor(graded, _graded_factor(shape, slot, w))
+    factors = [_graded_factor(shape, slot, w) for slot, w in mono.factors]
+    graded = reduce(tensor, factors) if factors else trivial(shape)
     return tuple(sorted(graded.terms.items(), key=lambda mc: block_weights(mc[0]), reverse=True))
 
 

@@ -121,16 +121,26 @@ class CharacterSum:
 
 
 @lru_cache(maxsize=None)
-def _lr_raw(mu: tuple, nu: tuple) -> tuple:
-    """All (lambda, c^lambda_{mu,nu}) with no row-count cap.
+def _lr_raw(mu: tuple, nu: tuple, bound: tuple) -> tuple:
+    """All (lambda, c^lambda_{mu,nu}) with lambda contained in ``bound``.
 
     Enumerates chains mu = p^0 < p^1 < ... < p^k = lambda where each
     p^i / p^(i-1) is a horizontal strip of size nu_i subject to the
     lattice-word condition: the cumulative strip-i cells in rows <= r
     never exceed the cumulative strip-(i-1) cells in rows <= r-1.
+
+    Shapes only grow along a chain, so a chain ending inside the partition
+    ``bound`` stays inside it throughout: a strip adds at most
+    bound[r] - p[r] cells to row r and opens no row at index len(bound)
+    or beyond.  The cut is exact, and it is the pruning of the skew
+    enumeration in Buch's lrcalc
+    (https://sites.math.rutgers.edu/~asbuch/lrcalc/).  ``mu`` must be
+    contained in ``bound``.
     """
     mu = _strip_zeros(mu)
     nu = _strip_zeros(nu)
+    if len(mu) > len(bound) or any(x > b for x, b in zip(mu, bound)):
+        raise ValueError("%r is not contained in the bound %r" % (mu, bound))
     results: dict[tuple, int] = {}
 
     def rec_letters(i, shape, prev_strip):
@@ -139,7 +149,7 @@ def _lr_raw(mu: tuple, nu: tuple) -> tuple:
             results[lam] = results.get(lam, 0) + 1
             return
         target = nu[i]
-        nrows = len(shape) + 1
+        nrows = min(len(shape) + 1, len(bound))
         strip = [0] * nrows
 
         def rec(row, remaining, cum_i, cum_prev):
@@ -156,7 +166,7 @@ def _lr_raw(mu: tuple, nu: tuple) -> tuple:
             if row >= nrows:
                 return
             old_here = shape[row] if row < len(shape) else 0
-            max_add = remaining
+            max_add = min(remaining, bound[row] - old_here)
             if row >= 1:
                 # horizontal strip: new row length <= old length of row above
                 max_add = min(max_add, shape[row - 1] - old_here)
@@ -181,7 +191,7 @@ def _lr_raw(mu: tuple, nu: tuple) -> tuple:
 def lr_coefficients(mu: Sequence[int], nu: Sequence[int], rank: int) -> CharacterSum:
     """Littlewood-Richardson decomposition of Sigma^mu (x) Sigma^nu at GL_rank.
 
-    Partitions with more than ``rank`` parts are discarded.
+    Partitions with more than ``rank`` parts are never enumerated.
     """
     mu_t = _strip_zeros(mu)
     nu_t = _strip_zeros(nu)
@@ -189,35 +199,37 @@ def lr_coefficients(mu: Sequence[int], nu: Sequence[int], rank: int) -> Characte
         raise ValueError("lr_coefficients requires partitions")
     if len(mu_t) > rank or len(nu_t) > rank:
         raise ValueError("partition length exceeds rank")
+    width = (mu_t[0] if mu_t else 0) + (nu_t[0] if nu_t else 0)
     out = CharacterSum(rank)
-    for lam, c in _lr_raw(mu_t, nu_t):
-        if len(lam) <= rank:
-            out.add_term(pad(lam, rank), c)
+    for lam, c in _lr_raw(mu_t, nu_t, (width,) * rank):
+        out.add_term(pad(lam, rank), c)
     return out
 
 
-def tensor_schur(a: Sequence[int], b: Sequence[int], rank: int) -> CharacterSum:
-    """Tensor product of two rational Schur functors at GL_rank.
-
-    Both weights must be full length; negative entries are absorbed into a
-    determinant twist before the LR step and restored afterwards.
-    """
-    a = tuple(a)
-    b = tuple(b)
+@lru_cache(maxsize=None)
+def _tensor_terms(a: tuple, b: tuple, rank: int) -> tuple:
+    """``tensor_schur(a, b, rank)`` as an immutable ((weight, mult), ...),
+    so that every caller can share the cached product."""
     if len(a) != rank or len(b) != rank:
         raise ValueError("weights must have full length %d" % rank)
     ka = -min(a) if a and min(a) < 0 else 0
     kb = -min(b) if b and min(b) < 0 else 0
     mu = tuple(x + ka for x in a)
     nu = tuple(x + kb for x in b)
-    prod = lr_coefficients(mu, nu, rank)
     shift = ka + kb
-    if shift == 0:
-        return prod
-    out = CharacterSum(rank)
-    for w, m in prod.items():
-        out.add_term(tuple(x - shift for x in w), m)
-    return out
+    return tuple(
+        (tuple(x - shift for x in w), m) for w, m in lr_coefficients(mu, nu, rank).items()
+    )
+
+
+def tensor_schur(a: Sequence[int], b: Sequence[int], rank: int) -> CharacterSum:
+    """Tensor product of two rational Schur functors at GL_rank.
+
+    Both weights must be full length; negative entries are absorbed into a
+    determinant twist before the LR step and restored afterwards.  Each
+    call returns a fresh CharacterSum, so no caller can alter the cache.
+    """
+    return CharacterSum(rank, dict(_tensor_terms(tuple(a), tuple(b), rank)))
 
 
 def tensor_character(cs: CharacterSum, w: tuple) -> CharacterSum:
@@ -229,7 +241,7 @@ def tensor_character(cs: CharacterSum, w: tuple) -> CharacterSum:
         if not any(key):
             out.add_term(w, mult)
             continue
-        for lam, c in tensor_schur(key, w, cs.rank)._terms.items():
+        for lam, c in _tensor_terms(key, w, cs.rank):
             out.add_term(lam, c * mult)
     return out
 

@@ -104,6 +104,13 @@ def test_tensor_schur_det_shift():
     assert dict(out.items()) == {(-2,): 1}
 
 
+def test_tensor_schur_returns_a_fresh_sum():
+    # the product is cached; changing one result must not change the next
+    first = tensor_schur((1, 0), (1, 0), 2)
+    first.add_term((2, 0), -1)
+    assert dict(tensor_schur((1, 0), (1, 0), 2).items()) == {(2, 0): 1, (1, 1): 1}
+
+
 def test_dual_sum():
     cs = CharacterSum(2, {(2, 0): 1, (1, 1): 3})
     assert dict(dual_sum(cs).items()) == {(0, -2): 1, (-1, -1): 3}
