@@ -75,10 +75,7 @@ def orbit(t: BundleExpr, g: TwistGroup) -> list:
 
 
 def orbit_sum(t: BundleExpr, g: TwistGroup) -> BundleExpr:
-    out = BundleExpr(t.shape)
-    for member in orbit(t, g):
-        out = out + member
-    return out
+    return sum(orbit(t, g), BundleExpr(t.shape))
 
 
 @dataclass

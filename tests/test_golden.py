@@ -1,5 +1,6 @@
 """Byte-identity of the CLI output: the benchmark's smoke jobs and three
-counterexample jobs, each in JSON and text format, must print exactly the
+counterexample jobs, each in JSON and text format, and ``toric-check`` on
+every full-size ``toric-grid`` tower variant in JSON, must print exactly the
 recorded stdout (by sha256) and exit with the recorded code.  A change of
 the engine's answers, or of how they are printed, shows up here."""
 
@@ -43,6 +44,18 @@ GOLDEN = {
     'counterexample --case 3 --n 4 --dims 1,2,3 [text]': ('e906d18d7cf74fc8fdf99b86982132fcfeb5fa2f13c4c627b8d9974f54235d05', 1),
 }
 
+# toric-grid tower variant -> (stdout sha256 of toric-check --format json, exit code)
+TORIC_GOLDEN = {
+    '0': ('b2bb21dcf2148ee274038711496d58787c13f38af9678e37ceb233366e2d1eaa', 0),
+    '1': ('b7b28df236692896b1d040961ae68b6e13efdef5e50231b21dcc080425782eeb', 0),
+    '2': ('29a2aff73818c1217d22ae9d38918140390b4ca753a9556ae8431b2f42fe5e0c', 0),
+    '3': ('02d793f339c339be7950a73f70062fa06850d8d7027aa07601760f0689e0b27f', 0),
+    '4': ('f62c87ead06774e78874c57fe195711e165f79afa6ec6879f01301ec2264c639', 0),
+    '5': ('ad3214bf181d3a82bd20be0f938d35c3c65341168a788e7cf86324a8de86e638', 0),
+    '6': ('86c6d28a59b80eff7071bd3ff9d8eb76d4c76898a82948ae55094f78bf0a439b', 0),
+    '7': ('0a36b4df8cdc9e052e027e2b1e12af6e95abe56a2ff40bbf5fdd623159cb1385', 0),
+}
+
 
 def _workloads():
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
@@ -66,17 +79,31 @@ def _jobs(folder: Path) -> dict:
     return out
 
 
+def _digest(argv: list, fmt: str) -> tuple:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv + ["--format", fmt])  # the last --format wins
+    return hashlib.sha256(stdout.getvalue().encode()).hexdigest(), code
+
+
 def _digests(folder: Path) -> dict:
     out = {}
     for name, argv in _jobs(folder).items():
         for fmt in ("json", "text"):
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-                code = main(argv + ["--format", fmt])  # the last --format wins
-            digest = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
-            out["%s [%s]" % (name, fmt)] = (digest, code)
+            out["%s [%s]" % (name, fmt)] = _digest(argv, fmt)
     return out
 
 
 def test_cli_output_is_byte_identical(tmp_path):
     assert _digests(tmp_path) == GOLDEN
+
+
+def test_toric_check_full_size_is_byte_identical(tmp_path):
+    workloads = _workloads()
+    got = {}
+    for key in TORIC_GOLDEN:
+        job = workloads._toric(key)
+        for name, data in job.files.items():
+            (tmp_path / name).write_text(json.dumps(data))
+        got[key] = _digest(job.argv(tmp_path), "json")
+    assert got == TORIC_GOLDEN

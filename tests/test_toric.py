@@ -1,7 +1,10 @@
+import itertools
 from math import comb
 
 import pytest
+from test_golden import _workloads
 
+from flagcoh import toric
 from flagcoh.toric import (
     CONFIRMED,
     REFUTED,
@@ -10,6 +13,7 @@ from flagcoh.toric import (
     galois_orbit_check,
     line_bundle_cohomology,
 )
+from flagcoh.weights import InputError
 
 
 def tower(data):
@@ -25,6 +29,7 @@ P1xP1_OVER_BASE = tower(
 P2 = tower({"base_dim": 2, "levels": []})
 F1 = tower({"base_dim": 1, "levels": [{"bundles": [[[0], [1]]], "perms": [[0]]}]})
 F2 = tower({"base_dim": 1, "levels": [{"bundles": [[[0], [2]]], "perms": [[0]]}]})
+F3 = tower({"base_dim": 1, "levels": [{"bundles": [[[0], [3]]], "perms": []}]})
 P1CUBE = tower(
     {
         "base_dim": 0,
@@ -49,6 +54,29 @@ def test_tower_validation():
         tower({"base_dim": -1, "levels": []})
 
 
+def _pn_cohomology(r, t):
+    """H^*(P^r, O(t)), written out independently of the engine."""
+    if r == 0:
+        return {0: 1}
+    if t >= 0:
+        return {0: comb(t + r, r)}
+    if t <= -r - 1:
+        return {r: comb(-t - 1, r)}
+    return {}
+
+
+def _kunneth(dims, d):
+    """H^*(P^dims[0] x P^dims[1] x ..., O(d)) as a product of the factors."""
+    out = {0: 1}
+    for r, t in zip(dims, d):
+        step = {}
+        for p, x in out.items():
+            for q, y in _pn_cohomology(r, t).items():
+                step[p + q] = step.get(p + q, 0) + x * y
+        out = step
+    return {deg: dim for deg, dim in sorted(out.items()) if dim}
+
+
 def test_trivial_bundle_oracle():
     # P(O^(r+1)) over a point reproduces P^r line-bundle cohomology
     for r in (1, 2, 3, 4):
@@ -63,6 +91,36 @@ def test_trivial_bundle_oracle():
                 assert got == {}
             else:
                 assert got == {r: comb(-t - 1, r)}
+    # multi-level, multi-factor towers of trivial bundles are products of
+    # projective spaces
+    cases = [
+        (1, [(2, 1)]),  # P^1 x P^1
+        (2, [(3, 2)]),  # P^2 x P^2 x P^2
+        (0, [(2, 2), (3, 1)]),  # P^1 x P^1 x P^2
+        (1, [(2, 2), (3, 1), (2, 1)]),  # P^1 x (P^1)^2 x P^2 x P^1
+    ]
+    for base_dim, levels in cases:
+        below = 1 if base_dim > 0 else 0
+        data = {"base_dim": base_dim, "levels": []}
+        dims = [base_dim] if base_dim > 0 else []
+        for rank, m in levels:
+            summand = [0] * below
+            data["levels"].append(
+                {"bundles": [[summand] * rank for _ in range(m)], "perms": []}
+            )
+            dims.extend([rank - 1] * m)
+            below += m
+        tw = tower(data)
+        axes = [range(-r - 2, r + 2) for r in dims]
+        for d in itertools.product(*axes):
+            assert line_bundle_cohomology(tw, d) == _kunneth(dims, d), (data, d)
+
+
+def test_line_bundle_multidegree_is_strict():
+    assert line_bundle_cohomology(F3, (1, 1)) == {0: 7}
+    for bad in [(1.5, True), (1.0, 1), (1, True), (False, 0), ("1", 1)]:
+        with pytest.raises(InputError):
+            line_bundle_cohomology(F3, bad)
 
 
 def test_p1xp1_cohomology():
@@ -175,3 +233,95 @@ def test_orbit_generator_validation():
 def test_tower_json_roundtrip():
     data = F1.to_json()
     assert TowerSpec.from_json(data) == F1
+
+
+def _reference_push_factor(terms, bundle, t):
+    """The list form the aggregated pushforward replaced: one term per
+    multiset of summands, kept as a reference."""
+    e = len(bundle)
+    out = []
+    if t >= 0:
+        picks = list(itertools.combinations_with_replacement(range(e), t))
+        for md, cd, mult in terms:
+            for pick in picks:
+                new = list(md)
+                for k in pick:
+                    for c, x in enumerate(bundle[k]):
+                        new[c] += x
+                out.append((tuple(new), cd, mult))
+        return out
+    if t > -e:
+        return []
+    det = [sum(bundle[k][c] for k in range(e)) for c in range(len(bundle[0]))]
+    picks = list(itertools.combinations_with_replacement(range(e), -t - e))
+    for md, cd, mult in terms:
+        for pick in picks:
+            new = [x - d for x, d in zip(md, det)]
+            for k in pick:
+                for c, x in enumerate(bundle[k]):
+                    new[c] -= x
+            out.append((tuple(new), cd + e - 1, mult))
+    return out
+
+
+def _reference_line_bundle_cohomology(tower, d):
+    terms = [(tuple(d), 0, 1)]
+    hi = tower.picard_rank
+    for level in reversed(tower.levels):
+        lo = hi - level.m
+        new_terms = []
+        for md, cd, mult in terms:
+            pieces = [(md[:lo], cd, mult)]
+            for k in range(level.m):
+                pieces = _reference_push_factor(pieces, level.bundles[k], md[lo + k])
+                if not pieces:
+                    break
+            new_terms.extend(pieces)
+        terms = new_terms
+        hi = lo
+    out = {}
+    for md, cd, mult in terms:
+        base = _pn_cohomology(tower.base_dim, md[0] if md else 0)
+        for deg, dim in base.items():
+            out[cd + deg] = out.get(cd + deg, 0) + mult * dim
+    return {deg: dim for deg, dim in sorted(out.items()) if dim}
+
+
+def _perfbench_towers():
+    workloads = _workloads()
+    keys = [str(k) for k in range(workloads.TORIC_VARIANTS)] + ["smoke"]
+    return [
+        TowerSpec.from_json(workloads._toric(key).files["tower.json"]) for key in keys
+    ]
+
+
+def _differences(tw):
+    """Every difference b - a of two grid points: the box prod [-r, r]."""
+    return itertools.product(*(range(-r, r + 1) for r in tw.grid_ranges()))
+
+
+def test_aggregated_pushforward_matches_list_form():
+    towers = _perfbench_towers() + [P1xP1, P1xP1_OVER_BASE, P2, F1, F2, F3, P1CUBE]
+    assert len(towers) == 16
+    for tw in towers:
+        for d in _differences(tw):
+            assert line_bundle_cohomology(tw, d) == _reference_line_bundle_cohomology(
+                tw, d
+            ), (tw, d)
+
+
+def test_grid_check_computes_each_difference_once(monkeypatch):
+    seen = []
+
+    def counting(tw, d):
+        seen.append(d)
+        return line_bundle_cohomology(tw, d)
+
+    monkeypatch.setattr(toric, "line_bundle_cohomology", counting)
+    tw = _perfbench_towers()[-1]  # the smoke tower
+    report = check_grid_collection(tw)
+    box = 1
+    for r in tw.grid_ranges():
+        box *= 2 * r + 1
+    assert len(seen) == len(set(seen)) == box - 1
+    assert report.status == CONFIRMED
