@@ -27,13 +27,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .flagvar import (
-    BLOCK,
-    QUOT,
-    SUB,
     BundleExpr,
     FlagShape,
     SchurMonomial,
-    Slot,
     _expand_monomial,
     _forget_steps,
     _graded_factor,
@@ -193,13 +189,13 @@ def _monomial_pieces_stepwise(mono: SchurMonomial) -> tuple:
         return ((0, w, 1),), False
     factors = dict(mono.factors)
     sizes = shape.blocks()
-    q1 = Slot(QUOT, 1)
+    q1 = shape.slot(1, shape.s + 1)
     if shape.s >= 2 and q1 in factors:
         split = _graded_factor(shape, q1, factors.pop(q1))
         terms = tensor(make_monomial(shape, factors.items()), split).terms.items()
         return _lower_pieces(terms, 0, len(split.terms) > 1)
-    alpha = factors.pop(Slot(SUB, 1), pad((), sizes[0]))
-    beta = factors.pop(q1 if shape.s == 1 else Slot(BLOCK, 2), pad((), sizes[1]))
+    alpha = factors.pop(shape.slot(0, 1), pad((), sizes[0]))
+    beta = factors.pop(shape.slot(1, 2), pad((), sizes[1]))
     res = _bbw_blocks((alpha, beta))
     if res is None:
         return (), False
@@ -208,7 +204,7 @@ def _monomial_pieces_stepwise(mono: SchurMonomial) -> tuple:
         return ((degree, weight, 1),), False
     lower, factor = _forget_steps(shape, shape.dims[1:])
     pushed = make_monomial(
-        lower, [factor(slot, w) for slot, w in factors.items()] + [(Slot(SUB, 1), weight)]
+        lower, [factor(slot, w) for slot, w in factors.items()] + [(lower.slot(0, 1), weight)]
     )
     return _lower_pieces(pushed.terms.items(), degree, False)
 

@@ -2,9 +2,13 @@
 
 A bundle expression is a nonnegative integer combination of monomials,
 each a tensor product of rational Schur functors applied to tautological
-bundles of a fixed flag shape: subbundles W_{d_i} (``sub``), quotients
-V/W_{d_i} (``quot``) and consecutive quotients W_{d_j}/W_{d_(j-1)}
-(``block``).  Everything is immutable and hashable so results can be
+bundles of a fixed flag shape.  A slot is an interval W_{d_hi}/W_{d_lo} of
+the flag 0 = d_0 < d_1 < ... < d_s < d_(s+1) = n: subbundles W_{d_i}
+(``sub``, (0, i)), quotients V/W_{d_i} (``quot``, (i, s+1)) and consecutive
+quotients W_{d_j}/W_{d_(j-1)} (``block``, (j-1, j)).  Each interval has one
+spelling, so Block(1) is Sub(1) and Block(s+1) is Quot(s); the shape's slot
+table holds both directions, and every map on slots goes through it.
+Everything is immutable and hashable so results can be
 cached aggressively.  Shapes, slots and monomials compute their hash once;
 it is valid only in the process that made them, so they are not pickled.
 
@@ -26,7 +30,10 @@ from .weights import dual_weight, is_weakly_decreasing, strict_int
 
 @dataclass(frozen=True)
 class FlagShape:
-    """F(d_1, ..., d_s; V) with dim V = n.  ``dims=()`` is a point."""
+    """F(d_1, ..., d_s; V) with dim V = n.  ``dims=()`` is a point.
+
+    Its slot table maps every valid slot to its interval (lo, hi) and every
+    slot interval back to its one spelling (``slot``)."""
 
     n: int
     dims: tuple
@@ -41,6 +48,14 @@ class FlagShape:
                 raise ValueError("dims must satisfy 0 < d_1 < ... < d_s < n")
             prev = d
         ds = (0,) + self.dims + (self.n,)
+        s = len(self.dims)
+        spans = {Slot(SUB, i): (0, i) for i in range(1, s + 1)}
+        spans.update({Slot(QUOT, i): (i, s + 1) for i in range(1, s + 1)})
+        spans.update({Slot(BLOCK, j): (j - 1, j) for j in range(1, s + 2)})
+        object.__setattr__(self, "_bounds", ds)
+        object.__setattr__(self, "_spans", spans)
+        # the first spelling of an interval is its canonical one
+        object.__setattr__(self, "_slots", {v: k for k, v in reversed(spans.items())})
         object.__setattr__(self, "_blocks", tuple(b - a for a, b in zip(ds, ds[1:])))
         object.__setattr__(self, "_hash", hash((self.n, self.dims)))
 
@@ -54,6 +69,13 @@ class FlagShape:
     def blocks(self) -> tuple:
         """Sizes of the consecutive quotients; a composition of n."""
         return self._blocks
+
+    def slot(self, lo: int, hi: int) -> "Slot":
+        """The canonical slot W_{d_hi}/W_{d_lo}."""
+        try:
+            return self._slots[lo, hi]
+        except KeyError:
+            raise ValueError("(%r, %r) is not a slot interval of %r" % (lo, hi, self)) from None
 
     def dimension(self) -> int:
         b = self.blocks()
@@ -83,35 +105,29 @@ class Slot:
     def __post_init__(self):
         if self.kind not in (SUB, QUOT, BLOCK):
             raise ValueError("bad slot kind %r" % self.kind)
+        if type(self.index) is not int:  # 1.0 or True would find Sub(1) in a slot table
+            raise ValueError("bad slot index %r" % (self.index,))
         object.__setattr__(self, "_hash", hash((self.kind, self.index)))
 
     def __hash__(self):
         return self._hash
 
+    def span(self, shape: FlagShape) -> tuple:
+        """(lo, hi): this slot is W_{d_hi}/W_{d_lo} on ``shape``."""
+        try:
+            return shape._spans[self]
+        except KeyError:
+            raise ValueError("slot %s(%d) invalid on %r" % (self.kind, self.index, shape)) from None
+
     def rank(self, shape: FlagShape) -> int:
-        if not 1 <= self.index <= (shape.s + 1 if self.kind == BLOCK else shape.s):
-            raise ValueError("slot %s(%d) invalid on %r" % (self.kind, self.index, shape))
-        if self.kind == SUB:
-            return shape.dims[self.index - 1]
-        if self.kind == QUOT:
-            return shape.n - shape.dims[self.index - 1]
-        return shape.blocks()[self.index - 1]
+        lo, hi = self.span(shape)
+        return shape._bounds[hi] - shape._bounds[lo]
 
     def sort_key(self):
         return (_SLOT_ORDER[self.kind], self.index)
 
     def __str__(self):
         return "%s(%d)" % (self.kind, self.index)
-
-
-def _normalize_slot(slot: Slot, shape: FlagShape) -> Slot:
-    # Block(1) is W_{d_1} and Block(s+1) is V/W_{d_s}; use one spelling.
-    if slot.kind == BLOCK and shape.s >= 1:
-        if slot.index == 1:
-            return Slot(SUB, 1)
-        if slot.index == shape.s + 1:
-            return Slot(QUOT, shape.s)
-    return slot
 
 
 @dataclass(frozen=True)
@@ -155,10 +171,12 @@ def make_monomial(shape: FlagShape, factors: Iterable) -> "BundleExpr":
     repeated slots by Littlewood-Richardson at the slot rank.  Every
     weight must have the slot's rank as its length."""
     by_slot: dict[Slot, list] = {}
+    d = shape._bounds
     for slot, w in factors:
-        slot = _normalize_slot(slot, shape)
+        lo, hi = slot.span(shape)
+        slot = shape.slot(lo, hi)
         w = tuple(w)
-        if len(w) != slot.rank(shape):
+        if len(w) != d[hi] - d[lo]:
             raise ValueError("weight %r has wrong length for %s" % (w, slot))
         by_slot.setdefault(slot, []).append(w)
     # factor tuples grown in slot order are already canonical
@@ -283,20 +301,16 @@ def dual(e: BundleExpr) -> BundleExpr:
 
 def sigma_pullback(e: BundleExpr) -> BundleExpr:
     """Pullback along the duality automorphism of a symmetric shape:
-    W_{d_i} goes to the dual of Q_{d_(s-i+1)}, and conversely."""
+    W_{d_i} goes to the dual of Q_{d_(s-i+1)}, and conversely; as intervals,
+    (lo, hi) goes to (s+1-hi, s+1-lo)."""
     shape = e.shape
     if not shape.is_symmetric():
         raise ValueError("sigma pullback needs a symmetric shape")
-    s = shape.s
+    top = shape.s + 1
 
     def factor(slot, w):
-        if slot.kind == SUB:
-            new = Slot(QUOT, s - slot.index + 1)
-        elif slot.kind == QUOT:
-            new = Slot(SUB, s - slot.index + 1)
-        else:
-            new = _normalize_slot(Slot(BLOCK, s + 2 - slot.index), shape)
-        return new, dual_weight(w)
+        lo, hi = slot.span(shape)
+        return shape.slot(top - hi, top - lo), dual_weight(w)
 
     return _relabel(e, shape, factor)
 
@@ -314,18 +328,10 @@ def tensor(e1: BundleExpr, e2: BundleExpr) -> BundleExpr:
 
 
 def _referenced_dims(mono: SchurMonomial) -> set:
+    """The flag steps d_1, ..., d_s that end some factor's interval."""
     shape = mono.shape
-    refs = set()
-    for slot, _w in mono.factors:
-        if slot.kind in (SUB, QUOT):
-            refs.add(shape.dims[slot.index - 1])
-        else:
-            j = slot.index
-            if j >= 2:
-                refs.add(shape.dims[j - 2])
-            if j <= shape.s:
-                refs.add(shape.dims[j - 1])
-    return refs
+    d = shape._bounds
+    return {d[k] for slot, _w in mono.factors for k in slot.span(shape)} - {0, shape.n}
 
 
 @lru_cache(maxsize=None)
@@ -334,20 +340,12 @@ def _forget_steps(shape: FlagShape, dims: tuple):
     of ``shape``, and the map of a factor (slot, w) onto it.  Every slot
     mapped must have both its endpoints among the kept steps."""
     new_shape = FlagShape(shape.n, dims)
-    pos = {d: i + 1 for i, d in enumerate(dims)}
-    old = shape.dims
+    pos = {d: i for i, d in enumerate(new_shape._bounds)}
+    old = shape._bounds
 
     def factor(slot, w):
-        if slot.kind in (SUB, QUOT):
-            return Slot(slot.kind, pos[old[slot.index - 1]]), w
-        # block j = W_{d_j} / W_{d_(j-1)}; both endpoints retained,
-        # hence adjacent in the new shape as well
-        j = slot.index
-        if j == 1:
-            return Slot(SUB, 1), w
-        if j == shape.s + 1:
-            return Slot(QUOT, new_shape.s), w
-        return _normalize_slot(Slot(BLOCK, pos[old[j - 1]]), new_shape), w
+        lo, hi = slot.span(shape)
+        return new_shape.slot(pos[old[lo]], pos[old[hi]]), w
 
     return new_shape, factor
 
@@ -445,36 +443,24 @@ def block_weights(mono: SchurMonomial) -> tuple:
     shape = mono.shape
     out = [(0,) * b for b in shape.blocks()]
     for slot, w in mono.factors:
-        if slot.kind == BLOCK:
-            j = slot.index
-        elif slot.kind == SUB and slot.index == 1:
-            j = 1
-        elif slot.kind == QUOT and slot.index == shape.s:
-            j = shape.s + 1
-        else:
+        lo, hi = slot.span(shape)
+        if hi != lo + 1:
             raise ValueError("%s is not a block of %r" % (slot, shape))
-        out[j - 1] = w
+        out[lo] = w
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _graded_factor(shape: FlagShape, slot: Slot, w: tuple) -> BundleExpr:
     """The associated graded of Sigma^w(slot) for the natural filtration, as
-    monomials on the blocks the slot spans: Sub(i) spans blocks 1..i,
-    Quot(i) blocks i+1..s+1, and a block spans itself.  Negative entries
-    are absorbed into a determinant twist, which splits as the same twist
-    on every block."""
-    if slot.kind == SUB:
-        span = range(1, slot.index + 1)
-    elif slot.kind == QUOT:
-        span = range(slot.index + 1, shape.s + 2)
-    else:
-        span = (slot.index,)
-    blocks = [Slot(BLOCK, j) for j in span]
-    sizes = shape.blocks()
+    monomials on the blocks the slot spans: the slot (lo, hi) spans blocks
+    lo+1..hi.  Negative entries are absorbed into a determinant twist,
+    which splits as the same twist on every block."""
+    lo, hi = slot.span(shape)
+    blocks = [shape.slot(j - 1, j) for j in range(lo + 1, hi + 1)]
     k = max(0, -min(w))
     terms: dict = {}
-    for ws, c in _split_partition(tuple(x + k for x in w), tuple(sizes[j - 1] for j in span)):
+    for ws, c in _split_partition(tuple(x + k for x in w), shape.blocks()[lo:hi]):
         pieces = zip(blocks, (tuple(x - k for x in piece) for piece in ws))
         for mono, m in make_monomial(shape, pieces).terms.items():
             terms[mono] = terms.get(mono, 0) + c * m

@@ -313,7 +313,6 @@ def _validate_generators(tower: TowerSpec):
     bundle at the image position, with lower coordinates permuted the same
     way, must equal the source bundle (as a multiset of summands)."""
     for g in _group_elements(tower):
-        lo = tower.base_picard
         for level, perm in zip(tower.levels, g):
             for k in range(level.m):
                 src = sorted(
@@ -327,7 +326,6 @@ def _validate_generators(tower: TowerSpec):
                     raise InputError(
                         "permutation does not preserve the level structure"
                     )
-            lo += level.m
 
 
 def galois_orbit_check(tower: TowerSpec) -> dict:

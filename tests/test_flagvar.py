@@ -1,6 +1,9 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from localization import _span
 
 from flagcoh.flagvar import (
     BLOCK,
@@ -22,6 +25,8 @@ from flagcoh.flagvar import (
 
 F123 = FlagShape(3, (1, 2))
 GR24 = FlagShape(4, (2,))
+F1234 = FlagShape(4, (1, 2, 3))
+F12345 = FlagShape(5, (1, 2, 3, 4))
 
 
 def test_shape_basics():
@@ -46,6 +51,9 @@ def test_slot_ranks_and_normalization():
     assert Slot(BLOCK, 3).rank(F123) == 1
     with pytest.raises(ValueError):
         Slot(SUB, 3).rank(F123)
+    for index in (1.0, True):
+        with pytest.raises(ValueError):
+            Slot(SUB, index)
     # Block(1) and Block(s+1) have canonical sub/quot spellings
     a = make_monomial(F123, [(Slot(BLOCK, 1), (1,))])
     b = make_monomial(F123, [(Slot(SUB, 1), (1,))])
@@ -53,6 +61,39 @@ def test_slot_ranks_and_normalization():
     c = make_monomial(F123, [(Slot(BLOCK, 3), (2,))])
     d = make_monomial(F123, [(Slot(QUOT, 2), (2,))])
     assert c == d
+    # every shape with n <= 6, every valid slot: the interval lookup gives
+    # the one spelling, and the rank matches the localization oracle's span
+    for n in range(1, 7):
+        for s in range(n):
+            for dims in combinations(range(1, n), s):
+                shape = FlagShape(n, dims)
+                bounds = (0,) + dims + (n,)
+                flag = tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:]))
+                slots = [Slot(kind, i) for kind in (SUB, QUOT) for i in range(1, s + 1)]
+                slots += [Slot(BLOCK, j) for j in range(1, s + 2)]
+                for slot in slots:
+                    canonical = slot
+                    if s and slot == Slot(BLOCK, 1):
+                        canonical = Slot(SUB, 1)
+                    elif s and slot == Slot(BLOCK, s + 1):
+                        canonical = Slot(QUOT, s)
+                    assert shape.slot(*slot.span(shape)) == canonical
+                    rank = slot.rank(shape)
+                    assert rank == len(_span(flag, slot.kind, slot.index))
+                    (mono, _), = make_monomial(shape, [(slot, (1,) * rank)]).terms.items()
+                    assert mono.factors == ((canonical, (1,) * rank),)
+                bad = [Slot(SUB, 0), Slot(SUB, s + 1), Slot(QUOT, s + 1)]
+                for slot in bad + [Slot(BLOCK, 0), Slot(BLOCK, s + 2)]:
+                    with pytest.raises(ValueError):
+                        slot.span(shape)
+                    with pytest.raises(ValueError):
+                        slot.rank(shape)
+                # V itself and W_{d_3}/W_{d_1} are intervals but not slots;
+                # for s = 2, (1, 3) is Quot(1)
+                non_slots = ([(0, s + 1)] if s >= 1 else []) + ([(1, 3)] if s >= 3 else [])
+                for lo, hi in non_slots:
+                    with pytest.raises(ValueError):
+                        shape.slot(lo, hi)
 
 
 def test_repeated_slot_merge():
@@ -101,6 +142,11 @@ def test_sigma_pullback():
     assert sigma_pullback(dual(e)) == dual(sigma_pullback(e))
     with pytest.raises(ValueError):
         sigma_pullback(make_monomial(FlagShape(4, (1,)), [(Slot(SUB, 1), (1,))]))
+    # blocks are reversed: Block(j) -> Block(s+2-j)
+    for shape, j, image in ((F1234, 2, 3), (F12345, 2, 4)):
+        b = make_monomial(shape, [(Slot(BLOCK, j), (2,))])
+        (mono, _), = sigma_pullback(b).terms.items()
+        assert mono.factors == ((Slot(BLOCK, image), (-2,)),)
 
 
 def test_sigma_pullback_product():
@@ -133,6 +179,25 @@ def test_minimal_base():
     # trivial expression reduces to a point
     shape, reduced = minimal_base(trivial(F123))
     assert shape.dims == ()
+    # interior blocks whose endpoints survive stay blocks
+    e = make_monomial(F12345, [(Slot(BLOCK, 3), (1,))])
+    shape, reduced = minimal_base(e)
+    assert shape == FlagShape(5, (2, 3))
+    (mono, _), = reduced.terms.items()
+    assert mono.factors == ((Slot(BLOCK, 2), (1,)),)
+    e = make_monomial(F12345, [(Slot(SUB, 2), (1, 0)), (Slot(BLOCK, 4), (2,))])
+    shape, reduced = minimal_base(e)
+    assert shape == FlagShape(5, (2, 3, 4))
+    (mono, _), = reduced.terms.items()
+    assert mono.factors == ((Slot(SUB, 1), (1, 0)), (Slot(BLOCK, 3), (2,)))
+    # a monomial built directly may spell the first and last blocks as
+    # blocks; on the reduced shape they get their one spelling
+    for j, dims, image in ((1, (1,), Slot(SUB, 1)), (5, (4,), Slot(QUOT, 1))):
+        mono = SchurMonomial(F12345, ((Slot(BLOCK, j), (3,)),))
+        shape, reduced = minimal_base(BundleExpr(F12345, {mono: 1}))
+        assert shape == FlagShape(5, dims)
+        (mono, _), = reduced.terms.items()
+        assert mono.factors == ((image, (3,)),)
 
 
 def test_graded_expansion_examples():
