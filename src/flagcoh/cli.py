@@ -63,7 +63,9 @@ def _parsing():
     the user's input as an input error."""
     try:
         yield
-    except (ValueError, KeyError, TypeError) as exc:
+    except KeyError as exc:
+        raise InputError("missing key %s" % exc) from exc
+    except (ValueError, TypeError) as exc:
         raise InputError(str(exc)) from exc
 
 

@@ -139,7 +139,7 @@ def _run(e: BundleExpr, reduce: bool, route) -> CohomologyOutcome:
     rank = e.shape.n
     by_degree: dict[int, CharacterSum] = {}
     exact = True
-    for mono, mult in e.monomials():
+    for mono, mult in e.terms.items():
         pieces, filtered = route(mono)
         degrees = {d for d, _w, _c in pieces}
         if filtered and any(d + 1 in degrees for d in degrees):

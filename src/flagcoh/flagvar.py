@@ -380,11 +380,15 @@ def _split_partition(p: tuple, ranks: tuple) -> tuple:
             return ()
         return (((pad(p, ranks[0]),), 1),)
     head, last = ranks[:-1], ranks[-1]
+    # c^p_{kappa lam} = 0 unless lam is contained in p
+    lams: dict = {}
+    for lam in _subpartitions(p):
+        if len(lam) <= last:
+            lams.setdefault(sum(lam), []).append(lam)
     total = sum(p)
     out = {}
     for kappa in _subpartitions(p):
-        rest = total - sum(kappa)
-        for lam in _partitions_bounded(rest, last, p[0] if p else 0):
+        for lam in lams.get(total - sum(kappa), ()):
             # bounded by p, the enumeration yields p or nothing
             coeff = dict(_lr_raw(kappa, lam, p)).get(p)
             if not coeff:
@@ -413,27 +417,6 @@ def _subpartitions(p: tuple) -> tuple:
 
     rec(0, p[0], [])
     return tuple(sorted(out))
-
-
-def _partitions_bounded(total: int, max_rows: int, max_width: int):
-    if total == 0:
-        yield ()
-        return
-    if max_rows == 0 or max_width == 0:
-        return
-
-    def rec(rem, width, rows, cur):
-        if rem == 0:
-            yield tuple(cur)
-            return
-        if rows == 0:
-            return
-        for v in range(min(rem, width), 0, -1):
-            cur.append(v)
-            yield from rec(rem - v, v, rows - 1, cur)
-            cur.pop()
-
-    yield from rec(total, max_width, max_rows, [])
 
 
 def block_weights(mono: SchurMonomial) -> tuple:
@@ -468,8 +451,7 @@ def _graded_factor(shape: FlagShape, slot: Slot, w: tuple) -> BundleExpr:
 
 
 def _expand_monomial(mono: SchurMonomial) -> tuple:
-    """Graded pieces of a monomial: ((block monomial, coeff), ...) in
-    descending order of their block weights.
+    """Graded pieces of a monomial: ((block monomial, coeff), ...).
 
     The tensor product of the associated graded of every factor, folded
     in one factor at a time.
@@ -477,7 +459,7 @@ def _expand_monomial(mono: SchurMonomial) -> tuple:
     shape = mono.shape
     factors = [_graded_factor(shape, slot, w) for slot, w in mono.factors]
     graded = reduce(tensor, factors) if factors else trivial(shape)
-    return tuple(sorted(graded.terms.items(), key=lambda mc: block_weights(mc[0]), reverse=True))
+    return tuple(graded.terms.items())
 
 
 def graded_expansion(e: BundleExpr):
@@ -489,6 +471,7 @@ def graded_expansion(e: BundleExpr):
     """
     out = []
     for mono, m in e.monomials():
-        for level, (gm, c) in enumerate(_expand_monomial(mono)):
+        pieces = sorted(_expand_monomial(mono), key=lambda mc: block_weights(mc[0]), reverse=True)
+        for level, (gm, c) in enumerate(pieces):
             out.append((gm, c * m, level))
     return out

@@ -20,6 +20,7 @@ from .cohomology import (
 )
 from .flagvar import SUB, BundleExpr, FlagShape, Slot, _subpartitions, make_monomial
 from .schur import CharacterSum, pad
+from .weights import InputError
 
 CONFIRMED = "confirmed"
 REFUTED = "refuted"
@@ -181,13 +182,26 @@ def _as_members(c) -> tuple:
     if isinstance(c, Collection):
         return c.shape, list(c.members)
     members = list(c)
+    shapes = {m.shape for m in members}
+    if len(shapes) > 1:
+        raise ValueError("members must share one shape")
+    return next(iter(shapes), None), members
+
+
+def _check_pairs(members: list, below: str) -> list:
+    """The one loop over ordered pairs: Ext^*(members[i], members[j]) by
+    ``ext_groups_best``, classified against ``higher`` for i <= j and
+    against ``below`` for i > j."""
     if not members:
-        raise ValueError("empty collection")
-    shape = members[0].shape
-    for m in members:
-        if m.shape != shape:
-            raise ValueError("members must share one shape")
-    return shape, members
+        raise InputError("empty collection")
+    pairs = []
+    for i, a in enumerate(members):
+        for j, b in enumerate(members):
+            outcome = ext_groups_best(a, b)
+            requirement = below if i > j else HIGHER
+            status, witness = classify_vanishing(outcome, requirement)
+            pairs.append(PairVerdict(i, j, requirement, status, outcome, witness))
+    return pairs
 
 
 def check_strong_exceptional(c) -> PairReport:
@@ -198,18 +212,11 @@ def check_strong_exceptional(c) -> PairReport:
     Hom(E_i, E_i) = k.
     """
     shape, members = _as_members(c)
-    report = PairReport(shape, members)
-    for i in range(len(members)):
-        for j in range(len(members)):
-            outcome = ext_groups_best(members[i], members[j])
-            requirement = TOTAL if i > j else HIGHER
-            status, witness = classify_vanishing(outcome, requirement)
-            if i == j and status == CONFIRMED:
-                status, witness = _classify_simple(outcome, shape.n)
-            report.pairs.append(
-                PairVerdict(i, j, requirement, status, outcome, witness)
-            )
-    return report
+    pairs = _check_pairs(members, TOTAL)
+    for p in pairs[:: len(members) + 1]:  # the diagonal
+        if p.status == CONFIRMED:
+            p.status, p.witness = _classify_simple(p.outcome, shape.n)
+    return PairReport(shape, members, pairs)
 
 
 def _classify_simple(outcome: CohomologyOutcome, n: int):
@@ -225,18 +232,14 @@ def _classify_simple(outcome: CohomologyOutcome, n: int):
 
 
 def hom_quiver(c) -> dict:
-    """Degree-0 Hom characters and dimensions between all ordered pairs."""
-    shape, members = _as_members(c)
-    n = len(members)
-    characters = [[None] * n for _ in range(n)]
-    dims = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            hom = ext_groups_best(members[i], members[j]).character(0)
-            characters[i][j] = hom
-            dims[i][j] = hom.dimension()
+    """Degree-0 Hom characters and dimensions between all ordered pairs,
+    read off the pairs of ``check_strong_exceptional``."""
+    report = check_strong_exceptional(c)
+    n = len(report.members)
+    homs = [p.hom_character for p in report.pairs]
+    rows = [homs[i : i + n] for i in range(0, n * n, n)]
     return {
-        "flag": shape.to_json(),
-        "dims": dims,
-        "characters": [[cs.to_json() for cs in row] for row in characters],
+        "flag": report.shape.to_json(),
+        "dims": [[cs.dimension() for cs in row] for row in rows],
+        "characters": [[cs.to_json() for cs in row] for row in rows],
     }

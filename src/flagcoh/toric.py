@@ -24,6 +24,11 @@ once.  Pushforward terms are carried as aggregated multiplicities
 {(lower multidegree, cohomological degree): mult}: Sym^n of a split bundle
 is one count per distinct summed multidegree, and equal terms are summed
 after every factor.
+
+The Galois group permutes the factors within each level.  It is given by
+per-level generators, written as permutations of the Picard coordinates,
+and never enumerated: ``galois_orbit_check`` validates the generators and
+takes each orbit as the closure of a grid point under them.
 """
 
 from __future__ import annotations
@@ -274,78 +279,64 @@ def check_grid_collection(tower: TowerSpec) -> GridReport:
     return report
 
 
-def _group_elements(tower: TowerSpec):
-    """All elements of the per-level permutation group (one permutation per
-    level), generated by the level generators."""
-    identity = tuple(tuple(range(level.m)) for level in tower.levels)
+def _generators(tower: TowerSpec) -> list:
+    """Each level generator as a permutation g of the Picard coordinates,
+    acting by d -> (d[g[0]], d[g[1]], ...)."""
     gens = []
-    for li, level in enumerate(tower.levels):
-        for p in level.perms:
-            g = list(identity)
-            g[li] = tuple(p)
-            gens.append(tuple(g))
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = tuple(
-                tuple(cp[gp[k]] for k in range(len(gp))) for cp, gp in zip(cur, g)
-            )
-            if nxt not in elements:
-                elements.add(nxt)
-                frontier.append(nxt)
-    return sorted(elements)
-
-
-def _apply_element(tower: TowerSpec, g, d):
-    out = list(d)
     lo = tower.base_picard
-    for level, perm in zip(tower.levels, g):
-        block = out[lo : lo + level.m]
-        out[lo : lo + level.m] = [block[perm[k]] for k in range(level.m)]
+    for level in tower.levels:
+        for perm in level.perms:
+            g = list(range(tower.picard_rank))
+            g[lo : lo + level.m] = [lo + k for k in perm]
+            gens.append(tuple(g))
         lo += level.m
-    return tuple(out)
+    return gens
 
 
-def _validate_generators(tower: TowerSpec):
-    """Each generator must map every level's bundle list to itself: the
-    bundle at the image position, with lower coordinates permuted the same
-    way, must equal the source bundle (as a multiset of summands)."""
-    for g in _group_elements(tower):
-        for level, perm in zip(tower.levels, g):
+def _validate_generators(tower: TowerSpec, gens: list):
+    """Each generator g must map every level's bundle list to itself:
+    bundle k, with its lower coordinates moved by g, must equal bundle
+    g(k) as a multiset of summands.  A generator moves one level, so this
+    says that the bundles of that level agree along the permutation and
+    that every higher bundle is invariant under the coordinate move; both
+    are closed under composition, so every group element passes too."""
+    for g in gens:
+        lo = tower.base_picard
+        for level in tower.levels:
             for k in range(level.m):
-                src = sorted(
-                    _apply_element(tower, g, md + (0,) * (tower.picard_rank - len(md)))[
-                        : len(md)
-                    ]
-                    for md in level.bundles[k]
-                )
-                dst = sorted(level.bundles[perm[k]])
-                if src != dst:
-                    raise InputError(
-                        "permutation does not preserve the level structure"
-                    )
+                src = sorted(tuple(md[c] for c in g[: len(md)]) for md in level.bundles[k])
+                if src != sorted(level.bundles[g[lo + k] - lo]):
+                    raise InputError("permutation does not preserve the level structure")
+            lo += level.m
 
 
 def galois_orbit_check(tower: TowerSpec) -> dict:
-    """Orbit partition of the grid under the factor-permutation group.
+    """Orbit partition of the grid under the factor-permutation group: the
+    orbit of a grid point is its closure under the level generators.
 
     Closure needs no test: every coordinate of one level ranges over the
     same [-r, 0], and an element only permutes coordinates within a level,
     so once ``_validate_generators`` passes every orbit stays in the grid.
     ``orbit_closed`` is reported as that constant.
     """
-    _validate_generators(tower)
-    elements = _group_elements(tower)
+    gens = _generators(tower)
+    _validate_generators(tower, gens)
     seen = set()
     classes = []
     for d in tower.grid():
         if d in seen:
             continue
-        orb = sorted({_apply_element(tower, g, d) for g in elements})
-        seen.update(orb)
-        classes.append(orb)
+        orb = {d}
+        frontier = [d]
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = tuple(x[c] for c in g)
+                if y not in orb:
+                    orb.add(y)
+                    frontier.append(y)
+        seen |= orb
+        classes.append(sorted(orb))
     return {
         "orbit_closed": True,
         "orbit_classes": [[list(x) for x in orb] for orb in classes],

@@ -22,7 +22,6 @@ from .cohomology import (
     certify,
     cohomology,
     cohomology_stepwise,
-    ext_groups_best,
 )
 from .flagvar import (
     SUB,
@@ -39,7 +38,7 @@ from .kapranov import (
     HIGHER,
     INCONCLUSIVE,
     REFUTED,
-    PairVerdict,
+    _check_pairs,
     classify_vanishing,
     worst_status,
 )
@@ -120,21 +119,9 @@ def check_T2(t: BundleExpr, g: TwistGroup) -> DescentReport:
     of monomial summands of the orbit sum; degree-0 Homs are unrestricted.
     """
     members = orbit(t, g)
-    shape = t.shape
-    summands = []
-    seen = set()
-    for member in members:
-        for mono, _m in member.monomials():
-            if mono not in seen:
-                seen.add(mono)
-                summands.append(BundleExpr(shape, {mono: 1}))
-    report = DescentReport(g, shape, members, summands)
-    for i, a in enumerate(summands):
-        for j, b in enumerate(summands):
-            outcome = ext_groups_best(a, b)
-            status, witness = classify_vanishing(outcome, HIGHER)
-            report.pairs.append(PairVerdict(i, j, HIGHER, status, outcome, witness))
-    return report
+    monos = dict.fromkeys(mono for m in members for mono, _m in m.monomials())
+    summands = [BundleExpr(t.shape, {mono: 1}) for mono in monos]
+    return DescentReport(g, t.shape, members, summands, _check_pairs(summands, HIGHER))
 
 
 # ---------------------------------------------------------------------------

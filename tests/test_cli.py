@@ -309,3 +309,25 @@ def test_collection_json_roundtrip_through_cli(capsys, tmp_path):
     path.write_text(json.dumps(coll))
     code, data = run_json(capsys, "check-strong", "--collection", str(path))
     assert code == 0 and data["overall"] == "confirmed"
+
+
+def test_empty_pair_checks_are_input_errors(capsys, tmp_path):
+    code, coll = run_json(capsys, "kapranov", "--n", "3", "--dims", "1")
+    coll["members"] = []
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(coll))
+    code, out, err = run(capsys, "check-strong", "--collection", str(path))
+    assert code == EX_DATAERR and out == ""
+    assert "flagcoh: input error: empty collection" in err
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"flag": {"n": 3, "dims": [1]}, "terms": []}))
+    code, out, err = run(capsys, "twist-check", "--n", "3", "--dims", "1", "--expr", str(path))
+    assert code == EX_DATAERR and out == ""
+    assert "flagcoh: input error: empty collection" in err
+
+
+def test_missing_key_is_named(capsys, tmp_path):
+    expr = _write_member(tmp_path, "expr.json", 3, [1], [{"slot": "sub", "index": 1, "weight": [1]}])
+    code, out, err = run(capsys, "check-strong", "--collection", expr)
+    assert code == EX_DATAERR and out == ""
+    assert "flagcoh: input error: missing key 'members'" in err

@@ -3,8 +3,9 @@ import math
 
 import pytest
 
-from flagcoh.cohomology import EXACT
-from flagcoh.flagvar import FlagShape
+from flagcoh import kapranov
+from flagcoh.cohomology import EXACT, ext_groups_best
+from flagcoh.flagvar import BundleExpr, FlagShape
 from flagcoh.kapranov import (
     CONFIRMED,
     HIGHER,
@@ -16,6 +17,8 @@ from flagcoh.kapranov import (
     enumerate_collection,
     hom_quiver,
 )
+from flagcoh.twists import INNER_ONLY, WITH_SIGMA, TwistGroup, check_T2
+from flagcoh.weights import InputError
 
 
 def all_shapes(n_max):
@@ -132,5 +135,52 @@ def test_classify_vanishing_requires_valid_requirement():
 
 
 def test_empty_collection_rejected():
-    with pytest.raises(ValueError):
+    shape = FlagShape(3, (1,))
+    with pytest.raises(InputError):
         check_strong_exceptional([])
+    with pytest.raises(InputError):
+        check_strong_exceptional(Collection(shape, []))
+    with pytest.raises(InputError):
+        hom_quiver([])
+    with pytest.raises(InputError):
+        check_T2(BundleExpr(shape), TwistGroup(INNER_ONLY))
+
+
+
+
+@pytest.mark.parametrize("shape", [FlagShape(3, (1, 2)), FlagShape(4, (2,))])
+def test_every_pair_check_makes_one_ext_call_per_ordered_pair(monkeypatch, shape):
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return ext_groups_best(a, b)
+
+    monkeypatch.setattr(kapranov, "ext_groups_best", counting)
+    c = enumerate_collection(shape)
+    n = len(c)
+    report = check_strong_exceptional(c)
+    assert len(calls) == n * n
+    assert [(p.i, p.j) for p in report.pairs] == list(itertools.product(range(n), repeat=2))
+    assert [p.requirement for p in report.pairs] == [
+        TOTAL if p.i > p.j else HIGHER for p in report.pairs
+    ]
+
+    del calls[:]
+    q = hom_quiver(c)
+    assert len(calls) == n * n
+    # the quiver is the strong check's Hom characters, which are the
+    # degree-0 part of a direct Ext computation
+    rows = [report.pairs[i * n : (i + 1) * n] for i in range(n)]
+    assert q["characters"] == [[p.hom_character.to_json() for p in row] for row in rows]
+    assert q["dims"] == [[p.hom_character.dimension() for p in row] for row in rows]
+    for p in report.pairs:
+        assert p.hom_character == ext_groups_best(c.members[p.i], c.members[p.j]).character(0)
+
+    t = sum(c.members, BundleExpr(shape))
+    for kind in (INNER_ONLY, WITH_SIGMA):
+        del calls[:]
+        t2 = check_T2(t, TwistGroup(kind))
+        assert len(t2.summands) >= n
+        assert len(calls) == len(t2.summands) ** 2
+        assert all(p.requirement == HIGHER for p in t2.pairs)

@@ -1,4 +1,5 @@
 import itertools
+import random
 from math import comb
 
 import pytest
@@ -325,3 +326,118 @@ def test_grid_check_computes_each_difference_once(monkeypatch):
         box *= 2 * r + 1
     assert len(seen) == len(set(seen)) == box - 1
     assert report.status == CONFIRMED
+
+
+def _reference_group_elements(tw):
+    """The whole per-level permutation group, one permutation per level,
+    enumerated element by element: the form the generator walk replaced,
+    kept as a reference."""
+    identity = tuple(tuple(range(level.m)) for level in tw.levels)
+    gens = []
+    for li, level in enumerate(tw.levels):
+        for p in level.perms:
+            g = list(identity)
+            g[li] = tuple(p)
+            gens.append(tuple(g))
+    elements = {identity}
+    frontier = [identity]
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            nxt = tuple(tuple(cp[gp[k]] for k in range(len(gp))) for cp, gp in zip(cur, g))
+            if nxt not in elements:
+                elements.add(nxt)
+                frontier.append(nxt)
+    return sorted(elements)
+
+
+def _reference_apply(tw, g, d):
+    out = list(d)
+    lo = tw.base_picard
+    for level, perm in zip(tw.levels, g):
+        block = out[lo : lo + level.m]
+        out[lo : lo + level.m] = [block[perm[k]] for k in range(level.m)]
+        lo += level.m
+    return tuple(out)
+
+
+def _reference_orbits(tw):
+    """None if some group element breaks the level structure, else the
+    orbit classes of the grid under every group element."""
+    elements = _reference_group_elements(tw)
+    for g in elements:
+        for level, perm in zip(tw.levels, g):
+            for k in range(level.m):
+                src = sorted(
+                    _reference_apply(tw, g, md + (0,) * (tw.picard_rank - len(md)))[: len(md)]
+                    for md in level.bundles[k]
+                )
+                if src != sorted(level.bundles[perm[k]]):
+                    return None
+    seen = set()
+    classes = []
+    for d in tw.grid():
+        if d not in seen:
+            orb = sorted({_reference_apply(tw, g, d) for g in elements})
+            seen.update(orb)
+            classes.append([list(x) for x in orb])
+    return classes
+
+
+def _orbits(tw):
+    try:
+        return galois_orbit_check(tw)["orbit_classes"]
+    except InputError:
+        return None
+
+
+def _random_tower(rng):
+    """A tower with an S3 level, then one or two levels whose multidegrees
+    it moves; each level is symmetric or, at random, broken."""
+
+    def md(width):
+        return tuple(rng.randint(0, 2) for _ in range(width))
+
+    base_dim = rng.choice([0, 1, 2])
+    head = 1 if base_dim else 0  # coordinates below the S3 level
+    rank = rng.choice([1, 2])
+    bundles = [tuple(md(head) for _ in range(rank))] * 3
+    if rng.random() < 0.3:
+        bundles[rng.randrange(3)] = tuple(md(head) for _ in range(rank))
+    levels = [toric.Level(tuple(bundles), ((1, 0, 2), (1, 2, 0)))]
+    tail = 0  # coordinates between the S3 level and the current one
+    for _ in range(rng.choice([1, 1, 2])):
+        m, rank = rng.choice([1, 2]), rng.choice([2, 3])
+        bundles = []
+        for _ in range(m):
+            if rank == 3 and rng.random() < 0.5:
+                # an S3 orbit of summands is invariant as a multiset
+                h, t = md(head), md(tail)
+                summands = [h + e + t for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+            else:
+                summands = [md(head) + (x,) * 3 + md(tail) for x in md(rank)]
+            if rng.random() < 0.25:
+                summands[rng.randrange(rank)] = md(head + 3 + tail)
+            bundles.append(tuple(summands))
+        if m == 2 and rng.random() < 0.5:
+            bundles[1] = bundles[0]
+        perms = ((1, 0),) if m == 2 and rng.random() < 0.6 else ()
+        levels.append(toric.Level(tuple(bundles), perms))
+        tail += m
+    return TowerSpec(base_dim, tuple(levels))
+
+
+def test_generator_orbits_match_whole_group():
+    towers = _perfbench_towers() + [P1xP1, P1xP1_OVER_BASE, P2, F1, F2, F3, P1CUBE]
+    assert len(towers) == 16
+    for tw in towers:
+        expected = _reference_orbits(tw)
+        assert expected is not None and _orbits(tw) == expected, tw
+    rng = random.Random(20261018)
+    verdicts = []
+    for _ in range(400):
+        tw = _random_tower(rng)
+        expected = _reference_orbits(tw)
+        assert _orbits(tw) == expected, tw
+        verdicts.append(expected is not None)
+    assert 50 < sum(verdicts) < 350  # both valid and invalid towers occur

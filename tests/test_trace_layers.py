@@ -1,13 +1,19 @@
 """Names that outside code looks up: the benchmark's per-layer tracer
 wraps engine functions by name, so a renamed function would make its layer
-read 0 instead of failing; and every name in ``flagcoh.__all__`` must
-still exist, so a deleted export does not linger there."""
+read 0 instead of failing; a pair loop that bypasses a traced layer would
+read 0 too; and every name in ``flagcoh.__all__`` must still exist, so a
+deleted export does not linger there."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACE_JOB = Path(__file__).resolve().parents[1] / "perfbench" / "trace_job.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACE_JOB = ROOT / "perfbench" / "trace_job.py"
 
 
 def test_every_traced_layer_resolves_to_a_flagcoh_callable():
@@ -25,3 +31,24 @@ def test_every_public_name_resolves():
     flagcoh = importlib.import_module("flagcoh")
     missing = [name for name in flagcoh.__all__ if not hasattr(flagcoh, name)]
     assert not missing, "stale names in flagcoh.__all__: %s" % missing
+
+
+def test_traced_pair_loop_counts_every_pair(tmp_path):
+    stats_path = tmp_path / "stats.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(TRACE_JOB), str(stats_path)]
+        + ["check-strong", "--n", "3", "--dims", "1", "--format", "json"],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["overall"] == "confirmed"
+    layers = json.loads(stats_path.read_text())["layers"]
+    # P^2 has three members, so nine ordered pairs
+    assert layers["cohomology.ext_best"]["calls"] == 9
+    assert layers["kapranov.classify"]["calls"] == 9
