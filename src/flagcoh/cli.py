@@ -49,12 +49,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EX_USAGE)
 
 
-def _emit(payload: dict, args, text_lines):
+def _emit(args, payload, lines):
+    """Print ``payload()`` as JSON or the lines of ``lines()``, as
+    ``args.format`` asks; the other rendering is never built.  Either is
+    built whole before anything is printed."""
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(json.dumps(payload(), sort_keys=True, indent=2))
     else:
-        for line in text_lines:
-            print(line)
+        print("".join(line + "\n" for line in lines()), end="")
 
 
 @contextmanager
@@ -96,16 +98,13 @@ def _character_text(cs) -> str:
 
 
 def _outcome_lines(outcome: CohomologyOutcome):
-    lines = ["grade: %s" % outcome.grade]
+    yield "grade: %s" % outcome.grade
     for t in outcome.degrees():
         cs = outcome.character(t)
-        lines.append(
-            "H^%d = %s  (dim %d)" % (t, _character_text(cs), cs.dimension())
-        )
+        yield "H^%d = %s  (dim %d)" % (t, _character_text(cs), cs.dimension())
     if not outcome.degrees() and outcome.grade != EULER_ONLY:
-        lines.append("all cohomology vanishes (within the reported grade)")
-    lines.append("euler = %s" % _character_text(outcome.euler))
-    return lines
+        yield "all cohomology vanishes (within the reported grade)"
+    yield "euler = %s" % _character_text(outcome.euler)
 
 
 def _cmd_bbw(args):
@@ -114,18 +113,18 @@ def _cmd_bbw(args):
         raise InputError("weight length must equal n >= 1")
     res = bbw_resolve(weight)
     if res.singular:
-        _emit({"singular": True}, args, ["singular: all cohomology vanishes"])
+        _emit(args, lambda: {"singular": True}, lambda: ["singular: all cohomology vanishes"])
     else:
         bundle = dual_weight(res.dominant)
         _emit(
-            {
+            args,
+            lambda: {
                 "singular": False,
                 "degree": res.degree,
                 "dominant": list(res.dominant),
                 "cohomology_weight": list(bundle),
             },
-            args,
-            [
+            lambda: [
                 "degree %d, dominant %s" % (res.degree, res.dominant),
                 "H^%d = S^%s(V)" % (res.degree, bundle),
             ],
@@ -141,7 +140,7 @@ def _cmd_cohom(args):
         outcome = cohomology_stepwise(expr)
     else:
         outcome = cohomology(expr)
-    _emit(outcome.to_json(), args, _outcome_lines(outcome))
+    _emit(args, outcome.to_json, lambda: _outcome_lines(outcome))
     return 0
 
 
@@ -153,36 +152,37 @@ def _cmd_ext(args):
     if a.shape != b.shape:
         raise InputError("source and target live on different flag shapes")
     outcome = ext_groups_best(a, b) if args.best else ext_groups(a, b)
-    _emit(outcome.to_json(), args, _outcome_lines(outcome))
+    _emit(args, outcome.to_json, lambda: _outcome_lines(outcome))
     return 0
 
 
 def _cmd_kapranov(args):
     c = enumerate_collection(_shape(args))
     _emit(
-        c.to_json(),
         args,
-        ["%d members:" % len(c)] + ["  %2d: %s" % (i, m) for i, m in enumerate(c.members)],
+        c.to_json,
+        lambda: ["%d members:" % len(c)] + ["  %2d: %s" % (i, m) for i, m in enumerate(c.members)],
     )
     return 0
 
 
 def _cmd_check_strong(args):
-    if args.collection:
+    if args.collection is not None:
         c = _load(args.collection, Collection)
     elif args.dims is not None:
         c = enumerate_collection(_shape(args))
     else:
         raise InputError("check-strong needs --collection or --n/--dims")
     report = check_strong_exceptional(c)
-    lines = ["overall: %s" % report.overall]
-    for p in report.pairs:
-        if p.status != CONFIRMED:
-            lines.append(
-                "  pair (%d, %d) [%s]: %s %s"
-                % (p.i, p.j, p.requirement, p.status, p.witness or "")
-            )
-    _emit(report.to_json(), args, lines)
+
+    def lines():
+        yield "overall: %s" % report.overall
+        for p in report.pairs:
+            if p.status != CONFIRMED:
+                witness = p.witness or ""
+                yield "  pair (%d, %d) [%s]: %s %s" % (p.i, p.j, p.requirement, p.status, witness)
+
+    _emit(args, report.to_json, lines)
     return report.exit_code
 
 
@@ -196,42 +196,60 @@ def _cmd_twist_check(args):
     if t.shape != shape:
         raise InputError("expression shape does not match --n/--dims")
     report = check_T2(t, group)
-    lines = ["group: %s" % group.kind, "T2 status: %s" % report.status]
-    for cert in report.certificates():
-        lines.append("  witness pair (%d, %d): %s" % (cert["i"], cert["j"], cert["witness"]))
-    _emit(report.to_json(), args, lines)
+
+    def lines():
+        yield "group: %s" % group.kind
+        yield "T2 status: %s" % report.status
+        for cert in report.certificates():
+            yield "  witness pair (%d, %d): %s" % (cert["i"], cert["j"], cert["witness"])
+
+    _emit(args, report.to_json, lines)
     return report.exit_code
 
 
 def _cmd_counterexample(args):
     report = counterexample_case(args.case, _shape(args))
-    lines = ["case %d on %s" % (args.case, report.shape)]
-    for r in report.readings:
-        lines.append("reading %s: %s" % (r.label, r.status))
-        lines.extend("  " + line for line in _outcome_lines(r.ext_outcome))
-        if r.certificate:
-            lines.append("  certificate: %s" % r.certificate)
-    lines.append("counterexample established: %s" % report.established)
-    _emit(report.to_json(), args, lines)
+
+    def lines():
+        yield "case %d on %s" % (args.case, report.shape)
+        for r in report.readings:
+            yield "reading %s: %s" % (r.label, r.status)
+            yield from ("  " + line for line in _outcome_lines(r.ext_outcome))
+            if r.certificate:
+                yield "  certificate: %s" % r.certificate
+        yield "counterexample established: %s" % report.established
+
+    _emit(args, report.to_json, lines)
     return report.exit_code
 
 
 def _cmd_toric_check(args):
     tower = _load(args.tower, TowerSpec)
     report = check_grid_collection(tower)
-    payload = report.to_json()
-    lines = [
-        "grid size %d, status: %s" % (len(report.grid), report.status),
-    ]
-    for f in report.failures[:10]:
-        lines.append("  failure: %s" % f)
-    if not args.skip_orbits:
-        orbits = galois_orbit_check(tower)
-        payload["orbits"] = orbits
-        lines.append("orbit closure: %s" % orbits["orbit_closed"])
-        lines.append("orbit classes: %d" % len(orbits["orbit_classes"]))
-    _emit(payload, args, lines)
+    orbits = None if args.skip_orbits else galois_orbit_check(tower)
+
+    def payload():
+        return report.to_json() if orbits is None else {**report.to_json(), "orbits": orbits}
+
+    def lines():
+        yield "grid size %d, status: %s" % (len(report.grid), report.status)
+        yield from ("  failure: %s" % f for f in report.failures[:10])
+        if orbits is not None:
+            yield "orbit closure: %s" % orbits["orbit_closed"]
+            yield "orbit classes: %d" % len(orbits["orbit_classes"])
+
+    _emit(args, payload, lines)
     return report.exit_code
+
+
+def _check_flags(args):
+    """Reject, with a usage error, the flag combinations argparse cannot."""
+    if args.command != "check-strong":
+        return
+    if args.collection is not None and (args.n is not None or args.dims is not None):
+        args.usage_error("--collection cannot be combined with --n or --dims")
+    if (args.n is None) != (args.dims is None):
+        args.usage_error("--n and --dims must be given together")
 
 
 def build_parser() -> _Parser:
@@ -240,7 +258,7 @@ def build_parser() -> _Parser:
 
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, usage_error=p.error)
         p.add_argument("--format", choices=("text", "json"), default="text")
         return p
 
@@ -250,8 +268,9 @@ def build_parser() -> _Parser:
 
     p = add("cohom", _cmd_cohom, "cohomology of a bundle expression")
     p.add_argument("--expr", required=True, help="bundle expression JSON file")
-    p.add_argument("--stepwise", action="store_true", help="level-by-level pushforward")
-    p.add_argument("--euler-only", action="store_true")
+    route = p.add_mutually_exclusive_group()
+    route.add_argument("--stepwise", action="store_true", help="level-by-level pushforward")
+    route.add_argument("--euler-only", action="store_true")
 
     p = add("ext", _cmd_ext, "Ext groups between two bundle expressions")
     p.add_argument(
@@ -290,6 +309,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_flags(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EX_USAGE
     try:

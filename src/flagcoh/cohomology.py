@@ -67,7 +67,8 @@ class CohomologyOutcome:
     def _alternating_sum(self) -> CharacterSum:
         out = CharacterSum(self.rank)
         for t, cs in self.by_degree.items():
-            out = out + cs.scale((-1) ** t)
+            for w, m in cs.items():
+                out.add_term(w, (-1) ** t * m)
         return out
 
     def degrees(self):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Iterable
 
-from .schur import CharacterSum, _lr_raw, _strip_zeros, pad, schur_dim, tensor_character
+from .schur import _lr_raw, _strip_zeros, _tensor_terms, pad, schur_dim
 from .weights import dual_weight, is_weakly_decreasing, strict_int
 
 
@@ -182,16 +182,17 @@ def make_monomial(shape: FlagShape, factors: Iterable) -> "BundleExpr":
     # factor tuples grown in slot order are already canonical
     products = {(): 1}
     for slot, ws in sorted(by_slot.items(), key=lambda kv: kv[0].sort_key()):
-        if len(ws) == 1:
-            pieces = ((ws[0], 1),)  # validated by SchurMonomial below
-        else:
-            cs = CharacterSum(len(ws[0]), {ws[0]: 1})
-            for w in ws[1:]:
-                cs = tensor_character(cs, w)
-            pieces = cs.items()
+        # a lone weight is checked by SchurMonomial below, merged ones by _tensor_terms
+        pieces = {ws[0]: 1}
+        for w in ws[1:]:
+            merged: dict = {}
+            for key, mult in pieces.items():
+                for lam, c in _tensor_terms(key, w, len(w)):
+                    merged[lam] = merged.get(lam, 0) + c * mult
+            pieces = merged
         grown = {}
         for fs, m in products.items():
-            for key, mult in pieces:
+            for key, mult in pieces.items():
                 new = fs + ((slot, key),) if any(key) else fs
                 grown[new] = grown.get(new, 0) + m * mult
         products = grown

@@ -43,6 +43,10 @@ class Collection:
     shape: FlagShape
     members: list  # list[BundleExpr], each a single SchurMonomial
 
+    def __post_init__(self):
+        if any(m.shape != self.shape for m in self.members):
+            raise InputError("member shape mismatch")
+
     def __len__(self):
         return len(self.members)
 
@@ -55,11 +59,7 @@ class Collection:
     @classmethod
     def from_json(cls, data):
         shape = FlagShape.from_json(data["flag"])
-        members = [BundleExpr.from_json(m) for m in data["members"]]
-        for m in members:
-            if m.shape != shape:
-                raise ValueError("member shape mismatch")
-        return cls(shape, members)
+        return cls(shape, [BundleExpr.from_json(m) for m in data["members"]])
 
 
 def enumerate_collection(shape: FlagShape) -> Collection:
@@ -178,16 +178,6 @@ class PairReport:
         }
 
 
-def _as_members(c) -> tuple:
-    if isinstance(c, Collection):
-        return c.shape, list(c.members)
-    members = list(c)
-    shapes = {m.shape for m in members}
-    if len(shapes) > 1:
-        raise ValueError("members must share one shape")
-    return next(iter(shapes), None), members
-
-
 def _check_pairs(members: list, below: str) -> list:
     """The one loop over ordered pairs: Ext^*(members[i], members[j]) by
     ``ext_groups_best``, classified against ``higher`` for i <= j and
@@ -209,19 +199,21 @@ def check_strong_exceptional(c) -> PairReport:
 
     For i < j: Ext^k(E_i, E_j) = 0 for k > 0.  For i > j: Ext^k(E_i, E_j)
     = 0 for every k.  On the diagonal: higher self-Exts vanish and
-    Hom(E_i, E_i) = k.
+    Hom(E_i, E_i) = k.  ``c`` is a Collection or a list of members.
     """
-    shape, members = _as_members(c)
-    pairs = _check_pairs(members, TOTAL)
-    for p in pairs[:: len(members) + 1]:  # the diagonal
+    if not isinstance(c, Collection):
+        members = list(c)
+        c = Collection(members[0].shape if members else None, members)
+    pairs = _check_pairs(c.members, TOTAL)
+    for p in pairs[:: len(c) + 1]:  # the diagonal
         if p.status == CONFIRMED:
-            p.status, p.witness = _classify_simple(p.outcome, shape.n)
-    return PairReport(shape, members, pairs)
+            p.status, p.witness = _classify_simple(p.outcome)
+    return PairReport(c.shape, list(c.members), pairs)
 
 
-def _classify_simple(outcome: CohomologyOutcome, n: int):
+def _classify_simple(outcome: CohomologyOutcome):
     """Given confirmed higher vanishing, decide whether Hom = k."""
-    unit = CharacterSum(n, {pad((), n): 1})
+    unit = CharacterSum(outcome.rank, {pad((), outcome.rank): 1})
     bound0 = outcome.character(0)
     if bound0 == unit:
         # Hom always contains the identity; a bound equal to k pins it

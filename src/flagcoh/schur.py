@@ -199,51 +199,33 @@ def lr_coefficients(mu: Sequence[int], nu: Sequence[int], rank: int) -> Characte
         raise ValueError("lr_coefficients requires partitions")
     if len(mu_t) > rank or len(nu_t) > rank:
         raise ValueError("partition length exceeds rank")
-    width = (mu_t[0] if mu_t else 0) + (nu_t[0] if nu_t else 0)
-    out = CharacterSum(rank)
-    for lam, c in _lr_raw(mu_t, nu_t, (width,) * rank):
-        out.add_term(pad(lam, rank), c)
-    return out
+    return tensor_schur(pad(mu_t, rank), pad(nu_t, rank), rank)
 
 
 @lru_cache(maxsize=None)
 def _tensor_terms(a: tuple, b: tuple, rank: int) -> tuple:
-    """``tensor_schur(a, b, rank)`` as an immutable ((weight, mult), ...),
-    so that every caller can share the cached product."""
-    if len(a) != rank or len(b) != rank:
-        raise ValueError("weights must have full length %d" % rank)
-    ka = -min(a) if a and min(a) < 0 else 0
-    kb = -min(b) if b and min(b) < 0 else 0
-    mu = tuple(x + ka for x in a)
-    nu = tuple(x + kb for x in b)
-    shift = ka + kb
+    """Sigma^a (x) Sigma^b at GL_rank as ((weight, mult), ...), weights
+    descending: the one Littlewood-Richardson product.  Both weights must
+    be full length and weakly decreasing; negative entries are absorbed
+    into a determinant twist before the LR step and restored afterwards."""
+    for w in (a, b):
+        if len(w) != rank or not is_weakly_decreasing(w):
+            raise ValueError("weight %r is not weakly decreasing of length %d" % (w, rank))
+    ka = max(0, -min(a, default=0))
+    kb = max(0, -min(b, default=0))
+    mu = _strip_zeros([x + ka for x in a])
+    nu = _strip_zeros([x + kb for x in b])
+    width = (mu[0] if mu else 0) + (nu[0] if nu else 0)
     return tuple(
-        (tuple(x - shift for x in w), m) for w, m in lr_coefficients(mu, nu, rank).items()
+        (tuple(x - ka - kb for x in pad(lam, rank)), c)
+        for lam, c in reversed(_lr_raw(mu, nu, (width,) * rank))
     )
 
 
 def tensor_schur(a: Sequence[int], b: Sequence[int], rank: int) -> CharacterSum:
-    """Tensor product of two rational Schur functors at GL_rank.
-
-    Both weights must be full length; negative entries are absorbed into a
-    determinant twist before the LR step and restored afterwards.  Each
-    call returns a fresh CharacterSum, so no caller can alter the cache.
-    """
+    """``_tensor_terms`` as a fresh CharacterSum, so no caller can alter
+    the cache."""
     return CharacterSum(rank, dict(_tensor_terms(tuple(a), tuple(b), rank)))
-
-
-def tensor_character(cs: CharacterSum, w: tuple) -> CharacterSum:
-    """cs (x) Sigma^w at GL_(cs.rank); trivial factors skip the LR step."""
-    if not any(w):
-        return cs
-    out = CharacterSum(cs.rank)
-    for key, mult in cs._terms.items():
-        if not any(key):
-            out.add_term(w, mult)
-            continue
-        for lam, c in _tensor_terms(key, w, cs.rank):
-            out.add_term(lam, c * mult)
-    return out
 
 
 @lru_cache(maxsize=None)

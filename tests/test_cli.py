@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from flagcoh import cli, kapranov
 from flagcoh.cli import EX_DATAERR, EX_SOFTWARE, EX_USAGE, main
 from flagcoh.schur import CharacterSum
 
@@ -173,7 +174,7 @@ def test_engine_value_error_is_not_an_input_error(tmp_path, capsys, monkeypatch)
     "argv",
     [
         ["bbw", "--n", "0", "--weight", ""],
-        ["check-strong", "--dims", "1,2"],
+        ["check-strong", "--n", "3", "--dims", "2,1"],
         ["kapranov", "--n", "3", "--dims", "2,1"],
         ["counterexample", "--case", "1", "--n", "2", "--dims", ""],
         ["counterexample", "--case", "2", "--n", "4", "--dims", "1,2,3"],
@@ -183,6 +184,69 @@ def test_bad_arguments_are_input_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EX_DATAERR and out == ""
     assert "flagcoh: input error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohom", "--expr", "{expr}", "--stepwise", "--euler-only"],
+        ["check-strong", "--collection", "{collection}", "--n", "3"],
+        ["check-strong", "--collection", "{collection}", "--dims", "1"],
+        ["check-strong", "--collection", "{collection}", "--n", "3", "--dims", "1"],
+        ["check-strong", "--n", "3"],
+        ["check-strong", "--dims", "1"],
+    ],
+)
+def test_conflicting_flags_are_usage_errors(tmp_path, capsys, argv):
+    # the files are valid, so only the flags are at fault
+    _code, collection = run_json(capsys, "kapranov", "--n", "3", "--dims", "1")
+    (tmp_path / "collection").write_text(json.dumps(collection))
+    (tmp_path / "expr").write_text(json.dumps(_cohom_expr()))
+    argv = [arg.format(expr=tmp_path / "expr", collection=tmp_path / "collection") for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == EX_USAGE and out == ""
+    assert err.startswith("usage: flagcoh %s" % argv[0])
+    assert "input error" not in err
+
+
+def test_collection_of_another_shape_is_an_input_error(capsys, tmp_path):
+    code, coll = run_json(capsys, "kapranov", "--n", "3", "--dims", "1")
+    coll["flag"] = {"n": 3, "dims": [2]}
+    path = tmp_path / "coll.json"
+    path.write_text(json.dumps(coll))
+    code, out, err = run(capsys, "check-strong", "--collection", str(path))
+    assert code == EX_DATAERR and out == ""
+    assert "flagcoh: input error: member shape mismatch" in err
+
+
+def test_only_the_requested_format_is_rendered(tmp_path, capsys, monkeypatch):
+    def unwanted(*args):
+        raise AssertionError("rendered a format nobody asked for")
+
+    path = tmp_path / "expr.json"
+    path.write_text(json.dumps(_cohom_expr()))
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_outcome_lines", unwanted)
+        code, data = run_json(capsys, "cohom", "--expr", str(path))
+    assert code == 0 and data["grade"] == "exact"
+    with monkeypatch.context() as m:
+        m.setattr(kapranov.PairReport, "to_json", unwanted)
+        code, out, err = run(capsys, "check-strong", "--n", "3", "--dims", "1")
+    assert (code, out, err) == (0, "overall: confirmed\n", "")
+
+
+def test_unsorted_merged_weight_is_an_input_error(tmp_path, capsys):
+    # two weights on Sub(1): the merge by Littlewood-Richardson checks both
+    for weights in ([[0, 1], [1, 0]], [[1, 0], [0, 1]]):
+        expr = _cohom_expr()
+        expr["terms"][0]["factors"] = [
+            {"slot": "sub", "index": 1, "weight": w} for w in weights
+        ]
+        path = tmp_path / "expr.json"
+        path.write_text(json.dumps(expr))
+        code, out, err = run(capsys, "cohom", "--expr", str(path))
+        assert code == EX_DATAERR and out == ""
+        assert "flagcoh: input error: weight (0, 1) is not weakly decreasing" in err
 
 
 def test_ext_shape_mismatch_is_an_input_error(tmp_path, capsys):

@@ -1,7 +1,8 @@
-"""Byte-identity of the CLI output: the benchmark's smoke jobs and three
-counterexample jobs, each in JSON and text format, and ``toric-check`` on
-every full-size ``toric-grid`` tower variant in JSON, must print exactly the
-recorded stdout (by sha256) and exit with the recorded code.  A change of
+"""Byte-identity of the CLI output: the benchmark's smoke jobs, three
+counterexample jobs and one or more jobs of every other subcommand, each in
+JSON and text format, and ``toric-check`` on every full-size ``toric-grid``
+tower variant in JSON, must print exactly the recorded stdout (by sha256)
+and exit with the recorded code.  A change of
 the engine's answers, or of how they are printed, shows up here."""
 
 import contextlib
@@ -21,6 +22,42 @@ COUNTEREXAMPLES = (
     ["counterexample", "--case", "2", "--n", "5", "--dims", "1,4"],
     ["counterexample", "--case", "3", "--n", "4", "--dims", "1,2,3"],
 )
+
+# the subcommands and options the benchmark does not run; "{name}" stands
+# for the path of an input file written by ``_pin_jobs``
+PINS = {
+    "bbw regular": ["bbw", "--n", "4", "--weight", "0,-2,0,-1"],
+    "bbw singular": ["bbw", "--n", "3", "--weight=-1,0,0"],
+    "kapranov F(1,3;4)": ["kapranov", "--n", "4", "--dims", "1,3"],
+    "cohom --euler-only k=6": ["cohom", "--expr", "{expr_k6.json}", "--euler-only"],
+    "ext quot -> sub k=6": ["ext", "--expr", "{quot.json}", "--expr", "{sub.json}"],
+    "ext --best quot -> sub k=6": ["ext", "--expr", "{quot.json}", "--expr", "{sub.json}", "--best"],
+    "check-strong --collection F(1,3;4)": ["check-strong", "--collection", "{collection.json}"],
+    "twist-check F(1,3;4)": ["twist-check", "--n", "4", "--dims", "1,3"],
+    "toric-check --skip-orbits tower=smoke": ["toric-check", "--tower", "{tower.json}", "--skip-orbits"],
+}
+
+# job [format] -> (stdout sha256, exit code)
+PIN_GOLDEN = {
+    'bbw regular [json]': ('a8c117dcd04cb66746a8a7e53cbfb76762f60c496b299f8f406347a78dc897a1', 0),
+    'bbw regular [text]': ('19cafbb2e85c0a70ba65f3e48d676757c846cf3dadd6cc7aebbc2f841ed7c761', 0),
+    'bbw singular [json]': ('50162e7ef7e6758af16bc80d5acd7c800f632c208249731db67fa70d386f8153', 0),
+    'bbw singular [text]': ('8f48294811a126f4494edd560dd4416b9729cc6cc838a0aca195ce73054c69cf', 0),
+    'kapranov F(1,3;4) [json]': ('64b23b3506139bf02068f6ffffe99d6fddfa1921146803064ee8efaa4e319ce7', 0),
+    'kapranov F(1,3;4) [text]': ('c78648a312545e3d670a27d4ab146a1204d85febbbe4055b9ee4a28bd34fc6da', 0),
+    'cohom --euler-only k=6 [json]': ('97c7a13400faff4fbd30fd18bcd565fc9cf50608aee7ee6bae783d6f27728797', 0),
+    'cohom --euler-only k=6 [text]': ('b728bc34255bbbf0ca5378a8a943a6c50befe7f8d15a07b4b7a26b80725a8220', 0),
+    'ext quot -> sub k=6 [json]': ('027e20e3f692d2a97d4c47766dedf713418a622186e6d25e24b7dc456efdd934', 0),
+    'ext quot -> sub k=6 [text]': ('a09b4ce5a7cdcb3ce8039bef42bffe506f510e2fd104ed1a51ce0cda38e151e5', 0),
+    'ext --best quot -> sub k=6 [json]': ('027e20e3f692d2a97d4c47766dedf713418a622186e6d25e24b7dc456efdd934', 0),
+    'ext --best quot -> sub k=6 [text]': ('a09b4ce5a7cdcb3ce8039bef42bffe506f510e2fd104ed1a51ce0cda38e151e5', 0),
+    'check-strong --collection F(1,3;4) [json]': ('0f98fb17c7464443cc51287e1ce4c8b64530a0ff3d9e72017c7b728f1bcacf9a', 0),
+    'check-strong --collection F(1,3;4) [text]': ('f8da5bef827b21c1b93c5c84d07091f11022ed3762efef034b961f88e12f2f18', 0),
+    'twist-check F(1,3;4) [json]': ('835557b3661ba3a04870c4a11b6e5d7b5d8c8307498f28eaeaad1a3413b1af5d', 0),
+    'twist-check F(1,3;4) [text]': ('12145a13ac8802389fe16e857631e80323431e7dca11197c4cedc8f249078db1', 0),
+    'toric-check --skip-orbits tower=smoke [json]': ('b853004bc2f337b2fca808a673dcf984a7b1b850362826b11a90d31c2328a056', 0),
+    'toric-check --skip-orbits tower=smoke [text]': ('0226240fc05d05d082dea5ef07703612d1410dc448d64ad365a459689a2cc339', 0),
+}
 
 # job [format] -> (stdout sha256, exit code)
 GOLDEN = {
@@ -79,11 +116,44 @@ def _jobs(folder: Path) -> dict:
     return out
 
 
-def _digest(argv: list, fmt: str) -> tuple:
+def _run(argv: list, fmt: str) -> tuple:
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv + ["--format", fmt])  # the last --format wins
-    return hashlib.sha256(stdout.getvalue().encode()).hexdigest(), code
+    return stdout.getvalue(), code
+
+
+def _digest(argv: list, fmt: str) -> tuple:
+    out, code = _run(argv, fmt)
+    return hashlib.sha256(out.encode()).hexdigest(), code
+
+
+def _pin_jobs(folder: Path) -> dict:
+    """``PINS`` with their input files written to ``folder``: the smoke
+    ``large-weight`` expression, each of its two factors alone, the smoke
+    tower and ``kapranov``'s JSON output for F(1,3;4)."""
+    workloads = _workloads()
+    expr = workloads.jobs("large-weight", 0, smoke=True)[0].files["expr_k6.json"]
+    files = {
+        "expr_k6.json": expr,
+        "tower.json": workloads.jobs("toric-grid", 0, smoke=True)[0].files["tower.json"],
+    }
+    for factor in expr["terms"][0]["factors"]:
+        files["%s.json" % factor["slot"]] = dict(expr, terms=[{"mult": 1, "factors": [factor]}])
+    for name, data in files.items():
+        (folder / name).write_text(json.dumps(data))
+    collection, _code = _run(PINS["kapranov F(1,3;4)"], "json")
+    (folder / "collection.json").write_text(collection)
+    names = list(files) + ["collection.json"]
+    out = {}
+    for job, args in PINS.items():
+        argv = []
+        for arg in args:
+            for name in names:
+                arg = arg.replace("{%s}" % name, str(folder / name))
+            argv.append(arg)
+        out[job] = argv
+    return out
 
 
 def _digests(folder: Path) -> dict:
@@ -96,6 +166,14 @@ def _digests(folder: Path) -> dict:
 
 def test_cli_output_is_byte_identical(tmp_path):
     assert _digests(tmp_path) == GOLDEN
+
+
+def test_every_subcommand_is_byte_identical(tmp_path):
+    got = {}
+    for name, argv in _pin_jobs(tmp_path).items():
+        for fmt in ("json", "text"):
+            got["%s [%s]" % (name, fmt)] = _digest(argv, fmt)
+    assert got == PIN_GOLDEN
 
 
 def test_toric_check_full_size_is_byte_identical(tmp_path):

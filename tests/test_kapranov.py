@@ -134,6 +134,17 @@ def test_classify_vanishing_requires_valid_requirement():
         classify_vanishing(out, "bogus")
 
 
+def test_collection_members_live_on_its_shape():
+    members = enumerate_collection(FlagShape(4, (2,))).members
+    with pytest.raises(InputError, match="member shape mismatch"):
+        check_strong_exceptional(Collection(FlagShape(3, (1,)), members))
+    with pytest.raises(InputError, match="member shape mismatch"):
+        check_strong_exceptional(members + enumerate_collection(FlagShape(3, (1,))).members)
+    # the same members on their own shape, and as a plain list
+    assert check_strong_exceptional(Collection(FlagShape(4, (2,)), members)).overall == CONFIRMED
+    assert check_strong_exceptional(members).overall == CONFIRMED
+
+
 def test_empty_collection_rejected():
     shape = FlagShape(3, (1,))
     with pytest.raises(InputError):

@@ -9,7 +9,7 @@ import itertools
 
 import pytest
 
-from flagcoh.flagvar import _split_partition
+from flagcoh.flagvar import QUOT, SUB, FlagShape, Slot, _split_partition, make_monomial
 from flagcoh.schur import _lr_raw, lr_coefficients
 
 from localization import schur_value
@@ -84,3 +84,49 @@ def test_lr_raw_rejects_mu_outside_bound():
     with pytest.raises(ValueError):
         _lr_raw((3,), (1,), (2, 2))  # a row too long
     assert _lr_raw((2, 1), (1,), (2, 1, 1)) == (((2, 1, 1), 1),)
+
+
+# repeated weights on Sub(1) of F(r; r+2), with one factor on Quot(1)
+MERGES = (
+    ((1, 0), (1, 0)),
+    ((2, 1, 0), (1, 1, 0)),
+    ((0, 0, -1), (2, -1, -3)),  # determinant-twisted
+    ((0, 0), (3, -2)),  # an all-zero weight
+    ((0, 0, 0), (0, 0, 0)),
+    ((1, 0, -1), (0, 0, -2), (2, 1, 0)),
+    ((2, 1, 0), (2, 1, 0), (1, 0, 0)),  # (3,2,1) twice after the first merge
+    ((1, 0, -1), (1, 0, -1), (1, 0, 0)),  # the adjoint twice after the first merge
+    ((1, 1), (0, 0), (2, -1)),
+    ((-1, -1), (0, 0), (0, 0)),
+    ((1,), (-2,), (4,)),
+)
+
+
+@pytest.mark.parametrize("weights", MERGES)
+def test_make_monomial_merges_by_schur_polynomials(weights):
+    rank = len(weights[0])
+    shape = FlagShape(rank + 2, (rank,))
+    sub, quot = Slot(SUB, 1), Slot(QUOT, 1)
+    factors = [(sub, w) for w in weights] + [(quot, (1, 0))]
+    expr = make_monomial(shape, factors)
+    assert all(m > 0 for m in expr.terms.values())
+    for point in POINTS:
+        xs = {sub: point[:rank], quot: point[rank : rank + 2]}
+
+        def value(fs):
+            out = 1
+            for slot, w in fs:
+                out *= schur_value(tuple(w), xs[slot])
+            return out
+
+        rhs = sum(m * value(mono.factors) for mono, m in expr.terms.items())
+        assert value(factors) == rhs, (weights, point)
+
+
+@pytest.mark.parametrize(
+    "weights", [((0, 1), (1, 0)), ((1, 0), (0, 1)), ((2, 0), (1, 1), (0, 2)), ((0, 1),)]
+)
+def test_make_monomial_rejects_unsorted_weights(weights):
+    shape = FlagShape(3, (2,))
+    with pytest.raises(ValueError, match="not weakly decreasing"):
+        make_monomial(shape, [(Slot(SUB, 1), w) for w in weights])
