@@ -169,10 +169,8 @@ def _cmd_kapranov(args):
 def _cmd_check_strong(args):
     if args.collection is not None:
         c = _load(args.collection, Collection)
-    elif args.dims is not None:
-        c = enumerate_collection(_shape(args))
     else:
-        raise InputError("check-strong needs --collection or --n/--dims")
+        c = enumerate_collection(_shape(args))
     report = check_strong_exceptional(c)
 
     def lines():
@@ -250,6 +248,8 @@ def _check_flags(args):
         args.usage_error("--collection cannot be combined with --n or --dims")
     if (args.n is None) != (args.dims is None):
         args.usage_error("--n and --dims must be given together")
+    if args.collection is None and args.n is None:
+        args.usage_error("check-strong needs --collection or --n and --dims")
 
 
 def build_parser() -> _Parser:

@@ -3,22 +3,24 @@
 Two routes are provided for H^*(F, E):
 
 * ``cohomology`` expands E into block-graded pieces in one shot and
-  resolves each piece by Borel-Bott-Weil.  A piece is a monomial on the
-  blocks of the flag, read off by ``block_weights``.  When the nonzero
-  degrees of a monomial's filtration pieces are pairwise non-adjacent no
-  spectral sequence differential can exist and the answer is exact;
-  otherwise the result is an upper bound (the E1 page) while the Euler
-  character is exact regardless.
+  resolves each piece by Borel-Bott-Weil.  A piece is a tuple of weights,
+  one per block of the flag, and the fold never builds a monomial.  When
+  the nonzero degrees of a monomial's filtration pieces are pairwise
+  non-adjacent no spectral sequence differential can exist and the answer
+  is exact; otherwise the result is an upper bound (the E1 page) while the
+  Euler character is exact regardless.
 
 * ``cohomology_stepwise`` pushes forward one relative Grassmann bundle at
   a time, deferring filtration splits as long as possible.  It splits a
-  factor with the same ``_graded_factor`` as the one-shot route and merges
-  with ``make_monomial``.  It handles one level of the tower per call and
-  caches its pieces per monomial, so a state reached along several
-  branches is computed once.  It often certifies exact vanishing where the
-  one-shot route only yields a bound.
+  factor with the same ``_graded_factor`` as the one-shot route and turns
+  each piece into a monomial with ``make_monomial``.  It handles one level
+  of the tower per call and caches its pieces per monomial, so a state
+  reached along several branches is computed once.  It often certifies
+  exact vanishing where the one-shot route only yields a bound.
 
 ``certify`` is the one place where the two routes are combined.
+``ext_groups_best`` can keep its outcomes in a memo keyed by the product
+a^v (x) b, so a pair loop certifies each distinct product once.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .flagvar import (
     BundleExpr,
     FlagShape,
     SchurMonomial,
+    _block_monomial,
     _expand_monomial,
     _forget_steps,
     _graded_factor,
@@ -124,8 +127,8 @@ def _monomial_pieces_graded(mono: SchurMonomial) -> tuple:
     flag telling whether more than one filtration piece was involved."""
     expansion = _expand_monomial(mono)
     pieces = []
-    for gm, c in expansion:
-        res = _bbw_blocks(block_weights(gm))
+    for ws, c in expansion:
+        res = _bbw_blocks(ws)
         if res is not None:
             pieces.append((res[0], res[1], c))
     return tuple(pieces), len(expansion) > 1
@@ -193,8 +196,13 @@ def _monomial_pieces_stepwise(mono: SchurMonomial) -> tuple:
     q1 = shape.slot(1, shape.s + 1)
     if shape.s >= 2 and q1 in factors:
         split = _graded_factor(shape, q1, factors.pop(q1))
-        terms = tensor(make_monomial(shape, factors.items()), split).terms.items()
-        return _lower_pieces(terms, 0, len(split.terms) > 1)
+        rest = list(factors.items())
+        terms = [
+            (piece, c * m)
+            for ws, c in split
+            for piece, m in _block_monomial(shape, ws, rest).terms.items()
+        ]
+        return _lower_pieces(terms, 0, len(split) > 1)
     alpha = factors.pop(shape.slot(0, 1), pad((), sizes[0]))
     beta = factors.pop(shape.slot(1, 2), pad((), sizes[1]))
     res = _bbw_blocks((alpha, beta))
@@ -240,9 +248,18 @@ def ext_groups(a: BundleExpr, b: BundleExpr) -> CohomologyOutcome:
     return cohomology(tensor(dual(a), b))
 
 
-def ext_groups_best(a: BundleExpr, b: BundleExpr) -> CohomologyOutcome:
-    """Ext^*(a, b) = H^*(F, a^v (x) b) by ``certify``."""
-    return certify(tensor(dual(a), b))
+def ext_groups_best(a: BundleExpr, b: BundleExpr, memo: dict | None = None) -> CohomologyOutcome:
+    """Ext^*(a, b) = H^*(F, a^v (x) b) by ``certify``.  With ``memo``, a
+    dict from products a^v (x) b to outcomes, an equal product is
+    certified once; the outcome is then shared, so it must not be
+    mutated."""
+    e = tensor(dual(a), b)
+    if memo is None:
+        return certify(e)
+    outcome = memo.get(e)
+    if outcome is None:
+        outcome = memo[e] = certify(e)
+    return outcome
 
 
 def euler_characteristic(e: BundleExpr) -> CharacterSum:

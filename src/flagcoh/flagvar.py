@@ -12,16 +12,19 @@ Everything is immutable and hashable so results can be
 cached aggressively.  Shapes, slots and monomials compute their hash once;
 it is valid only in the process that made them, so they are not pickled.
 
-A graded piece of the filtration by the flag is an ordinary monomial on
-block slots (Sub(1), Block(j), Quot(s)).  ``_graded_factor`` splits one
-factor into such pieces and ``make_monomial`` merges them, both for the
-one-shot expansion here and for the stepwise route in ``cohomology``.
+A graded piece of the filtration by the flag is a tuple of block weights,
+one weight per consecutive quotient, zero where the piece has no factor.
+``_graded_factor`` splits one factor into such pieces.  The one-shot fold
+``_expand_monomial`` multiplies them block by block on plain tuples; the
+stepwise route in ``cohomology`` and ``graded_expansion`` turn a piece back
+into a monomial on the block slots (Sub(1), Block(j), Quot(s)) with
+``make_monomial``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Iterable
 
 from .schur import _lr_raw, _strip_zeros, _tensor_terms, pad, schur_dim
@@ -435,32 +438,63 @@ def block_weights(mono: SchurMonomial) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _graded_factor(shape: FlagShape, slot: Slot, w: tuple) -> BundleExpr:
+def _graded_factor(shape: FlagShape, slot: Slot, w: tuple) -> tuple:
     """The associated graded of Sigma^w(slot) for the natural filtration, as
-    monomials on the blocks the slot spans: the slot (lo, hi) spans blocks
-    lo+1..hi.  Negative entries are absorbed into a determinant twist,
-    which splits as the same twist on every block."""
+    ((weight per block of the shape), coeff) pairs: the slot (lo, hi)
+    spans blocks lo+1..hi, and every other block gets the zero weight.
+    Negative entries are absorbed into a determinant twist, which splits
+    as the same twist on every spanned block."""
     lo, hi = slot.span(shape)
-    blocks = [shape.slot(j - 1, j) for j in range(lo + 1, hi + 1)]
+    sizes = shape.blocks()
+    below = tuple(pad((), b) for b in sizes[:lo])
+    above = tuple(pad((), b) for b in sizes[hi:])
     k = max(0, -min(w))
-    terms: dict = {}
-    for ws, c in _split_partition(tuple(x + k for x in w), shape.blocks()[lo:hi]):
-        pieces = zip(blocks, (tuple(x - k for x in piece) for piece in ws))
-        for mono, m in make_monomial(shape, pieces).terms.items():
-            terms[mono] = terms.get(mono, 0) + c * m
-    return BundleExpr(shape, terms)
+    return tuple(
+        (below + tuple(tuple(x - k for x in piece) for piece in ws) + above, c)
+        for ws, c in _split_partition(tuple(x + k for x in w), sizes[lo:hi])
+    )
+
+
+def _block_monomial(shape: FlagShape, ws: tuple, factors=()) -> BundleExpr:
+    """The graded piece with block weights ``ws``, tensored with the raw
+    (slot, weight) ``factors``, as a bundle expression."""
+    blocks = [(shape.slot(j, j + 1), w) for j, w in enumerate(ws) if any(w)]
+    return make_monomial(shape, [*factors, *blocks])
+
+
+def _tensor_blocks(ws: tuple, vs: tuple) -> list:
+    """The product of two graded pieces, block by block, as ((block
+    weights), mult) pairs: a block whose two weights are both nonzero is
+    merged by Littlewood-Richardson, otherwise it keeps the nonzero one."""
+    out = [((), 1)]
+    for u, v in zip(ws, vs):
+        if not any(v):
+            out = [(key + (u,), c) for key, c in out]
+        elif not any(u):
+            out = [(key + (v,), c) for key, c in out]
+        else:
+            terms = _tensor_terms(u, v, len(u))
+            out = [(key + (lam,), c * m) for key, c in out for lam, m in terms]
+    return out
 
 
 def _expand_monomial(mono: SchurMonomial) -> tuple:
-    """Graded pieces of a monomial: ((block monomial, coeff), ...).
+    """Graded pieces of a monomial: ((block weights), coeff) pairs, one per
+    distinct piece.
 
     The tensor product of the associated graded of every factor, folded
-    in one factor at a time.
+    in one factor at a time on plain block-weight tuples.
     """
     shape = mono.shape
-    factors = [_graded_factor(shape, slot, w) for slot, w in mono.factors]
-    graded = reduce(tensor, factors) if factors else trivial(shape)
-    return tuple(graded.terms.items())
+    acc = {tuple(pad((), b) for b in shape.blocks()): 1}
+    for slot, w in mono.factors:
+        grown: dict = {}
+        for ws, c in acc.items():
+            for vs, m in _graded_factor(shape, slot, w):
+                for key, k in _tensor_blocks(ws, vs):
+                    grown[key] = grown.get(key, 0) + c * m * k
+        acc = grown
+    return tuple(acc.items())
 
 
 def graded_expansion(e: BundleExpr):
@@ -472,7 +506,8 @@ def graded_expansion(e: BundleExpr):
     """
     out = []
     for mono, m in e.monomials():
-        pieces = sorted(_expand_monomial(mono), key=lambda mc: block_weights(mc[0]), reverse=True)
-        for level, (gm, c) in enumerate(pieces):
+        pieces = sorted(_expand_monomial(mono), reverse=True)
+        for level, (ws, c) in enumerate(pieces):
+            [gm] = _block_monomial(e.shape, ws).terms
             out.append((gm, c * m, level))
     return out

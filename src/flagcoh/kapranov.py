@@ -38,12 +38,16 @@ def worst_status(pairs) -> str:
     return max((p.status for p in pairs), key=_STATUS_RANK.__getitem__, default=CONFIRMED)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Collection:
+    """An ordered collection of bundles on one shape; frozen, so the shape
+    its members were checked against stays theirs."""
+
     shape: FlagShape
-    members: list  # list[BundleExpr], each a single SchurMonomial
+    members: tuple  # tuple[BundleExpr], each a single SchurMonomial
 
     def __post_init__(self):
+        object.__setattr__(self, "members", tuple(self.members))
         if any(m.shape != self.shape for m in self.members):
             raise InputError("member shape mismatch")
 
@@ -181,13 +185,15 @@ class PairReport:
 def _check_pairs(members: list, below: str) -> list:
     """The one loop over ordered pairs: Ext^*(members[i], members[j]) by
     ``ext_groups_best``, classified against ``higher`` for i <= j and
-    against ``below`` for i > j."""
+    against ``below`` for i > j.  Pairs with equal products a^v (x) b
+    share one outcome, certified once for the life of the call."""
     if not members:
         raise InputError("empty collection")
     pairs = []
+    memo: dict = {}
     for i, a in enumerate(members):
         for j, b in enumerate(members):
-            outcome = ext_groups_best(a, b)
+            outcome = ext_groups_best(a, b, memo)
             requirement = below if i > j else HIGHER
             status, witness = classify_vanishing(outcome, requirement)
             pairs.append(PairVerdict(i, j, requirement, status, outcome, witness))

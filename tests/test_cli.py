@@ -195,6 +195,7 @@ def test_bad_arguments_are_input_errors(capsys, argv):
         ["check-strong", "--collection", "{collection}", "--n", "3", "--dims", "1"],
         ["check-strong", "--n", "3"],
         ["check-strong", "--dims", "1"],
+        ["check-strong"],  # no input at all
     ],
 )
 def test_conflicting_flags_are_usage_errors(tmp_path, capsys, argv):

@@ -1,3 +1,5 @@
+import importlib
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -13,6 +15,8 @@ from flagcoh.flagvar import (
     FlagShape,
     SchurMonomial,
     Slot,
+    _expand_monomial,
+    _split_partition,
     block_weights,
     dual,
     graded_expansion,
@@ -22,6 +26,9 @@ from flagcoh.flagvar import (
     tensor,
     trivial,
 )
+
+# the package's ``cohomology`` attribute is the function, not the module
+engine = importlib.import_module("flagcoh.cohomology")
 
 F123 = FlagShape(3, (1, 2))
 GR24 = FlagShape(4, (2,))
@@ -279,3 +286,77 @@ def test_dual_rank_and_involution_random(data):
     assert dual(e).rank() == e.rank()
     total = sum(gm.rank() * m for gm, m, _ in graded_expansion(e))
     assert total == e.rank()
+
+
+def _reference_graded_factor(shape, slot, w):
+    """The associated graded of Sigma^w(slot) as a bundle expression on the
+    blocks the slot spans, built monomial by monomial."""
+    lo, hi = slot.span(shape)
+    blocks = [shape.slot(j - 1, j) for j in range(lo + 1, hi + 1)]
+    k = max(0, -min(w))
+    out = BundleExpr(shape)
+    for ws, c in _split_partition(tuple(x + k for x in w), shape.blocks()[lo:hi]):
+        pieces = zip(blocks, (tuple(x - k for x in piece) for piece in ws))
+        piece = make_monomial(shape, pieces)
+        out = out + BundleExpr(shape, {mono: c * m for mono, m in piece.terms.items()})
+    return out
+
+
+def _reference_expansion(mono):
+    """The one-shot fold on validated monomials: ``tensor`` over the graded
+    factors, one factor at a time; as {block weights: coeff}."""
+    shape = mono.shape
+    factors = [_reference_graded_factor(shape, slot, w) for slot, w in mono.factors]
+    graded = reduce(tensor, factors) if factors else trivial(shape)
+    return {block_weights(gm): c for gm, c in graded.terms.items()}
+
+
+# blocks of rank <= 2 have Littlewood-Richardson coefficients 0 or 1, so
+# F(1,4;5), with a rank-3 block, is what shows a lost multiplicity
+F145 = FlagShape(5, (1, 4))
+FOLD_SHAPES = [F1234, FlagShape(5, (1, 3)), FlagShape(6, (2, 4)), F145]
+
+
+def _assert_fold_matches_reference(mono):
+    fold = _expand_monomial(mono)
+    expected = _reference_expansion(mono)
+    assert dict(fold) == expected
+    assert len(fold) == len(expected)  # one pair per distinct piece
+    _pieces, filtered = engine._monomial_pieces_graded(mono)
+    assert filtered == (len(expected) > 1)
+
+
+def test_tuple_fold_fixed_cases():
+    for shape in FOLD_SHAPES:
+        [mono] = trivial(shape).terms
+        _assert_fold_matches_reference(mono)
+        assert _expand_monomial(mono) == ((tuple((0,) * b for b in shape.blocks()), 1),)
+    # W_4's adjoint grades to L (x) M^v, L^v (x) M, adj(M) and O on
+    # W_1 = L, M = W_4/W_1; times adj(M), adj(M) (x) adj(M) holds adj(M)
+    # twice and O (x) adj(M) once
+    e = make_monomial(F145, [(Slot(BLOCK, 2), (1, 0, -1)), (Slot(SUB, 2), (1, 0, 0, -1))])
+    [mono] = e.terms
+    _assert_fold_matches_reference(mono)
+    assert dict(_expand_monomial(mono))[(0,), (1, 0, -1), (0,)] == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tuple_fold_matches_tensor_fold(data):
+    shape = data.draw(st.sampled_from(FOLD_SHAPES))
+    s = shape.s
+    slots = (
+        [Slot(SUB, i) for i in range(1, s + 1)]
+        + [Slot(QUOT, i) for i in range(1, s + 1)]
+        + [Slot(BLOCK, j) for j in range(2, s + 1)]
+    )
+    # repeated slots are merged by make_monomial, and sub and quot slots
+    # overlap on interior blocks, so blocks repeat across factors
+    chosen = data.draw(st.lists(st.sampled_from(slots), max_size=3))
+    factors = []
+    for slot in chosen:
+        r = slot.rank(shape)
+        w = data.draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r))
+        factors.append((slot, tuple(sorted(w, reverse=True))))
+    for mono in make_monomial(shape, factors).terms:
+        _assert_fold_matches_reference(mono)

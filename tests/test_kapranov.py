@@ -1,3 +1,5 @@
+import dataclasses
+import importlib
 import itertools
 import math
 
@@ -5,7 +7,7 @@ import pytest
 
 from flagcoh import kapranov
 from flagcoh.cohomology import EXACT, ext_groups_best
-from flagcoh.flagvar import BundleExpr, FlagShape
+from flagcoh.flagvar import BundleExpr, FlagShape, dual, tensor
 from flagcoh.kapranov import (
     CONFIRMED,
     HIGHER,
@@ -60,6 +62,22 @@ def test_collection_json_roundtrip():
     c = enumerate_collection(FlagShape(3, (1, 2)))
     c2 = Collection.from_json(c.to_json())
     assert c2.shape == c.shape and c2.members == c.members
+
+
+def test_collection_is_frozen():
+    c = enumerate_collection(FlagShape(3, (1,)))
+    as_list = {"flag": c.shape.to_json(), "members": [m.to_json() for m in c.members]}
+    assert isinstance(c.members, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.shape = FlagShape(4, (2,))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.members = enumerate_collection(FlagShape(4, (2,))).members
+    with pytest.raises(AttributeError):
+        c.members.append(c.members[0])
+    # a list of members is stored as a tuple, and the JSON form is unchanged
+    assert c.to_json() == as_list
+    assert Collection(c.shape, list(c.members)) == c
+    assert check_strong_exceptional(c).to_json()["flag"] == {"n": 3, "dims": [1]}
 
 
 def test_strong_exceptional_projective_spaces():
@@ -163,9 +181,9 @@ def test_empty_collection_rejected():
 def test_every_pair_check_makes_one_ext_call_per_ordered_pair(monkeypatch, shape):
     calls = []
 
-    def counting(a, b):
+    def counting(a, b, memo=None):
         calls.append((a, b))
-        return ext_groups_best(a, b)
+        return ext_groups_best(a, b, memo)
 
     monkeypatch.setattr(kapranov, "ext_groups_best", counting)
     c = enumerate_collection(shape)
@@ -195,3 +213,37 @@ def test_every_pair_check_makes_one_ext_call_per_ordered_pair(monkeypatch, shape
         assert len(t2.summands) >= n
         assert len(calls) == len(t2.summands) ** 2
         assert all(p.requirement == HIGHER for p in t2.pairs)
+
+
+def test_pair_loop_certifies_each_distinct_product_once(monkeypatch):
+    engine = importlib.import_module("flagcoh.cohomology")
+    certify = engine.certify
+    certified = []
+
+    def counting(e):
+        certified.append(e)
+        return certify(e)
+
+    monkeypatch.setattr(engine, "certify", counting)
+    c = enumerate_collection(FlagShape(4, (1, 2, 3)))
+    products = [tensor(dual(a), b) for a in c.members for b in c.members]
+    distinct = set(products)
+    assert len(distinct) < len(products)
+
+    report = check_strong_exceptional(c)
+    assert len(certified) == len(distinct)
+    assert set(certified) == distinct
+    # the memo lives for one call only
+    del certified[:]
+    again = check_strong_exceptional(c)
+    assert len(certified) == len(distinct)
+    assert again.to_json() == report.to_json()
+
+    # pairs with equal products read equal outcomes, equal to an unshared one
+    by_product = {}
+    for p, e in zip(report.pairs, products):
+        by_product.setdefault(e, []).append(p)
+    assert any(len(ps) > 1 for ps in by_product.values())
+    for e, ps in by_product.items():
+        fresh = certify(e).to_json()
+        assert all(p.outcome.to_json() == fresh for p in ps)

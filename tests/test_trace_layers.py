@@ -1,8 +1,8 @@
 """Names that outside code looks up: the benchmark's per-layer tracer
 wraps engine functions by name, so a renamed function would make its layer
-read 0 instead of failing; a pair loop that bypasses a traced layer would
-read 0 too; and every name in ``flagcoh.__all__`` must still exist, so a
-deleted export does not linger there."""
+read 0 instead of failing; a pair loop or a one-shot fold that bypasses a
+traced layer would read 0 too; and every name in ``flagcoh.__all__`` must
+still exist, so a deleted export does not linger there."""
 
 import importlib
 import importlib.util
@@ -52,3 +52,5 @@ def test_traced_pair_loop_counts_every_pair(tmp_path):
     # P^2 has three members, so nine ordered pairs
     assert layers["cohomology.ext_best"]["calls"] == 9
     assert layers["kapranov.classify"]["calls"] == 9
+    # the one-shot fold runs inside the traced flagvar._expand_monomial
+    assert layers["flagvar.expand_monomial"]["calls"] > 0
