@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii
 
 from .cohomology import (
     EULER_ONLY,
@@ -52,11 +53,62 @@ class _Parser(argparse.ArgumentParser):
 def _emit(args, payload, lines):
     """Print ``payload()`` as JSON or the lines of ``lines()``, as
     ``args.format`` asks; the other rendering is never built.  Either is
-    built whole before anything is printed."""
+    built whole before anything is printed.
+
+    The JSON is the text of ``json.dumps(payload(), sort_keys=True,
+    indent=2)``, written by ``_json_chunks``: ``json.dumps`` uses its C
+    encoder only when ``indent`` is None, so an indented payload of
+    megabytes would otherwise go through the pure-Python encoder."""
     if args.format == "json":
-        print(json.dumps(payload(), sort_keys=True, indent=2))
+        out: list = []
+        _json_chunks(payload(), out, "\n")
+        print("".join(out))
     else:
         print("".join(line + "\n" for line in lines()), end="")
+
+
+def _json_chunks(obj, out: list, newline: str):
+    """Append to ``out`` the pieces of ``json.dumps(obj, sort_keys=True,
+    indent=2)``; ``newline`` is a newline and the indent of ``obj``'s
+    line.  Only dict (with str keys), list, tuple, str, int, bool and None
+    are written; anything else raises TypeError, so the text never differs
+    from ``json.dumps``."""
+    kind = type(obj)
+    if kind is str:
+        out.append(encode_basestring_ascii(obj))
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif kind is dict and obj:
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):  # encode_basestring_ascii rejects a non-str key
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _json_chunks(obj[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif (kind is list or kind is tuple) and obj:
+        inner = newline + "  "
+        if set(map(type, obj)) == {int}:  # a weight: no bool, no nesting
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + newline + "]")
+            return
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _json_chunks(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif kind is dict:
+        out.append("{}")
+    elif kind is list or kind is tuple:
+        out.append("[]")
+    else:
+        raise TypeError("cannot write %s as JSON" % kind.__name__)
 
 
 @contextmanager

@@ -18,9 +18,16 @@ Two routes are provided for H^*(F, E):
   reached along several branches is computed once.  It often certifies
   exact vanishing where the one-shot route only yields a bound.
 
+Both routes end in ``_bbw_blocks``, Borel-Bott-Weil on a tuple of block
+weights, whose results are cached in a bounded LRU cache: pair checks
+resolve the same few thousand tuples many times over.
+
 ``certify`` is the one place where the two routes are combined.
 ``ext_groups_best`` can keep its outcomes in a memo keyed by the product
-a^v (x) b, so a pair loop certifies each distinct product once.
+a^v (x) b, so a pair loop certifies each distinct product once.  The key
+is the shape and the product's terms as plain tuples, merged from the
+cached Littlewood-Richardson products; no monomial is built for it, and
+the product itself is built only when the key is new.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from .flagvar import (
     _expand_monomial,
     _forget_steps,
     _graded_factor,
+    _product_key,
     block_weights,
     dual,
     make_monomial,
@@ -100,10 +108,16 @@ class CohomologyOutcome:
         return cls(rank=euler.rank, grade=EULER_ONLY, by_degree={}, euler=euler)
 
 
-def _bbw_blocks(weights) -> tuple | None:
+# check-strong on F(1,2,3,4;5) resolves about 2,500 distinct block tuples
+# and a twist-check --sigma on a small shape at most 1,740, while one-shot
+# cohom of a large weight may resolve thousands that never repeat: the
+# bound holds a pair check's tuples whole and caps the memory of the rest.
+@lru_cache(maxsize=4096)
+def _bbw_blocks(weights: tuple) -> tuple | None:
     """Borel-Bott-Weil for Sigma^w_1 (x) ... (x) Sigma^w_k of the consecutive
     quotients of a full filtration of V: ``None`` (vanishes) or
-    (degree, dominant GL(V) weight w) meaning H^degree = Sigma^w(V)."""
+    (degree, dominant GL(V) weight w) meaning H^degree = Sigma^w(V).
+    ``weights`` is a tuple of weight tuples."""
     chi = []
     for w in weights:
         chi.extend(dual_weight(w))
@@ -249,16 +263,20 @@ def ext_groups(a: BundleExpr, b: BundleExpr) -> CohomologyOutcome:
 
 
 def ext_groups_best(a: BundleExpr, b: BundleExpr, memo: dict | None = None) -> CohomologyOutcome:
-    """Ext^*(a, b) = H^*(F, a^v (x) b) by ``certify``.  With ``memo``, a
-    dict from products a^v (x) b to outcomes, an equal product is
-    certified once; the outcome is then shared, so it must not be
+    """Ext^*(a, b) = H^*(F, a^v (x) b) by ``certify``.
+
+    With ``memo``, a dict from product keys to outcomes, an equal product
+    is certified once.  The key (``flagvar._product_key``) is the shape and
+    the terms of a^v (x) b as plain tuples, merged from the cached
+    Littlewood-Richardson products without building a monomial; the
+    product itself is built only on a miss.  A shared outcome must not be
     mutated."""
-    e = tensor(dual(a), b)
     if memo is None:
-        return certify(e)
-    outcome = memo.get(e)
+        return certify(tensor(dual(a), b))
+    key = _product_key(a, b)
+    outcome = memo.get(key)
     if outcome is None:
-        outcome = memo[e] = certify(e)
+        outcome = memo[key] = certify(tensor(dual(a), b))
     return outcome
 
 

@@ -173,19 +173,30 @@ def make_monomial(shape: FlagShape, factors: Iterable) -> "BundleExpr":
     """Build a bundle expression from raw (slot, weight) pairs, merging
     repeated slots by Littlewood-Richardson at the slot rank.  Every
     weight must have the slot's rank as its length."""
-    by_slot: dict[Slot, list] = {}
+    factors = [(slot, tuple(w)) for slot, w in factors]
     d = shape._bounds
     for slot, w in factors:
         lo, hi = slot.span(shape)
-        slot = shape.slot(lo, hi)
-        w = tuple(w)
         if len(w) != d[hi] - d[lo]:
-            raise ValueError("weight %r has wrong length for %s" % (w, slot))
-        by_slot.setdefault(slot, []).append(w)
+            raise ValueError("weight %r has wrong length for %s" % (w, shape.slot(lo, hi)))
+    # a lone weight is checked by SchurMonomial below, merged ones by _tensor_terms
+    return BundleExpr(
+        shape, {SchurMonomial(shape, fs): m for fs, m in _merge_factors(shape, factors).items()}
+    )
+
+
+def _merge_factors(shape: FlagShape, factors) -> dict:
+    """The product of the (slot, weight) ``factors`` as {factor tuple:
+    multiplicity}: the weights on one interval are merged by
+    Littlewood-Richardson at the slot rank, each slot in its canonical
+    spelling and order, and all-zero weights are dropped.  The weights are
+    not validated; ``make_monomial`` and ``_product_key`` share this."""
+    by_slot: dict[Slot, list] = {}
+    for slot, w in factors:
+        by_slot.setdefault(shape.slot(*slot.span(shape)), []).append(w)
     # factor tuples grown in slot order are already canonical
     products = {(): 1}
     for slot, ws in sorted(by_slot.items(), key=lambda kv: kv[0].sort_key()):
-        # a lone weight is checked by SchurMonomial below, merged ones by _tensor_terms
         pieces = {ws[0]: 1}
         for w in ws[1:]:
             merged: dict = {}
@@ -199,7 +210,7 @@ def make_monomial(shape: FlagShape, factors: Iterable) -> "BundleExpr":
                 new = fs + ((slot, key),) if any(key) else fs
                 grown[new] = grown.get(new, 0) + m * mult
         products = grown
-    return BundleExpr(shape, {SchurMonomial(shape, fs): m for fs, m in products.items()})
+    return products
 
 
 class BundleExpr:
@@ -329,6 +340,26 @@ def tensor(e1: BundleExpr, e2: BundleExpr) -> BundleExpr:
             for mono, c in prod.terms.items():
                 terms[mono] = terms.get(mono, 0) + c * c1 * c2
     return BundleExpr(e1.shape, terms)
+
+
+def _product_key(a: BundleExpr, b: BundleExpr) -> tuple:
+    """A hashable key of ``tensor(dual(a), b)``, equal for two pairs
+    exactly when their products are equal: the shape and the product's
+    (factor tuple, multiplicity) terms.  a's weights are dualized and each
+    pair of terms is merged by ``_merge_factors``, as ``tensor`` does, but
+    no monomial or expression is built or validated."""
+    if a.shape != b.shape:
+        raise ValueError("shape mismatch")
+    shape = a.shape
+    duals = [
+        (tuple((slot, dual_weight(w)) for slot, w in m1.factors), c1) for m1, c1 in a.terms.items()
+    ]
+    terms: dict = {}
+    for f1, c1 in duals:
+        for m2, c2 in b.terms.items():
+            for fs, c in _merge_factors(shape, f1 + m2.factors).items():
+                terms[fs] = terms.get(fs, 0) + c * c1 * c2
+    return shape, frozenset(terms.items())
 
 
 def _referenced_dims(mono: SchurMonomial) -> set:

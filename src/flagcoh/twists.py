@@ -74,6 +74,7 @@ def orbit(t: BundleExpr, g: TwistGroup) -> list:
 
 
 def orbit_sum(t: BundleExpr, g: TwistGroup) -> BundleExpr:
+    """The sum of the Galois orbit of t: t, or t + sigma*t."""
     return sum(orbit(t, g), BundleExpr(t.shape))
 
 

@@ -2,10 +2,13 @@ import importlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagcoh import cli, kapranov
 from flagcoh.cli import EX_DATAERR, EX_SOFTWARE, EX_USAGE, main
 from flagcoh.schur import CharacterSum
+from flagcoh.weights import BBWResolution
 
 # the package's ``cohomology`` attribute is the function, not the module
 engine = importlib.import_module("flagcoh.cohomology")
@@ -396,3 +399,63 @@ def test_missing_key_is_named(capsys, tmp_path):
     code, out, err = run(capsys, "check-strong", "--collection", expr)
     assert code == EX_DATAERR and out == ""
     assert "flagcoh: input error: missing key 'members'" in err
+
+
+def _written(obj) -> str:
+    out: list = []
+    cli._json_chunks(obj, out, "\n")
+    return "".join(out)
+
+
+# quote, backslash, control, non-ASCII and astral characters, plus any other
+_json_text = st.text(st.sampled_from('a"\\/\x00\x1f\n\t\x7f\u00e9\u2603\U0001f600') | st.characters())
+_json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.sampled_from([0, 1, -1, True, False, 2**64 + 1, -(2**64) - 1])
+    | _json_text
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.lists(st.integers(-3, 2**65), max_size=5)  # the all-int fast path
+    | st.dictionaries(_json_text, inner, max_size=5),
+    max_leaves=20,
+)
+
+
+def test_json_writer_fixed_cases():
+    for obj in [
+        {},
+        [],
+        (),
+        [[], {}, ()],
+        {"b": [1, 2], "a": {"": None, "\u00e9\"\\\x01": "x\u2603"}},
+        [True, 1, False, 0, -5, 2**64, None],
+        [1, 2, 3],
+        "plain",
+        -7,
+    ]:
+        assert _written(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_json_values)
+def test_json_writer_matches_json_dumps(obj):
+    assert _written(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("obj", [1.5, {1, 2}, {1: "a"}, {"a": [1, 2.0]}, [None, b"x"]])
+def test_json_writer_rejects_what_it_does_not_write(obj):
+    with pytest.raises(TypeError):
+        _written(obj)
+
+
+def test_unwritable_payload_is_an_internal_error(capsys, monkeypatch):
+    # a float degree would be written by json.dumps; the writer refuses it
+    monkeypatch.setattr(cli, "bbw_resolve", lambda w: BBWResolution(False, 0.5, (1, 0)))
+    code, out, err = run(capsys, "bbw", "--n", "2", "--weight", "1,0", "--format", "json")
+    assert code == EX_SOFTWARE and out == ""
+    assert "TypeError" in err

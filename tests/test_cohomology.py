@@ -236,3 +236,15 @@ def test_euler_only_outcome():
     out = CohomologyOutcome.euler_only(euler)
     assert out.grade == "euler_only"
     assert out.euler == euler and not out.by_degree
+
+
+def test_one_memo_never_mixes_shapes():
+    # O -> O(1) on P^1 and on P^2 are the same factor tuples, Sigma^(-1)(W_1),
+    # on different shapes; a memo shared by both must keep them apart
+    memo: dict = {}
+    for n in (2, 3, 2, 3):
+        o, o1 = line_bundle(n, 0), line_bundle(n, 1)
+        outcome = ext_groups_best(o, o1, memo)
+        assert outcome.to_json() == ext_groups_best(o, o1).to_json()
+        assert outcome.rank == n and outcome.dimension(0) == n
+    assert len(memo) == 2

@@ -16,6 +16,7 @@ from flagcoh.flagvar import (
     SchurMonomial,
     Slot,
     _expand_monomial,
+    _product_key,
     _split_partition,
     block_weights,
     dual,
@@ -360,3 +361,78 @@ def test_tuple_fold_matches_tensor_fold(data):
         factors.append((slot, tuple(sorted(w, reverse=True))))
     for mono in make_monomial(shape, factors).terms:
         _assert_fold_matches_reference(mono)
+
+
+def _product_terms(a, b):
+    """The key ``_product_key`` must give: the shape and the terms of the
+    validated product a^v (x) b."""
+    e = tensor(dual(a), b)
+    return e.shape, frozenset((mono.factors, c) for mono, c in e.terms.items())
+
+
+KEY_SHAPES = [F1234, F145, FlagShape(6, (2, 4))]
+
+
+def test_product_key_fixed_cases():
+    # on the rank-3 block of F(1,4;5), adj (x) adj holds adj twice, so a
+    # key that drops a Littlewood-Richardson multiplicity differs
+    adj = make_monomial(F145, [(Slot(BLOCK, 2), (1, 0, -1))])
+    two = adj + adj
+    for a, b in [(adj, adj), (two, adj), (adj, two)]:
+        assert _product_key(a, b) == _product_terms(a, b)
+    assert dict(_product_key(adj, adj)[1])[((Slot(BLOCK, 2), (1, 0, -1)),)] == 2
+    # W_1^v (x) W_1 is trivial: its zero weight is dropped
+    w1 = make_monomial(F1234, [(Slot(SUB, 1), (1,))])
+    assert _product_key(w1, w1) == (F1234, frozenset({((), 1)}))
+    # the source is dualized: Hom(W_1, W_1 (x) W_1) is W_1, not W_1^3
+    w1sq = make_monomial(F1234, [(Slot(SUB, 1), (2,))])
+    assert _product_key(w1, w1sq) == _product_terms(w1, w1sq) == _product_key(trivial(F1234), w1)
+    # a monomial spelled with a non-canonical slot keys as its canonical one
+    [mono] = w1.terms
+    spelled = BundleExpr(F1234, {SchurMonomial(F1234, ((Slot(BLOCK, 1), (1,)),)): 1})
+    assert _product_key(spelled, w1) == _product_key(w1, w1) == _product_terms(spelled, w1)
+    with pytest.raises(ValueError):
+        _product_key(w1, trivial(F123))
+
+
+def _random_expr(data, shape):
+    """A sum of one or two monomials, each from up to two raw factors with
+    entries in -1..1, with multiplicities 1 or 2."""
+    s = shape.s
+    slots = (
+        [Slot(SUB, i) for i in range(1, s + 1)]
+        + [Slot(QUOT, i) for i in range(1, s + 1)]
+        + [Slot(BLOCK, j) for j in range(2, s + 1)]
+    )
+    out = BundleExpr(shape)
+    for _ in range(data.draw(st.integers(1, 2))):
+        factors = []
+        for slot in data.draw(st.lists(st.sampled_from(slots), max_size=2)):
+            r = slot.rank(shape)
+            w = data.draw(st.lists(st.integers(-1, 1), min_size=r, max_size=r))
+            factors.append((slot, tuple(sorted(w, reverse=True))))
+        mult = data.draw(st.integers(1, 2))
+        term = make_monomial(shape, factors)
+        out = out + BundleExpr(shape, {mono: c * mult for mono, c in term.terms.items()})
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_product_keys_are_equal_exactly_when_products_are(data):
+    shape = data.draw(st.sampled_from(KEY_SHAPES))
+    pool = [_random_expr(data, shape) for _ in range(2)]
+    # twisting both sides by one line bundle L leaves (a (x) L)^v (x) (b (x) L)
+    # equal to a^v (x) b, so the pool has equal products from unequal pairs
+    slot = data.draw(st.sampled_from([Slot(SUB, 1), Slot(QUOT, shape.s)]))
+    k = data.draw(st.sampled_from([-1, 1]))
+    line = make_monomial(shape, [(slot, (k,) * slot.rank(shape))])
+    pool += [tensor(e, line) for e in pool]
+    pairs = [(a, b) for a in pool for b in pool]
+    keys = [_product_key(a, b) for a, b in pairs]
+    products = [tensor(dual(a), b) for a, b in pairs]
+    assert keys == [_product_terms(a, b) for a, b in pairs]
+    for (k1, p1), (k2, p2) in combinations(zip(keys, products), 2):
+        assert (k1 == k2) == (p1 == p2)
+    # (a, b) and (a (x) L, b (x) L)
+    assert keys[pairs.index((pool[0], pool[1]))] == keys[pairs.index((pool[2], pool[3]))]

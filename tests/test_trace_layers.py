@@ -52,5 +52,9 @@ def test_traced_pair_loop_counts_every_pair(tmp_path):
     # P^2 has three members, so nine ordered pairs
     assert layers["cohomology.ext_best"]["calls"] == 9
     assert layers["kapranov.classify"]["calls"] == 9
+    # the pair memo is keyed without the product, which is built only once
+    # per distinct key: fewer products than ordered pairs
+    assert layers["flagvar.tensor"]["calls"] < layers["cohomology.ext_best"]["calls"]
+    assert layers["flagvar.dual"]["calls"] < layers["cohomology.ext_best"]["calls"]
     # the one-shot fold runs inside the traced flagvar._expand_monomial
     assert layers["flagvar.expand_monomial"]["calls"] > 0
