@@ -33,6 +33,12 @@ PINS = {
     "ext quot -> sub k=6": ["ext", "--expr", "{quot.json}", "--expr", "{sub.json}"],
     "ext --best quot -> sub k=6": ["ext", "--expr", "{quot.json}", "--expr", "{sub.json}", "--best"],
     "check-strong --collection F(1,3;4)": ["check-strong", "--collection", "{collection.json}"],
+    "check-strong --collection F(1,3;4) + a two-term member": [
+        "check-strong", "--collection", "{collection_sum.json}"
+    ],
+    "check-strong --collection F(1,3;4) + a zero member": [
+        "check-strong", "--collection", "{collection_zero.json}"
+    ],
     "twist-check F(1,3;4)": ["twist-check", "--n", "4", "--dims", "1,3"],
     "toric-check --skip-orbits tower=smoke": ["toric-check", "--tower", "{tower.json}", "--skip-orbits"],
 }
@@ -53,6 +59,10 @@ PIN_GOLDEN = {
     'ext --best quot -> sub k=6 [text]': ('a09b4ce5a7cdcb3ce8039bef42bffe506f510e2fd104ed1a51ce0cda38e151e5', 0),
     'check-strong --collection F(1,3;4) [json]': ('0f98fb17c7464443cc51287e1ce4c8b64530a0ff3d9e72017c7b728f1bcacf9a', 0),
     'check-strong --collection F(1,3;4) [text]': ('f8da5bef827b21c1b93c5c84d07091f11022ed3762efef034b961f88e12f2f18', 0),
+    'check-strong --collection F(1,3;4) + a two-term member [json]': ('605a451e996082e0b0678fee4340b55b73c7164dc13d9b7ed3e07a724b2a5d6f', 1),
+    'check-strong --collection F(1,3;4) + a two-term member [text]': ('738c49d3e2a04239afc929f932bb1e80cb8b9420dc5f3a0b56ae5dc808a25cf6', 1),
+    'check-strong --collection F(1,3;4) + a zero member [json]': ('acd3069c68819d323902d00571a8d8917d9724dcd6987b50a85439db654e31ed', 1),
+    'check-strong --collection F(1,3;4) + a zero member [text]': ('308de7093b82e2cdda0c340d43bc42efb105faa22ada4186f171bff5ee72aeb1', 1),
     'twist-check F(1,3;4) [json]': ('835557b3661ba3a04870c4a11b6e5d7b5d8c8307498f28eaeaad1a3413b1af5d', 0),
     'twist-check F(1,3;4) [text]': ('12145a13ac8802389fe16e857631e80323431e7dca11197c4cedc8f249078db1', 0),
     'toric-check --skip-orbits tower=smoke [json]': ('b853004bc2f337b2fca808a673dcf984a7b1b850362826b11a90d31c2328a056', 0),
@@ -131,20 +141,29 @@ def _digest(argv: list, fmt: str) -> tuple:
 def _pin_jobs(folder: Path) -> dict:
     """``PINS`` with their input files written to ``folder``: the smoke
     ``large-weight`` expression, each of its two factors alone, the smoke
-    tower and ``kapranov``'s JSON output for F(1,3;4)."""
+    tower, ``kapranov``'s JSON output for F(1,3;4), and that collection
+    with one more member: the sum of its first two, or the zero
+    expression.  Pairs with a sum or the zero expression on either side
+    take the pair memo's merged-terms key."""
     workloads = _workloads()
     expr = workloads.jobs("large-weight", 0, smoke=True)[0].files["expr_k6.json"]
+    collection = json.loads(_run(PINS["kapranov F(1,3;4)"], "json")[0])
+    members = collection["members"]
     files = {
         "expr_k6.json": expr,
         "tower.json": workloads.jobs("toric-grid", 0, smoke=True)[0].files["tower.json"],
+        "collection.json": collection,
+        "collection_sum.json": dict(
+            collection,
+            members=members + [dict(members[0], terms=members[0]["terms"] + members[1]["terms"])],
+        ),
+        "collection_zero.json": dict(collection, members=members + [dict(members[0], terms=[])]),
     }
     for factor in expr["terms"][0]["factors"]:
         files["%s.json" % factor["slot"]] = dict(expr, terms=[{"mult": 1, "factors": [factor]}])
     for name, data in files.items():
         (folder / name).write_text(json.dumps(data))
-    collection, _code = _run(PINS["kapranov F(1,3;4)"], "json")
-    (folder / "collection.json").write_text(collection)
-    names = list(files) + ["collection.json"]
+    names = list(files)
     out = {}
     for job, args in PINS.items():
         argv = []
