@@ -57,7 +57,42 @@ from .twists import (
 )
 from .weights import BBWResolution, InputError, bbw_resolve, dot_action, dual_weight, rho
 
+from .cohomology import _bbw_blocks, _monomial_pieces_graded, _monomial_pieces_stepwise
+from .flagvar import (
+    _forget_steps,
+    _graded_factor,
+    _span_product,
+    _span_weights,
+    _split_partition,
+    _subpartitions,
+)
+from .schur import _lr_raw, _tensor_terms
+
 __version__ = "0.1.0"
+
+_CACHES = (
+    _bbw_blocks,
+    _monomial_pieces_graded,
+    _monomial_pieces_stepwise,
+    _forget_steps,
+    _graded_factor,
+    _span_product,
+    _span_weights,
+    _split_partition,
+    _subpartitions,
+    _lr_raw,
+    _tensor_terms,
+    schur_dim,
+)
+
+
+def clear_caches() -> None:
+    """Empty every ``functools.lru_cache`` of the package.  The caches only
+    hold results computed before, so answers are unchanged; a long-lived
+    process can call this between jobs to give their memory back."""
+    for cached in _CACHES:
+        cached.cache_clear()
+
 
 __all__ = [
     "BBWResolution",
@@ -87,6 +122,7 @@ __all__ = [
     "check_T2",
     "check_grid_collection",
     "check_strong_exceptional",
+    "clear_caches",
     "cohomology",
     "cohomology_graded",
     "cohomology_stepwise",

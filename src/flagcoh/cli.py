@@ -50,7 +50,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EX_USAGE)
 
 
-def _emit(args, payload, lines):
+def _emit(args, payload, lines, shared: dict | None = None):
     """Print ``payload()`` as JSON or the lines of ``lines()``, as
     ``args.format`` asks; the other rendering is never built.  Either is
     built whole before anything is printed.
@@ -58,21 +58,37 @@ def _emit(args, payload, lines):
     The JSON is the text of ``json.dumps(payload(), sort_keys=True,
     indent=2)``, written by ``_json_chunks``: ``json.dumps`` uses its C
     encoder only when ``indent`` is None, so an indented payload of
-    megabytes would otherwise go through the pure-Python encoder."""
+    megabytes would otherwise go through the pure-Python encoder.
+    ``shared`` is the dict ``payload`` fills with the hom and outcome JSON
+    values of each outcome object (``PairVerdict.to_json``); those that
+    two or more pairs use are rendered once per indent, and their text is
+    reused."""
     if args.format == "json":
+        obj = payload()
+        memo = {
+            id(v): {}
+            for hom, outcome, pairs in (shared or {}).values()
+            if pairs > 1
+            for v in (hom, outcome)
+            if v
+        }
         out: list = []
-        _json_chunks(payload(), out, "\n")
+        _json_chunks(obj, out, "\n", memo)
         print("".join(out))
     else:
         print("".join(line + "\n" for line in lines()), end="")
 
 
-def _json_chunks(obj, out: list, newline: str):
+def _json_chunks(obj, out: list, newline: str, memo: dict | None = None):
     """Append to ``out`` the pieces of ``json.dumps(obj, sort_keys=True,
     indent=2)``; ``newline`` is a newline and the indent of ``obj``'s
     line.  Only dict (with str keys), list, tuple, str, int, bool and None
     are written; anything else raises TypeError, so the text never differs
-    from ``json.dumps``."""
+    from ``json.dumps``.  ``memo`` maps the id of a container that occurs
+    more than once to its texts by indent: such a container is rendered
+    once per indent and its text appended again.  Any other container
+    costs one id lookup while ``memo`` is non-empty, none while it is
+    empty."""
     kind = type(obj)
     if kind is str:
         out.append(encode_basestring_ascii(obj))
@@ -84,12 +100,20 @@ def _json_chunks(obj, out: list, newline: str):
         out.append("true")
     elif obj is False:
         out.append("false")
+    elif memo and id(obj) in memo:
+        texts = memo.pop(id(obj))  # so that obj itself is rendered below
+        if newline not in texts:
+            chunks: list = []
+            _json_chunks(obj, chunks, newline, memo)
+            texts[newline] = "".join(chunks)
+        memo[id(obj)] = texts
+        out.append(texts[newline])
     elif kind is dict and obj:
         inner = newline + "  "
         sep = "{" + inner
         for key in sorted(obj):  # encode_basestring_ascii rejects a non-str key
             out.append(sep + encode_basestring_ascii(key) + ": ")
-            _json_chunks(obj[key], out, inner)
+            _json_chunks(obj[key], out, inner, memo)
             sep = "," + inner
         out.append(newline + "}")
     elif (kind is list or kind is tuple) and obj:
@@ -100,7 +124,7 @@ def _json_chunks(obj, out: list, newline: str):
         sep = "[" + inner
         for item in obj:
             out.append(sep)
-            _json_chunks(item, out, inner)
+            _json_chunks(item, out, inner, memo)
             sep = "," + inner
         out.append(newline + "]")
     elif kind is dict:
@@ -224,6 +248,7 @@ def _cmd_check_strong(args):
     else:
         c = enumerate_collection(_shape(args))
     report = check_strong_exceptional(c)
+    shared: dict = {}
 
     def lines():
         yield "overall: %s" % report.overall
@@ -232,7 +257,7 @@ def _cmd_check_strong(args):
                 witness = p.witness or ""
                 yield "  pair (%d, %d) [%s]: %s %s" % (p.i, p.j, p.requirement, p.status, witness)
 
-    _emit(args, report.to_json, lines)
+    _emit(args, lambda: report.to_json(shared), lines, shared)
     return report.exit_code
 
 
@@ -246,6 +271,7 @@ def _cmd_twist_check(args):
     if t.shape != shape:
         raise InputError("expression shape does not match --n/--dims")
     report = check_T2(t, group)
+    shared: dict = {}
 
     def lines():
         yield "group: %s" % group.kind
@@ -253,7 +279,7 @@ def _cmd_twist_check(args):
         for cert in report.certificates():
             yield "  witness pair (%d, %d): %s" % (cert["i"], cert["j"], cert["witness"])
 
-    _emit(args, report.to_json, lines)
+    _emit(args, lambda: report.to_json(shared), lines, shared)
     return report.exit_code
 
 

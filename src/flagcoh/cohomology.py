@@ -24,10 +24,14 @@ resolve the same few thousand tuples many times over.
 
 ``certify`` is the one place where the two routes are combined.
 ``ext_groups_best`` can keep its outcomes in a memo keyed by the product
-a^v (x) b, so a pair loop certifies each distinct product once.  The key
-is the shape and the product's terms as plain tuples, merged from the
-cached Littlewood-Richardson products; no monomial is built for it, and
-the product itself is built only when the key is new.
+a^v (x) b, so a pair loop certifies each distinct product once.  For a
+pair of single monomials the key (``flagvar._pair_key``) is built slot by
+slot: the shape and, for each slot, the cached Littlewood-Richardson
+product of a's dual weight with b's weight, from cached per-monomial
+slot maps.  Other pairs are keyed by the product's merged terms.  No
+monomial is built for a key, and the product itself is built only when
+the key is new.  Pairs that share an outcome also share its JSON, which
+``PairVerdict.to_json`` builds once and the CLI writes once per indent.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from .flagvar import (
     _expand_monomial,
     _forget_steps,
     _graded_factor,
-    _product_key,
+    _pair_key,
     block_weights,
     dual,
     make_monomial,
@@ -266,14 +270,17 @@ def ext_groups_best(a: BundleExpr, b: BundleExpr, memo: dict | None = None) -> C
     """Ext^*(a, b) = H^*(F, a^v (x) b) by ``certify``.
 
     With ``memo``, a dict from product keys to outcomes, an equal product
-    is certified once.  The key (``flagvar._product_key``) is the shape and
-    the terms of a^v (x) b as plain tuples, merged from the cached
-    Littlewood-Richardson products without building a monomial; the
-    product itself is built only on a miss.  A shared outcome must not be
-    mutated."""
+    is certified once.  The key (``flagvar._pair_key``) is built without a
+    monomial.  For single monomials it is the shape, the product of their
+    multiplicities and, slot by slot, the cached Littlewood-Richardson
+    product of a's dual weight with b's, leaving out a slot whose product
+    is the zero weight alone.  For a sum or the zero expression it is the
+    shape and the merged terms of a^v (x) b (``flagvar._product_key``).
+    The product itself is built only on a miss.  A shared outcome must not
+    be mutated."""
     if memo is None:
         return certify(tensor(dual(a), b))
-    key = _product_key(a, b)
+    key = _pair_key(a, b)
     outcome = memo.get(key)
     if outcome is None:
         outcome = memo[key] = certify(tensor(dual(a), b))

@@ -362,6 +362,61 @@ def _product_key(a: BundleExpr, b: BundleExpr) -> tuple:
     return shape, frozenset(terms.items())
 
 
+@lru_cache(maxsize=None)
+def _span_weights(mono: SchurMonomial, dualized: bool) -> dict | None:
+    """{(lo, hi): weight} of the factors of ``mono``, each weight dualized
+    when ``dualized``; None when two factors share an interval.  The dict
+    is shared by every caller and must not be mutated."""
+    shape = mono.shape
+    out = {slot.span(shape): dual_weight(w) if dualized else w for slot, w in mono.factors}
+    return out if len(out) == len(mono.factors) else None
+
+
+@lru_cache(maxsize=None)
+def _span_product(u: tuple | None, v: tuple | None) -> tuple | None:
+    """Sigma^u (x) Sigma^v on one slot as ((weight, mult), ...), weights
+    descending, where None stands for a side with no factor there; None
+    when the product is the zero weight alone."""
+    if u is None:
+        terms = ((v, 1),)
+    elif v is None:
+        terms = ((u, 1),)
+    else:
+        terms = _tensor_terms(u, v, len(u))
+    return None if len(terms) == 1 and not any(terms[0][0]) else terms
+
+
+def _pair_key(a: BundleExpr, b: BundleExpr) -> tuple:
+    """A hashable key of ``tensor(dual(a), b)``.  Two pairs whose keys are
+    equal have equal products; two pairs with equal products have equal
+    keys when both are pairs of single monomials or neither is.
+
+    For single monomials a = c1 m1 and b = c2 m2 the key is the shape,
+    c1 c2 and, slot by slot (as intervals, so every spelling of a slot is
+    one), the Littlewood-Richardson product of m1's dual weight with m2's,
+    leaving out a slot whose product is the zero weight alone.  It is
+    exact: each slot's product has its top weight with multiplicity 1, so
+    the product's terms determine every slot's product and c1 c2.  Other
+    pairs, a sum or the zero expression on either side, or a monomial
+    with two factors on one interval, take ``_product_key``, whose
+    2-tuple never equals this 3-tuple."""
+    if a.shape != b.shape:
+        raise ValueError("shape mismatch")
+    if len(a.terms) == 1 == len(b.terms):
+        [(m1, c1)] = a.terms.items()
+        [(m2, c2)] = b.terms.items()
+        us = _span_weights(m1, True)
+        vs = _span_weights(m2, False)
+        if us is not None and vs is not None:
+            parts = []
+            for span in sorted(us.keys() | vs.keys()):
+                product = _span_product(us.get(span), vs.get(span))
+                if product is not None:
+                    parts.append((span, product))
+            return a.shape, c1 * c2, tuple(parts)
+    return _product_key(a, b)
+
+
 def _referenced_dims(mono: SchurMonomial) -> set:
     """The flag steps d_1, ..., d_s that end some factor's interval."""
     shape = mono.shape

@@ -144,14 +144,27 @@ class PairVerdict:
     def hom_character(self) -> CharacterSum:
         return self.outcome.character(0)
 
-    def to_json(self):
+    def to_json(self, shared: dict | None = None):
+        """The pair as JSON.  ``shared`` maps id(outcome) to [hom, outcome,
+        pairs]: the JSON values built for that outcome object and the
+        number of pairs using them.  Pass one dict for all pairs of a
+        report, so that pairs sharing an outcome share these values and
+        each is built once.  ``hom`` is the outcome's degree-0 list itself."""
+        if shared is None:
+            shared = {}
+        entry = shared.get(id(self.outcome))
+        if entry is None:
+            outcome = self.outcome.to_json()
+            entry = shared[id(self.outcome)] = [outcome["by_degree"].get("0", []), outcome, 0]
+        entry[2] += 1
+        hom, outcome, _pairs = entry
         return {
             "i": self.i,
             "j": self.j,
             "requirement": self.requirement,
             "status": self.status,
-            "hom": self.hom_character.to_json(),
-            "outcome": self.outcome.to_json(),
+            "hom": hom,
+            "outcome": outcome,
             "witness": self.witness,
         }
 
@@ -173,12 +186,15 @@ class PairReport:
     def refutations(self):
         return [p for p in self.pairs if p.status == REFUTED]
 
-    def to_json(self):
+    def to_json(self, shared: dict | None = None):
+        """The report as JSON; ``shared`` is passed to every
+        ``PairVerdict.to_json``, and a fresh one is used when it is None."""
+        shared = {} if shared is None else shared
         return {
             "flag": self.shape.to_json(),
             "members": [m.to_json() for m in self.members],
             "overall": self.overall,
-            "pairs": [p.to_json() for p in self.pairs],
+            "pairs": [p.to_json(shared) for p in self.pairs],
         }
 
 

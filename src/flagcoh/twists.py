@@ -101,7 +101,10 @@ class DescentReport:
             if p.status == REFUTED
         ]
 
-    def to_json(self):
+    def to_json(self, shared: dict | None = None):
+        """The report as JSON; ``shared`` is passed to every
+        ``PairVerdict.to_json``, and a fresh one is used when it is None."""
+        shared = {} if shared is None else shared
         return {
             "group": self.group.kind,
             "flag": self.shape.to_json(),
@@ -109,7 +112,7 @@ class DescentReport:
             "summands": [s.to_json() for s in self.summands],
             "status": self.status,
             "certificates": self.certificates(),
-            "pairs": [p.to_json() for p in self.pairs],
+            "pairs": [p.to_json(shared) for p in self.pairs],
         }
 
 

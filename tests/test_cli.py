@@ -1,13 +1,21 @@
 import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flagcoh
 from flagcoh import cli, kapranov
 from flagcoh.cli import EX_DATAERR, EX_SOFTWARE, EX_USAGE, main
+from flagcoh.flagvar import BundleExpr, FlagShape
+from flagcoh.kapranov import check_strong_exceptional, enumerate_collection
 from flagcoh.schur import CharacterSum
+from flagcoh.twists import WITH_SIGMA, TwistGroup, check_T2
 from flagcoh.weights import BBWResolution
 
 # the package's ``cohomology`` attribute is the function, not the module
@@ -401,9 +409,9 @@ def test_missing_key_is_named(capsys, tmp_path):
     assert "flagcoh: input error: missing key 'members'" in err
 
 
-def _written(obj) -> str:
+def _written(obj, memo=None) -> str:
     out: list = []
-    cli._json_chunks(obj, out, "\n")
+    cli._json_chunks(obj, out, "\n", memo)
     return "".join(out)
 
 
@@ -459,3 +467,83 @@ def test_unwritable_payload_is_an_internal_error(capsys, monkeypatch):
     code, out, err = run(capsys, "bbw", "--n", "2", "--weight", "1,0", "--format", "json")
     assert code == EX_SOFTWARE and out == ""
     assert "TypeError" in err
+
+
+def _pair_reports():
+    """(argv, in-process report) for a strong check and a sigma (T2) check."""
+    f123, f13 = FlagShape(4, (1, 2, 3)), FlagShape(4, (1, 3))
+    strong = check_strong_exceptional(enumerate_collection(f123))
+    t2 = check_T2(sum(enumerate_collection(f13).members, BundleExpr(f13)), TwistGroup(WITH_SIGMA))
+    return [
+        (["check-strong", "--n", "4", "--dims", "1,2,3"], strong),
+        (["twist-check", "--n", "4", "--dims", "1,3", "--sigma"], t2),
+    ]
+
+
+@pytest.mark.parametrize("argv, report", _pair_reports())
+def test_shared_outcomes_print_as_json_dumps(capsys, argv, report):
+    # pairs with one outcome share their hom and outcome values, and the
+    # hom list is also the outcome's degree-0 list, one indent deeper: the
+    # writer must render a shared value once per indent, not once
+    data = report.to_json()
+    hom_at_two_indents = 0
+    for p, pj in zip(report.pairs, data["pairs"]):
+        assert pj["hom"] == p.hom_character.to_json()
+        assert pj["outcome"] == p.outcome.to_json()
+        if pj["hom"]:
+            assert pj["hom"] is pj["outcome"]["by_degree"]["0"]
+            hom_at_two_indents += 1
+    assert hom_at_two_indents
+    code, out, _err = run(capsys, *argv, "--format", "json")
+    assert code == report.exit_code
+    assert out == json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+def test_pairs_sharing_an_outcome_render_identically():
+    report = _pair_reports()[0][1]
+    pairs: dict = {}
+    for k, p in enumerate(report.pairs):
+        pairs.setdefault(id(p.outcome), []).append(k)
+    ks = next(ks for ks in pairs.values() if len(ks) > 1 and report.pairs[ks[0]].hom_character)
+    shared: dict = {}
+    data = report.to_json(shared)
+    p1, p2 = (data["pairs"][k] for k in ks[:2])
+    assert p1["outcome"] is p2["outcome"] and p1["hom"] is p2["hom"]
+    assert shared[id(report.pairs[ks[0]].outcome)][2] == len(ks)
+    memo = {id(p1["outcome"]): {}, id(p1["hom"]): {}}
+    texts = []
+    for pj in (p1, p2):
+        part = {"hom": pj["hom"], "outcome": pj["outcome"]}
+        texts.append(_written(part, memo))
+    assert texts[0] == texts[1] == json.dumps(part, sort_keys=True, indent=2)
+    # the outcome was rendered at one indent, the hom at two
+    assert list(memo[id(p1["outcome"])]) == ["\n  "]
+    assert sorted(memo[id(p1["hom"])]) == ["\n  ", "\n      "]
+
+
+def test_clear_caches_empties_every_cache(capsys):
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "flagcoh"]
+    # every lru_cache, found where the package's modules bind it
+    caches = {id(v): v for m in modules for v in vars(m).values() if hasattr(v, "cache_clear")}
+    assert len(caches) >= 12
+    assert run(capsys, "check-strong", "--n", "4", "--dims", "1,3")[0] == 0
+    assert any(c.cache_info().currsize for c in caches.values())
+    flagcoh.clear_caches()
+    assert [c.__name__ for c in caches.values() if c.cache_info().currsize] == []
+
+
+def test_python_m_flagcoh_runs_the_cli(tmp_path):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["bbw", "--n", "4", "--weight", "0,-2,0,-1", "--format", "json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "flagcoh", *argv],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["cohomology_weight"] == [1, 1, 1, 0]

@@ -16,6 +16,7 @@ from flagcoh.flagvar import (
     SchurMonomial,
     Slot,
     _expand_monomial,
+    _pair_key,
     _product_key,
     _split_partition,
     block_weights,
@@ -395,9 +396,9 @@ def test_product_key_fixed_cases():
         _product_key(w1, trivial(F123))
 
 
-def _random_expr(data, shape):
-    """A sum of one or two monomials, each from up to two raw factors with
-    entries in -1..1, with multiplicities 1 or 2."""
+def _random_expr(data, shape, fewest=1):
+    """A sum of ``fewest`` to two monomials, each from up to two raw
+    factors with entries in -1..1, with multiplicities 1 or 2."""
     s = shape.s
     slots = (
         [Slot(SUB, i) for i in range(1, s + 1)]
@@ -405,7 +406,7 @@ def _random_expr(data, shape):
         + [Slot(BLOCK, j) for j in range(2, s + 1)]
     )
     out = BundleExpr(shape)
-    for _ in range(data.draw(st.integers(1, 2))):
+    for _ in range(data.draw(st.integers(fewest, 2))):
         factors = []
         for slot in data.draw(st.lists(st.sampled_from(slots), max_size=2)):
             r = slot.rank(shape)
@@ -436,3 +437,73 @@ def test_product_keys_are_equal_exactly_when_products_are(data):
         assert (k1 == k2) == (p1 == p2)
     # (a, b) and (a (x) L, b (x) L)
     assert keys[pairs.index((pool[0], pool[1]))] == keys[pairs.index((pool[2], pool[3]))]
+
+
+def test_pair_key_fixed_cases():
+    # on the rank-3 block of F(1,4;5), adj (x) adj holds adj twice, so a
+    # key that drops a Littlewood-Richardson multiplicity differs
+    adj = make_monomial(F145, [(Slot(BLOCK, 2), (1, 0, -1))])
+    shape, mult, parts = _pair_key(adj, adj)
+    assert (shape, mult) == (F145, 1)
+    [(span, product)] = parts
+    assert span == (1, 2) and dict(product)[1, 0, -1] == 2
+    assert _pair_key(adj + adj, adj) == (F145, 2, parts)
+    # W_1^v (x) W_1 is trivial: its zero-weight slot is left out, so the
+    # pair keys as O^v (x) O
+    w1 = make_monomial(F1234, [(Slot(SUB, 1), (1,))])
+    o = trivial(F1234)
+    assert _pair_key(w1, w1) == (F1234, 1, ()) == _pair_key(o, o)
+    # the source is dualized: Hom(W_1, W_1 (x) W_1) is W_1, not W_1^3
+    w1sq = make_monomial(F1234, [(Slot(SUB, 1), (2,))])
+    assert _pair_key(w1, w1sq) == _pair_key(o, w1) != _pair_key(o, w1sq)
+    # Block(1) is Sub(1) spelled otherwise, and keys as it
+    spelled = BundleExpr(F1234, {SchurMonomial(F1234, ((Slot(BLOCK, 1), (1,)),)): 1})
+    assert _pair_key(spelled, w1) == _pair_key(w1, w1)
+    assert _pair_key(w1, spelled) == _pair_key(w1, w1)
+    # sums, the zero expression, and a monomial with two factors on one
+    # interval take the merged-terms key, a 2-tuple
+    twice = BundleExpr(
+        F1234, {SchurMonomial(F1234, ((Slot(SUB, 1), (1,)), (Slot(BLOCK, 1), (1,)))): 1}
+    )
+    zero = BundleExpr(F1234)
+    for a, b in [
+        (adj + trivial(F145), adj),
+        (adj, trivial(F145) + adj),
+        (w1 + o, w1),
+        (zero, w1),
+        (w1, zero),
+        (twice, w1),
+        (w1, twice),
+    ]:
+        assert _pair_key(a, b) == _product_key(a, b) == _product_terms(a, b)
+    with pytest.raises(ValueError):
+        _pair_key(w1, trivial(F123))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_pair_keys_are_equal_exactly_when_products_are(data):
+    shape = data.draw(st.sampled_from(KEY_SHAPES))
+    pool = [_random_expr(data, shape, fewest=0) for _ in range(3)]
+    # twisting both sides by one line bundle L leaves (a (x) L)^v (x) (b (x) L)
+    # equal to a^v (x) b, so the pool has equal products from unequal pairs
+    slot = data.draw(st.sampled_from([Slot(SUB, 1), Slot(QUOT, shape.s)]))
+    k = data.draw(st.sampled_from([-1, 1]))
+    line = make_monomial(shape, [(slot, (k,) * slot.rank(shape))])
+    pool += [tensor(e, line) for e in pool]
+    pairs = [(a, b) for a in pool for b in pool]
+    keys = [_pair_key(a, b) for a, b in pairs]
+    products = [tensor(dual(a), b) for a, b in pairs]
+    single = [len(a.terms) == 1 == len(b.terms) for a, b in pairs]
+    for (a, b), key, one in zip(pairs, keys, single):
+        assert len(key) == (3 if one else 2)
+        if not one:
+            assert key == _product_key(a, b)
+    for (k1, p1, s1), (k2, p2, s2) in combinations(zip(keys, products, single), 2):
+        if s1 == s2:
+            assert (k1 == k2) == (p1 == p2)
+        else:
+            # a product reached from both key forms is certified once per form
+            assert k1 != k2
+    # (a, b) and (a (x) L, b (x) L)
+    assert keys[pairs.index((pool[0], pool[1]))] == keys[pairs.index((pool[3], pool[4]))]
