@@ -248,3 +248,65 @@ def test_one_memo_never_mixes_shapes():
         assert outcome.to_json() == ext_groups_best(o, o1).to_json()
         assert outcome.rank == n and outcome.dimension(0) == n
     assert len(memo) == 2
+
+
+# One-shot outcomes recorded before the fold moved to flat weight vectors;
+# the JSON must not move with the representation of a graded piece.
+PINNED_ONE_SHOT = [
+    # on the rank-3 block of F(1,4;5), adj (x) adj holds adj twice
+    (
+        FlagShape(5, (1, 4)),
+        [(Slot(BLOCK, 2), (1, 0, -1)), (Slot(SUB, 2), (1, 0, 0, -1))],
+        {
+            "by_degree": {
+                "0": [{"mult": 1, "weight": [0, 0, 0, 0, 0]}],
+                "1": [
+                    {"mult": 1, "weight": [1, 1, 0, -1, -1]},
+                    {"mult": 1, "weight": [0, 0, 0, 0, 0]},
+                ],
+                "2": [{"mult": 1, "weight": [1, 1, 0, -1, -1]}],
+            },
+            "euler": [],
+            "grade": "e1bound",
+        },
+    ),
+    # a full flag of F(1,2,3;4), negative entries on every factor
+    (
+        FlagShape(4, (1, 2, 3)),
+        [(Slot(SUB, 3), (1, 0, -2)), (Slot(QUOT, 1), (0, -1, -1)), (Slot(BLOCK, 2), (-2,))],
+        {
+            "by_degree": {
+                "0": [
+                    {"mult": 1, "weight": [0, -1, -2, -2]},
+                    {"mult": 1, "weight": [-1, -1, -1, -2]},
+                ],
+                "1": [
+                    {"mult": 1, "weight": [0, 0, -1, -4]},
+                    {"mult": 1, "weight": [0, 0, -2, -3]},
+                    {"mult": 2, "weight": [0, -1, -1, -3]},
+                    {"mult": 2, "weight": [0, -1, -2, -2]},
+                    {"mult": 4, "weight": [-1, -1, -1, -2]},
+                ],
+                "2": [
+                    {"mult": 1, "weight": [0, 0, -1, -4]},
+                    {"mult": 1, "weight": [0, 0, -2, -3]},
+                    {"mult": 1, "weight": [0, -1, -1, -3]},
+                    {"mult": 1, "weight": [0, -1, -2, -2]},
+                    {"mult": 2, "weight": [-1, -1, -1, -2]},
+                ],
+            },
+            "euler": [
+                {"mult": -1, "weight": [0, -1, -1, -3]},
+                {"mult": -1, "weight": [-1, -1, -1, -2]},
+            ],
+            "grade": "e1bound",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("shape, factors, expected", PINNED_ONE_SHOT)
+def test_one_shot_outcome_pinned(shape, factors, expected):
+    e = make_monomial(shape, factors)
+    assert len(e.terms) == 1
+    assert cohomology(e).to_json() == expected
