@@ -57,8 +57,9 @@ from .twists import (
 )
 from .weights import BBWResolution, InputError, bbw_resolve, dot_action, dual_weight, rho
 
-from .cohomology import _bbw_blocks, _monomial_pieces_graded, _monomial_pieces_stepwise
+from .cohomology import _bbw_flat, _monomial_pieces_graded, _monomial_pieces_stepwise
 from .flagvar import (
+    _flat_factor,
     _forget_steps,
     _graded_factor,
     _span_product,
@@ -71,9 +72,10 @@ from .schur import _lr_raw, _tensor_terms
 __version__ = "0.1.0"
 
 _CACHES = (
-    _bbw_blocks,
+    _bbw_flat,
     _monomial_pieces_graded,
     _monomial_pieces_stepwise,
+    _flat_factor,
     _forget_steps,
     _graded_factor,
     _span_product,

@@ -79,27 +79,31 @@ def _emit(args, payload, lines, shared: dict | None = None):
         print("".join(line + "\n" for line in lines()), end="")
 
 
+# the text of a JSON leaf, looked up by its exact type, so that a bool is
+# never written as the int it subclasses; each writer is a C call
+_LEAF_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
 def _json_chunks(obj, out: list, newline: str, memo: dict | None = None):
     """Append to ``out`` the pieces of ``json.dumps(obj, sort_keys=True,
     indent=2)``; ``newline`` is a newline and the indent of ``obj``'s
     line.  Only dict (with str keys), list, tuple, str, int, bool and None
     are written; anything else raises TypeError, so the text never differs
-    from ``json.dumps``.  ``memo`` maps the id of a container that occurs
-    more than once to its texts by indent: such a container is rendered
-    once per indent and its text appended again.  Any other container
-    costs one id lookup while ``memo`` is non-empty, none while it is
-    empty."""
+    from ``json.dumps``.  A leaf inside a dict or list is written in its
+    container's loop, without a call of its own.  ``memo`` maps the id of
+    a container that occurs more than once to its texts by indent: such a
+    container is rendered once per indent and its text appended again.
+    Any other container costs one id lookup while ``memo`` is non-empty,
+    none while it is empty."""
     kind = type(obj)
-    if kind is str:
-        out.append(encode_basestring_ascii(obj))
-    elif kind is int:
-        out.append(int.__repr__(obj))
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
+    leaf = _LEAF_TEXT.get(kind)
+    if leaf is not None:
+        out.append(leaf(obj))
     elif memo and id(obj) in memo:
         texts = memo.pop(id(obj))  # so that obj itself is rendered below
         if newline not in texts:
@@ -112,8 +116,14 @@ def _json_chunks(obj, out: list, newline: str, memo: dict | None = None):
         inner = newline + "  "
         sep = "{" + inner
         for key in sorted(obj):  # encode_basestring_ascii rejects a non-str key
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            _json_chunks(obj[key], out, inner, memo)
+            value = obj[key]
+            head = sep + encode_basestring_ascii(key) + ": "
+            leaf = _LEAF_TEXT.get(type(value))
+            if leaf is not None:
+                out.append(head + leaf(value))
+            else:
+                out.append(head)
+                _json_chunks(value, out, inner, memo)
             sep = "," + inner
         out.append(newline + "}")
     elif (kind is list or kind is tuple) and obj:
@@ -123,8 +133,12 @@ def _json_chunks(obj, out: list, newline: str, memo: dict | None = None):
             return
         sep = "[" + inner
         for item in obj:
-            out.append(sep)
-            _json_chunks(item, out, inner, memo)
+            leaf = _LEAF_TEXT.get(type(item))
+            if leaf is not None:
+                out.append(sep + leaf(item))
+            else:
+                out.append(sep)
+                _json_chunks(item, out, inner, memo)
             sep = "," + inner
         out.append(newline + "]")
     elif kind is dict:

@@ -3,12 +3,18 @@
 Two routes are provided for H^*(F, E):
 
 * ``cohomology`` expands E into block-graded pieces in one shot and
-  resolves each piece by Borel-Bott-Weil.  A piece is a tuple of weights,
-  one per block of the flag, and the fold never builds a monomial.  When
-  the nonzero degrees of a monomial's filtration pieces are pairwise
-  non-adjacent no spectral sequence differential can exist and the answer
-  is exact; otherwise the result is an upper bound (the E1 page) while the
-  Euler character is exact regardless.
+  resolves each piece by Borel-Bott-Weil.  A piece is a flat weight
+  vector, the weights of the blocks of the flag concatenated, and the
+  fold never builds a monomial.  Each piece carries a mask of the blocks
+  of rank >= 2 where it may be nonzero; two pieces whose masks are
+  disjoint multiply by adding their vectors, which is exact because
+  Littlewood-Richardson at GL_1 is addition and a zero block keeps the
+  other side's weight, and only a block set in both masks is merged by
+  Littlewood-Richardson.  When the nonzero degrees of a monomial's
+  filtration pieces are pairwise non-adjacent no spectral sequence
+  differential can exist and the answer is exact; otherwise the result
+  is an upper bound (the E1 page) while the Euler character is exact
+  regardless.
 
 * ``cohomology_stepwise`` pushes forward one relative Grassmann bundle at
   a time, deferring filtration splits as long as possible.  It splits a
@@ -18,9 +24,14 @@ Two routes are provided for H^*(F, E):
   reached along several branches is computed once.  It often certifies
   exact vanishing where the one-shot route only yields a bound.
 
-Both routes end in ``_bbw_blocks``, Borel-Bott-Weil on a tuple of block
-weights, whose results are cached in a bounded LRU cache: pair checks
-resolve the same few thousand tuples many times over.
+Both routes end in ``_bbw_flat``, Borel-Bott-Weil on a flat piece and its
+block sizes: the one-shot route passes the flag's blocks, the stepwise
+route the two blocks of one Grassmann fibre.  It is the one BBW cache, a
+bounded LRU cache, because pair checks resolve the same few thousand
+pieces many times over; each block is dualized (negated and reversed
+within the block) only on a miss.  Block tuples are the form only at the
+boundary: ``cohomology_graded`` flattens the weights ``block_weights``
+reads off a block monomial.
 
 ``certify`` is the one place where the two routes are combined.
 ``ext_groups_best`` can keep its outcomes in a memo keyed by the product
@@ -38,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import neg
 
 from .flagvar import (
     BundleExpr,
@@ -112,20 +124,22 @@ class CohomologyOutcome:
         return cls(rank=euler.rank, grade=EULER_ONLY, by_degree={}, euler=euler)
 
 
-# check-strong on F(1,2,3,4;5) resolves about 2,500 distinct block tuples
-# and a twist-check --sigma on a small shape at most 1,740, while one-shot
-# cohom of a large weight may resolve thousands that never repeat: the
-# bound holds a pair check's tuples whole and caps the memory of the rest.
+# check-strong on F(1,2,3,4;5) resolves about 2,500 distinct pieces and a
+# twist-check --sigma on a small shape at most 1,740, while one-shot cohom
+# of a large weight may resolve thousands that never repeat: the bound
+# holds a pair check's pieces whole and caps the memory of the rest.
 @lru_cache(maxsize=4096)
-def _bbw_blocks(weights: tuple) -> tuple | None:
+def _bbw_flat(weights: tuple, sizes: tuple) -> tuple | None:
     """Borel-Bott-Weil for Sigma^w_1 (x) ... (x) Sigma^w_k of the consecutive
-    quotients of a full filtration of V: ``None`` (vanishes) or
-    (degree, dominant GL(V) weight w) meaning H^degree = Sigma^w(V).
-    ``weights`` is a tuple of weight tuples."""
-    chi = []
-    for w in weights:
-        chi.extend(dual_weight(w))
-    res = bbw_resolve(tuple(chi))
+    quotients of a filtration of V with ranks ``sizes``, the w_j
+    concatenated in the flat vector ``weights``: ``None`` (vanishes) or
+    (degree, dominant GL(V) weight w) meaning H^degree = Sigma^w(V)."""
+    chi: list = []
+    stop = 0
+    for b in sizes:  # each block's dual: reversed within the block, negated
+        start, stop = stop, stop + b
+        chi += reversed(weights[start:stop])
+    res = bbw_resolve(tuple(map(neg, chi)))
     if res.singular:
         return None
     return res.degree, dual_weight(res.dominant)
@@ -136,7 +150,7 @@ def cohomology_graded(gm: SchurMonomial, shape: FlagShape):
     or (degree, dominant GL(V) weight w) meaning H^degree = Sigma^w(V)."""
     if gm.shape != shape:
         raise ValueError("graded monomial does not live on the given shape")
-    return _bbw_blocks(block_weights(gm))
+    return _bbw_flat(sum(block_weights(gm), ()), shape.blocks())
 
 
 @lru_cache(maxsize=None)
@@ -144,9 +158,10 @@ def _monomial_pieces_graded(mono: SchurMonomial) -> tuple:
     """One-shot pieces of a monomial: ((degree, weight, mult), ...) plus a
     flag telling whether more than one filtration piece was involved."""
     expansion = _expand_monomial(mono)
+    sizes = mono.shape.blocks()
     pieces = []
-    for ws, c in expansion:
-        res = _bbw_blocks(ws)
+    for flat, c in expansion:
+        res = _bbw_flat(flat, sizes)
         if res is not None:
             pieces.append((res[0], res[1], c))
     return tuple(pieces), len(expansion) > 1
@@ -223,7 +238,7 @@ def _monomial_pieces_stepwise(mono: SchurMonomial) -> tuple:
         return _lower_pieces(terms, 0, len(split) > 1)
     alpha = factors.pop(shape.slot(0, 1), pad((), sizes[0]))
     beta = factors.pop(shape.slot(1, 2), pad((), sizes[1]))
-    res = _bbw_blocks((alpha, beta))
+    res = _bbw_flat(alpha + beta, sizes[:2])
     if res is None:
         return (), False
     degree, weight = res

@@ -15,9 +15,15 @@ it is valid only in the process that made them, so they are not pickled.
 A graded piece of the filtration by the flag is a tuple of block weights,
 one weight per consecutive quotient, zero where the piece has no factor.
 ``_graded_factor`` splits one factor into such pieces.  The one-shot fold
-``_expand_monomial`` multiplies them block by block on plain tuples; the
-stepwise route in ``cohomology`` and ``graded_expansion`` turn a piece back
-into a monomial on the block slots (Sub(1), Block(j), Quot(s)) with
+``_expand_monomial`` works on their flat form (``_flat_factor``): one
+n-tuple that concatenates the block weights, with a bitmask of the blocks
+of rank >= 2 where the piece may be nonzero.  Two pieces whose masks are
+disjoint multiply by coordinatewise addition; Littlewood-Richardson runs
+only on a block where both masks are set.  Block tuples remain the form at
+the boundary: ``block_weights``, ``graded_expansion`` (which cuts a flat
+piece back with ``_split_flat``) and ``cohomology.cohomology_graded``.  The
+stepwise route in ``cohomology`` and ``graded_expansion`` turn a piece
+back into a monomial on the block slots (Sub(1), Block(j), Quot(s)) with
 ``make_monomial``.
 """
 
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 from typing import Iterable
 
 from .schur import _lr_raw, _strip_zeros, _tensor_terms, pad, schur_dim
@@ -548,39 +555,81 @@ def _block_monomial(shape: FlagShape, ws: tuple, factors=()) -> BundleExpr:
     return make_monomial(shape, [*factors, *blocks])
 
 
-def _tensor_blocks(ws: tuple, vs: tuple) -> list:
-    """The product of two graded pieces, block by block, as ((block
-    weights), mult) pairs: a block whose two weights are both nonzero is
-    merged by Littlewood-Richardson, otherwise it keeps the nonzero one."""
-    out = [((), 1)]
-    for u, v in zip(ws, vs):
-        if not any(v):
-            out = [(key + (u,), c) for key, c in out]
-        elif not any(u):
-            out = [(key + (v,), c) for key, c in out]
-        else:
-            terms = _tensor_terms(u, v, len(u))
-            out = [(key + (lam,), c * m) for key, c in out for lam, m in terms]
+def _rank2_mask(ws: tuple) -> int:
+    """Bit j set when block j of the block weights ``ws`` has rank >= 2 and
+    a nonzero weight."""
+    return sum(1 << j for j, w in enumerate(ws) if len(w) > 1 and any(w))
+
+
+def _split_flat(flat: tuple, sizes: tuple) -> tuple:
+    """The block weights of the flat vector ``flat``, blocks of ``sizes``."""
+    out = []
+    start = 0
+    for b in sizes:
+        out.append(flat[start : start + b])
+        start += b
+    return tuple(out)
+
+
+@lru_cache(maxsize=4096)
+def _flat_factor(shape: FlagShape, slot: Slot, w: tuple) -> tuple:
+    """``_graded_factor(shape, slot, w)`` with each piece flattened:
+    (((flat vector, rank >= 2 mask), coeff), ...), where the flat vector
+    concatenates the block weights."""
+    return tuple(
+        ((sum(ws, ()), _rank2_mask(ws)), c) for ws, c in _graded_factor(shape, slot, w)
+    )
+
+
+def _merge_flat(shape: FlagShape, ws: tuple, vs: tuple, both: int) -> list:
+    """The product of two flat pieces whose rank >= 2 masks meet in
+    ``both``, as (flat vector, mult) pairs: every block of ``both`` is
+    merged by Littlewood-Richardson, every other block added
+    coordinatewise."""
+    d = shape._bounds
+    out = [(tuple(map(add, ws, vs)), 1)]
+    for j in range(len(d) - 1):
+        if both >> j & 1:
+            lo, hi = d[j], d[j + 1]
+            terms = _tensor_terms(ws[lo:hi], vs[lo:hi], hi - lo)
+            out = [(key[:lo] + lam + key[hi:], c * k) for key, c in out for lam, k in terms]
     return out
 
 
-def _expand_monomial(mono: SchurMonomial) -> tuple:
-    """Graded pieces of a monomial: ((block weights), coeff) pairs, one per
-    distinct piece.
+def _expand_monomial(mono: SchurMonomial):
+    """Graded pieces of a monomial: (flat vector, coeff) pairs, one per
+    distinct piece, as the items of a dict that nothing else holds.
 
     The tensor product of the associated graded of every factor, folded
-    in one factor at a time on plain block-weight tuples.
+    in one factor at a time on flat vectors.  Each piece carries a mask of
+    the rank >= 2 blocks where it may be nonzero: a product takes the union
+    of its two masks, which may keep the bit of a block that a merge made
+    zero, at the cost of one merge with the zero weight.  Two pieces whose
+    masks are disjoint multiply by coordinatewise addition, which is
+    Littlewood-Richardson at GL_1 and keeps a block's weight where the
+    other side is zero; only the blocks where both masks are set go
+    through ``_merge_flat``.
     """
     shape = mono.shape
-    acc = {tuple(pad((), b) for b in shape.blocks()): 1}
+    zero = (0,) * shape.n
+    acc = {zero: 1}
+    masks = {zero: 0}  # flat vector -> mask, beside acc: no key tuples
     for slot, w in mono.factors:
         grown: dict = {}
+        grown_masks: dict = {}
         for ws, c in acc.items():
-            for vs, m in _graded_factor(shape, slot, w):
-                for key, k in _tensor_blocks(ws, vs):
-                    grown[key] = grown.get(key, 0) + c * m * k
-        acc = grown
-    return tuple(acc.items())
+            wmask = masks[ws]
+            for (vs, vmask), m in _flat_factor(shape, slot, w):
+                if wmask & vmask:
+                    for key, k in _merge_flat(shape, ws, vs, wmask & vmask):
+                        grown[key] = grown.get(key, 0) + c * m * k
+                        grown_masks[key] = wmask | vmask
+                else:
+                    key = tuple(map(add, ws, vs))
+                    grown[key] = grown.get(key, 0) + c * m
+                    grown_masks[key] = wmask | vmask
+        acc, masks = grown, grown_masks
+    return acc.items()
 
 
 def graded_expansion(e: BundleExpr):
@@ -591,9 +640,11 @@ def graded_expansion(e: BundleExpr):
     pieces (levels restart per monomial of the expression).
     """
     out = []
+    sizes = e.shape.blocks()
     for mono, m in e.monomials():
+        # block tuples of fixed sizes sort as their flat vectors do
         pieces = sorted(_expand_monomial(mono), reverse=True)
-        for level, (ws, c) in enumerate(pieces):
-            [gm] = _block_monomial(e.shape, ws).terms
+        for level, (flat, c) in enumerate(pieces):
+            [gm] = _block_monomial(e.shape, _split_flat(flat, sizes)).terms
             out.append((gm, c * m, level))
     return out

@@ -1,6 +1,9 @@
+import importlib
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagcoh.cohomology import (
     E1_BOUND,
@@ -28,6 +31,10 @@ from flagcoh.flagvar import (
     trivial,
 )
 from flagcoh.schur import CharacterSum, pad
+from flagcoh.weights import bbw_resolve
+
+# the package's ``cohomology`` attribute is the function, not the module
+engine = importlib.import_module("flagcoh.cohomology")
 
 F123 = FlagShape(3, (1, 2))
 GR24 = FlagShape(4, (2,))
@@ -86,6 +93,28 @@ def test_cohomology_graded_examples():
     assert cohomology_graded(gm, F123) == (0, (-1, -1, -1))
     with pytest.raises(ValueError):
         cohomology_graded(gm, GR24)
+
+
+# every shape has a block of rank >= 2, where skipping the reversal of a
+# block's weight changes the character
+BBW_SHAPES = [GR24, FlagShape(5, (1, 4)), FlagShape(5, (1, 3)), FlagShape(6, (2, 3, 5))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_flat_bbw_matches_bbw_resolve(data):
+    shape = data.draw(st.sampled_from(BBW_SHAPES))
+    ws = tuple(
+        tuple(sorted(data.draw(st.lists(st.integers(-3, 3), min_size=b, max_size=b)), reverse=True))
+        for b in shape.blocks()
+    )
+    # each block's dual: negate, then reverse within the block
+    chi = tuple(-x for w in ws for x in reversed(w))
+    res = bbw_resolve(chi)
+    expected = None if res.singular else (res.degree, tuple(-x for x in reversed(res.dominant)))
+    flat = tuple(x for w in ws for x in w)
+    assert engine._bbw_flat(flat, shape.blocks()) == expected
+    assert cohomology_graded(_block_monomial(shape, ws), shape) == expected
 
 
 def test_non_block_factor_rejected():

@@ -319,8 +319,20 @@ F145 = FlagShape(5, (1, 4))
 FOLD_SHAPES = [F1234, FlagShape(5, (1, 3)), FlagShape(6, (2, 4)), F145]
 
 
+def _block_fold(mono):
+    """``_expand_monomial``'s pieces with each flat vector cut back into
+    one weight per block of the shape."""
+    sizes = mono.shape.blocks()
+    out = []
+    for flat, c in _expand_monomial(mono):
+        assert type(flat) is tuple and len(flat) == sum(sizes)
+        bounds = [sum(sizes[:j]) for j in range(len(sizes) + 1)]
+        out.append((tuple(flat[a:b] for a, b in zip(bounds, bounds[1:])), c))
+    return tuple(out)
+
+
 def _assert_fold_matches_reference(mono):
-    fold = _expand_monomial(mono)
+    fold = _block_fold(mono)
     expected = _reference_expansion(mono)
     assert dict(fold) == expected
     assert len(fold) == len(expected)  # one pair per distinct piece
@@ -332,14 +344,24 @@ def test_tuple_fold_fixed_cases():
     for shape in FOLD_SHAPES:
         [mono] = trivial(shape).terms
         _assert_fold_matches_reference(mono)
-        assert _expand_monomial(mono) == ((tuple((0,) * b for b in shape.blocks()), 1),)
+        assert _block_fold(mono) == ((tuple((0,) * b for b in shape.blocks()), 1),)
     # W_4's adjoint grades to L (x) M^v, L^v (x) M, adj(M) and O on
     # W_1 = L, M = W_4/W_1; times adj(M), adj(M) (x) adj(M) holds adj(M)
     # twice and O (x) adj(M) once
     e = make_monomial(F145, [(Slot(BLOCK, 2), (1, 0, -1)), (Slot(SUB, 2), (1, 0, 0, -1))])
     [mono] = e.terms
     _assert_fold_matches_reference(mono)
-    assert dict(_expand_monomial(mono))[(0,), (1, 0, -1), (0,)] == 3
+    assert dict(_block_fold(mono))[(0,), (1, 0, -1), (0,)] == 3
+    # F(1,3,5;6) has the rank-2 blocks W_3/W_1 and W_5/W_3.  A piece of
+    # Sub(2) nonzero on the first meets Block(3) only on the second; a
+    # piece of Sub(3) nonzero on both is merged with Block(3) on the second.
+    # Quot(1) then meets the first block again, so a product's mask must
+    # keep both sides' blocks, in an addition and in a merge alike
+    f135 = FlagShape(6, (1, 3, 5))
+    for sub in [(Slot(SUB, 2), (1, 0, -1)), (Slot(SUB, 3), (1, 0, 0, 0, -1))]:
+        e = make_monomial(f135, [sub, (Slot(BLOCK, 3), (1, 0)), (Slot(QUOT, 1), (1, 0, 0, 0, -1))])
+        [mono] = e.terms
+        _assert_fold_matches_reference(mono)
 
 
 @settings(max_examples=60, deadline=None)
