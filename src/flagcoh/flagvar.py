@@ -592,7 +592,11 @@ def _merge_flat(shape: FlagShape, ws: tuple, vs: tuple, both: int) -> list:
         if both >> j & 1:
             lo, hi = d[j], d[j + 1]
             terms = _tensor_terms(ws[lo:hi], vs[lo:hi], hi - lo)
-            out = [(key[:lo] + lam + key[hi:], c * k) for key, c in out for lam, k in terms]
+            merged = []
+            for key, c in out:
+                head, tail = key[:lo], key[hi:]
+                merged += [(head + lam + tail, c * k) for lam, k in terms]
+            out = merged
     return out
 
 
