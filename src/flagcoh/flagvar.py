@@ -21,7 +21,7 @@ of rank >= 2 where the piece may be nonzero.  Two pieces whose masks are
 disjoint multiply by coordinatewise addition; Littlewood-Richardson runs
 only on a block where both masks are set.  Block tuples remain the form at
 the boundary: ``block_weights``, ``graded_expansion`` (which cuts a flat
-piece back with ``_split_flat``) and ``cohomology.cohomology_graded``.  The
+piece back into blocks) and ``cohomology.cohomology_graded``.  The
 stepwise route in ``cohomology`` and ``graded_expansion`` turn a piece
 back into a monomial on the block slots (Sub(1), Block(j), Quot(s)) with
 ``make_monomial``.
@@ -555,29 +555,15 @@ def _block_monomial(shape: FlagShape, ws: tuple, factors=()) -> BundleExpr:
     return make_monomial(shape, [*factors, *blocks])
 
 
-def _rank2_mask(ws: tuple) -> int:
-    """Bit j set when block j of the block weights ``ws`` has rank >= 2 and
-    a nonzero weight."""
-    return sum(1 << j for j, w in enumerate(ws) if len(w) > 1 and any(w))
-
-
-def _split_flat(flat: tuple, sizes: tuple) -> tuple:
-    """The block weights of the flat vector ``flat``, blocks of ``sizes``."""
-    out = []
-    start = 0
-    for b in sizes:
-        out.append(flat[start : start + b])
-        start += b
-    return tuple(out)
-
-
 @lru_cache(maxsize=4096)
 def _flat_factor(shape: FlagShape, slot: Slot, w: tuple) -> tuple:
     """``_graded_factor(shape, slot, w)`` with each piece flattened:
-    (((flat vector, rank >= 2 mask), coeff), ...), where the flat vector
-    concatenates the block weights."""
+    (((flat vector, mask), coeff), ...), where the flat vector concatenates
+    the block weights and the mask has bit j set when block j has rank >= 2
+    and a nonzero weight."""
     return tuple(
-        ((sum(ws, ()), _rank2_mask(ws)), c) for ws, c in _graded_factor(shape, slot, w)
+        ((sum(ws, ()), sum(1 << j for j, u in enumerate(ws) if len(u) > 1 and any(u))), c)
+        for ws, c in _graded_factor(shape, slot, w)
     )
 
 
@@ -644,11 +630,11 @@ def graded_expansion(e: BundleExpr):
     pieces (levels restart per monomial of the expression).
     """
     out = []
-    sizes = e.shape.blocks()
+    spans = list(zip(e.shape._bounds, e.shape._bounds[1:]))  # the blocks, as slices
     for mono, m in e.monomials():
         # block tuples of fixed sizes sort as their flat vectors do
         pieces = sorted(_expand_monomial(mono), reverse=True)
         for level, (flat, c) in enumerate(pieces):
-            [gm] = _block_monomial(e.shape, _split_flat(flat, sizes)).terms
+            [gm] = _block_monomial(e.shape, tuple(flat[a:b] for a, b in spans)).terms
             out.append((gm, c * m, level))
     return out
