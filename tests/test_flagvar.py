@@ -323,10 +323,10 @@ def _block_fold(mono):
     """``_expand_monomial``'s pieces with each flat vector cut back into
     one weight per block of the shape."""
     sizes = mono.shape.blocks()
+    bounds = [sum(sizes[:j]) for j in range(len(sizes) + 1)]
     out = []
     for flat, c in _expand_monomial(mono):
         assert type(flat) is tuple and len(flat) == sum(sizes)
-        bounds = [sum(sizes[:j]) for j in range(len(sizes) + 1)]
         out.append((tuple(flat[a:b] for a, b in zip(bounds, bounds[1:])), c))
     return tuple(out)
 
