@@ -1,9 +1,9 @@
 """Byte-identity of the CLI output: the benchmark's smoke jobs, three
 counterexample jobs and one or more jobs of every other subcommand, each in
-JSON and text format, and ``toric-check`` on every full-size ``toric-grid``
-tower variant in JSON, must print exactly the recorded stdout (by sha256)
-and exit with the recorded code.  A change of
-the engine's answers, or of how they are printed, shows up here."""
+JSON and text format, the six full-size ``large-weight`` jobs in both
+formats, and ``toric-check`` on every full-size ``toric-grid`` tower
+variant in JSON, must print exactly the recorded stdout (by sha256) and
+exit with the recorded code.  A change of the engine's answers, or of how they are printed, shows up here."""
 
 import contextlib
 import hashlib
@@ -101,6 +101,23 @@ TORIC_GOLDEN = {
     '5': ('ad3214bf181d3a82bd20be0f938d35c3c65341168a788e7cf86324a8de86e638', 0),
     '6': ('86c6d28a59b80eff7071bd3ff9d8eb76d4c76898a82948ae55094f78bf0a439b', 0),
     '7': ('0a36b4df8cdc9e052e027e2b1e12af6e95abe56a2ff40bbf5fdd623159cb1385', 0),
+}
+
+
+# full-size large-weight job [format] -> (stdout sha256, exit code)
+LARGE_WEIGHT_GOLDEN = {
+    'cohom k=8 [json]': ('6e98d2809b2ff888e7b96130f34cbde3a270196ae10e15536af60f4bcd069399', 0),
+    'cohom k=8 [text]': ('6f13096bda6725833ae7647e5b3bdb02f55840b92acac0eccd17e4abe356e58b', 0),
+    'cohom --stepwise k=8 [json]': ('195562da6f3f4c9f2d5fb6bb40cc565f737346fe1ac2642fb8694e757b5dd78d', 0),
+    'cohom --stepwise k=8 [text]': ('0e16d22f02fede47db19d3bd83c4c0611398161a30b529925ed8b8d0b1837251', 0),
+    'cohom k=10 [json]': ('163d8878a7377f0f605506e2f14d8bf7858db0981d605d5ed30c220858f6d06f', 0),
+    'cohom k=10 [text]': ('25d7ebd096a32b89f50aee13303ed51f1283c981e46ec2913a2dcffd303597dc', 0),
+    'cohom --stepwise k=10 [json]': ('45684787c8c717e213d6122ca5f02963151e6e4ef94c4f3a177535f0fdc425c0', 0),
+    'cohom --stepwise k=10 [text]': ('33e6251dece28985de4dedf0493017a566ab572a3ae7672baa50b13b40546c72', 0),
+    'cohom k=12 [json]': ('f580b9726daaf6befc0db6e5a48bffe1abab0c66467244863170cbfe97852999', 0),
+    'cohom k=12 [text]': ('6efaaac32a9443bd33b6bf5c77d0ab18d49e356d2d2a842a3c97dcd29b192ad3', 0),
+    'cohom --stepwise k=12 [json]': ('adbf28b47f165023d07dbc3f6d277be9bd5ad10c5d2d4454a563dc8740702785', 0),
+    'cohom --stepwise k=12 [text]': ('80e57cc7224e7e935a462e4633877d7bb072270a13d08a4021461e703292b4f2', 0),
 }
 
 
@@ -204,3 +221,14 @@ def test_toric_check_full_size_is_byte_identical(tmp_path):
             (tmp_path / name).write_text(json.dumps(data))
         got[key] = _digest(job.argv(tmp_path), "json")
     assert got == TORIC_GOLDEN
+
+
+def test_large_weight_full_size_is_byte_identical(tmp_path):
+    workloads = _workloads()
+    got = {}
+    for job in workloads.jobs("large-weight", 0):
+        for name, data in job.files.items():
+            (tmp_path / name).write_text(json.dumps(data))
+        for fmt in ("json", "text"):
+            got["%s [%s]" % (job.name, fmt)] = _digest(job.argv(tmp_path), fmt)
+    assert got == LARGE_WEIGHT_GOLDEN
