@@ -28,8 +28,10 @@ Both routes end in ``_bbw_flat``, Borel-Bott-Weil on a flat piece and its
 block sizes: the one-shot route passes the flag's blocks, the stepwise
 route the two blocks of one Grassmann fibre.  It is the one BBW cache, a
 bounded LRU cache, because pair checks resolve the same few thousand
-pieces many times over; each block is dualized (negated and reversed
-within the block) only on a miss.  Block tuples are the form only at the
+pieces many times over.  On a miss it reads chi + rho, the singularity
+test, the degree and the dominant weight straight off the flat piece,
+each block dualized (negated and reversed within the block) in place;
+``weights.bbw_resolve`` stays the public resolver.  Block tuples are the form only at the
 boundary: ``cohomology_graded`` flattens the weights ``block_weights``
 reads off a block monomial.
 
@@ -47,9 +49,9 @@ the key is new.  Pairs that share an outcome also share its JSON, which
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import neg
 
 from .flagvar import (
     BundleExpr,
@@ -67,7 +69,6 @@ from .flagvar import (
     tensor,
 )
 from .schur import CharacterSum, pad
-from .weights import bbw_resolve, dual_weight
 
 EXACT = "exact"
 E1_BOUND = "e1bound"
@@ -133,16 +134,32 @@ def _bbw_flat(weights: tuple, sizes: tuple) -> tuple | None:
     """Borel-Bott-Weil for Sigma^w_1 (x) ... (x) Sigma^w_k of the consecutive
     quotients of a filtration of V with ranks ``sizes``, the w_j
     concatenated in the flat vector ``weights``: ``None`` (vanishes) or
-    (degree, dominant GL(V) weight w) meaning H^degree = Sigma^w(V)."""
+    (degree, dominant GL(V) weight w) meaning H^degree = Sigma^w(V).
+
+    It is ``weights.bbw_resolve`` read straight off the flat piece, with
+    no ``BBWResolution`` built: chi is each block's dual (the block
+    reversed and negated), chi + rho is singular when an entry repeats,
+    the degree is the number of pairs i < j with (chi + rho)_i <
+    (chi + rho)_j, counted by bisection, and w is the dual of
+    sorted(chi + rho) - rho, that is (k + 1 - s_k) over the entries s_k of
+    chi + rho in increasing order."""
+    n = len(weights)
     chi: list = []
     stop = 0
     for b in sizes:  # each block's dual: reversed within the block, negated
         start, stop = stop, stop + b
         chi += reversed(weights[start:stop])
-    res = bbw_resolve(tuple(map(neg, chi)))
-    if res.singular:
+    shifted = [n - k - x for k, x in enumerate(chi)]  # chi + rho
+    if len(set(shifted)) < n:
         return None
-    return res.degree, dual_weight(res.dominant)
+    seen: list = []
+    degree = 0
+    for v in shifted:
+        degree += bisect_left(seen, v)
+        insort(seen, v)
+    if not 0 <= degree <= n * (n - 1) // 2:
+        raise RuntimeError("BBW degree %r out of range for rank %d" % (degree, n))
+    return degree, tuple(k + 1 - x for k, x in enumerate(seen))
 
 
 def cohomology_graded(gm: SchurMonomial, shape: FlagShape):

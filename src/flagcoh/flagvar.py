@@ -470,6 +470,14 @@ def _split_partition(p: tuple, ranks: tuple) -> tuple:
     Returns ((weights_per_summand, coeff), ...) where the coefficient is
     the iterated Littlewood-Richardson multiplicity.  Summands with too
     many rows for their rank are discarded.
+
+    The last summand takes lam, the others kappa, with coefficient
+    c^p_{kappa lam}.  A kappa that cannot occur is skipped before any
+    Littlewood-Richardson step: one with more rows than the head's total
+    rank, where Sigma^kappa of the head vanishes, and one with
+    kappa_i < p_(i+last) for some i, where p/kappa has a column longer
+    than ``last``, so no LR tableau of content lam, len(lam) <= last,
+    fills it.  Every other kappa contributes.
     """
     p = _strip_zeros(p)
     if len(ranks) == 1:
@@ -483,8 +491,11 @@ def _split_partition(p: tuple, ranks: tuple) -> tuple:
         if len(lam) <= last:
             lams.setdefault(sum(lam), []).append(lam)
     total = sum(p)
+    rows = sum(head)
     out = {}
     for kappa in _subpartitions(p):
+        if len(kappa) > rows or any(k < q for k, q in zip(pad(kappa, len(p)), p[last:])):
+            continue
         for lam in lams.get(total - sum(kappa), ()):
             # bounded by p, the enumeration yields p or nothing
             coeff = dict(_lr_raw(kappa, lam, p)).get(p)
@@ -560,10 +571,12 @@ def _flat_factor(shape: FlagShape, slot: Slot, w: tuple) -> tuple:
     """``_graded_factor(shape, slot, w)`` with each piece flattened:
     (((flat vector, mask), coeff), ...), where the flat vector concatenates
     the block weights and the mask has bit j set when block j has rank >= 2
-    and a nonzero weight."""
+    and a nonzero weight.  The split is computed uncached, so the one-shot
+    route holds each split once, here, and ``_graded_factor``'s cache
+    serves the stepwise route alone."""
     return tuple(
         ((sum(ws, ()), sum(1 << j for j, u in enumerate(ws) if len(u) > 1 and any(u))), c)
-        for ws, c in _graded_factor(shape, slot, w)
+        for ws, c in _graded_factor.__wrapped__(shape, slot, w)
     )
 
 

@@ -207,7 +207,9 @@ def _tensor_terms(a: tuple, b: tuple, rank: int) -> tuple:
     """Sigma^a (x) Sigma^b at GL_rank as ((weight, mult), ...), weights
     descending: the one Littlewood-Richardson product.  Both weights must
     be full length and weakly decreasing; negative entries are absorbed
-    into a determinant twist before the LR step and restored afterwards."""
+    into a determinant twist before the LR step and restored afterwards.
+    The enumeration adds the factor with fewer cells as strips, since
+    c^lam_{mu nu} = c^lam_{nu mu} and both factors lie in the box."""
     for w in (a, b):
         if len(w) != rank or not is_weakly_decreasing(w):
             raise ValueError("weight %r is not weakly decreasing of length %d" % (w, rank))
@@ -215,6 +217,8 @@ def _tensor_terms(a: tuple, b: tuple, rank: int) -> tuple:
     kb = max(0, -min(b, default=0))
     mu = _strip_zeros([x + ka for x in a])
     nu = _strip_zeros([x + kb for x in b])
+    if sum(nu) > sum(mu):
+        mu, nu = nu, mu
     width = (mu[0] if mu else 0) + (nu[0] if nu else 0)
     return tuple(
         (tuple(x - ka - kb for x in pad(lam, rank)), c)

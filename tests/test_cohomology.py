@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flagcoh
 from flagcoh.cohomology import (
     E1_BOUND,
     EXACT,
@@ -23,6 +24,8 @@ from flagcoh.flagvar import (
     FlagShape,
     SchurMonomial,
     Slot,
+    _flat_factor,
+    _graded_factor,
     block_weights,
     dual,
     make_monomial,
@@ -96,25 +99,73 @@ def test_cohomology_graded_examples():
 
 
 # every shape has a block of rank >= 2, where skipping the reversal of a
-# block's weight changes the character
-BBW_SHAPES = [GR24, FlagShape(5, (1, 4)), FlagShape(5, (1, 3)), FlagShape(6, (2, 3, 5))]
+# block's weight changes the character; F(2,4;6) with entries up to 20 in
+# size covers the pieces of the large weights E_k, k <= 20, on that flag
+F246 = FlagShape(6, (2, 4))
+BBW_SHAPES = [
+    (GR24, 3),
+    (FlagShape(5, (1, 4)), 3),
+    (FlagShape(5, (1, 3)), 3),
+    (FlagShape(6, (2, 3, 5)), 3),
+    (F246, 20),
+]
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_flat_bbw_matches_bbw_resolve(data):
-    shape = data.draw(st.sampled_from(BBW_SHAPES))
-    ws = tuple(
-        tuple(sorted(data.draw(st.lists(st.integers(-3, 3), min_size=b, max_size=b)), reverse=True))
-        for b in shape.blocks()
-    )
+def _bbw_oracle(ws):
+    """``_bbw_flat``'s answer for the block weights ``ws``, from
+    ``bbw_resolve`` on the blocks' duals, dualized back."""
     # each block's dual: negate, then reverse within the block
     chi = tuple(-x for w in ws for x in reversed(w))
     res = bbw_resolve(chi)
-    expected = None if res.singular else (res.degree, tuple(-x for x in reversed(res.dominant)))
+    return None if res.singular else (res.degree, tuple(-x for x in reversed(res.dominant)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_flat_bbw_matches_bbw_resolve(data):
+    shape, bound = data.draw(st.sampled_from(BBW_SHAPES))
+    entries = st.integers(-bound, bound)
+    ws = tuple(
+        tuple(sorted(data.draw(st.lists(entries, min_size=b, max_size=b)), reverse=True))
+        for b in shape.blocks()
+    )
+    expected = _bbw_oracle(ws)
     flat = tuple(x for w in ws for x in w)
     assert engine._bbw_flat(flat, shape.blocks()) == expected
     assert cohomology_graded(_block_monomial(shape, ws), shape) == expected
+
+
+def test_flat_bbw_fixed_cases():
+    sizes = F246.blocks()
+    cases = [
+        # chi + rho = (6, 5, 3, 2, 2, 1) repeats an entry
+        (((0, 0), (1, 1), (0, 0)), None),
+        # O: H^0 = the trivial representation
+        (((0, 0), (0, 0), (0, 0)), (0, (0, 0, 0, 0, 0, 0))),
+        # chi + rho = (-2, -3, 0, -1, 2, 1): every pair across blocks is out
+        # of order, so the degree is dim F(2,4;6) = 12
+        (((8, 8), (4, 4), (0, 0)), (12, (4, 4, 4, 4, 4, 4))),
+        # and with E_20's largest entries, the top degree again
+        (((20, 20), (0, 0), (-20, -20)), (12, (16, 16, 0, 0, -16, -16))),
+    ]
+    for ws, expected in cases:
+        flat = tuple(x for w in ws for x in w)
+        assert engine._bbw_flat.__wrapped__(flat, sizes) == expected == _bbw_oracle(ws), ws
+    assert F246.dimension() == 12
+
+
+def test_one_shot_holds_each_split_once():
+    # E_8 of the large-weight workload: the one-shot route keeps its splits
+    # in _flat_factor alone, and the stepwise route in _graded_factor
+    e = make_monomial(F246, [(Slot(QUOT, 1), (8, 4, 3, 0)), (Slot(SUB, 2), (0, 0, -1, -8))])
+    flagcoh.clear_caches()
+    cohomology(e)
+    assert _graded_factor.cache_info().currsize == 0
+    assert _flat_factor.cache_info().currsize > 0
+    cohomology_stepwise(e)
+    assert _graded_factor.cache_info().currsize > 0
+    flagcoh.clear_caches()
+    assert _graded_factor.cache_info().currsize == 0 == _flat_factor.cache_info().currsize
 
 
 def test_non_block_factor_rejected():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from localization import _span
 
+from flagcoh import flagvar
 from flagcoh.flagvar import (
     BLOCK,
     QUOT,
@@ -19,6 +20,7 @@ from flagcoh.flagvar import (
     _pair_key,
     _product_key,
     _split_partition,
+    _subpartitions,
     block_weights,
     dual,
     graded_expansion,
@@ -28,6 +30,7 @@ from flagcoh.flagvar import (
     tensor,
     trivial,
 )
+from flagcoh.schur import _lr_raw, _strip_zeros, pad
 
 # the package's ``cohomology`` attribute is the function, not the module
 engine = importlib.import_module("flagcoh.cohomology")
@@ -384,6 +387,76 @@ def test_tuple_fold_matches_tensor_fold(data):
         factors.append((slot, tuple(sorted(w, reverse=True))))
     for mono in make_monomial(shape, factors).terms:
         _assert_fold_matches_reference(mono)
+
+
+def _reference_split(p, ranks):
+    """``_split_partition`` without its cut on kappa: every kappa contained
+    in p goes through Littlewood-Richardson with every lam of the right
+    size and at most ``last`` rows.  The head is split by
+    ``_split_partition`` itself, so for two summands this loop is the
+    whole reference, and for three it checks the outer level."""
+    p = _strip_zeros(p)
+    if len(ranks) == 1:
+        return () if len(p) > ranks[0] else (((pad(p, ranks[0]),), 1),)
+    head, last = ranks[:-1], ranks[-1]
+    lams: dict = {}
+    for lam in _subpartitions(p):
+        if len(lam) <= last:
+            lams.setdefault(sum(lam), []).append(lam)
+    out: dict = {}
+    for kappa in _subpartitions(p):
+        for lam in lams.get(sum(p) - sum(kappa), ()):
+            coeff = dict(_lr_raw(kappa, lam, p)).get(p)
+            if not coeff:
+                continue
+            for head_ws, c in _split_partition(kappa, head):
+                key = head_ws + (pad(lam, last),)
+                out[key] = out.get(key, 0) + coeff * c
+    return tuple(sorted(out.items()))
+
+
+SPLIT_RANKS = ((2, 2), (1, 3), (3, 1), (2, 1, 1), (2, 2, 2))
+
+
+def _partition(data, rows: int) -> tuple:
+    """A partition with at most ``rows`` rows and entries at most 7."""
+    return tuple(sorted(data.draw(st.lists(st.integers(0, 7), max_size=rows)), reverse=True))
+
+
+@pytest.mark.parametrize("ranks", SPLIT_RANKS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_split_partition_matches_unpruned_loop(ranks, data):
+    # one row more than the summands hold, where the split is empty
+    p = _partition(data, sum(ranks) + 1)
+    assert _split_partition(p, ranks) == _reference_split(p, ranks)
+
+
+@pytest.mark.parametrize("ranks", [r for r in SPLIT_RANKS if len(r) == 2])
+def test_split_partition_enumerates_only_kappas_that_occur(monkeypatch, ranks):
+    """The cut on kappa is exact: every kappa that reaches
+    Littlewood-Richardson fits the head's rank and has some lam with
+    c^p_{kappa lam} > 0.  A kappa that passes the column cut has one: lam
+    with the column lengths of p/kappa, sorted, as its conjugate."""
+    calls = []
+
+    def lr(kappa, lam, bound):
+        out = _lr_raw(kappa, lam, bound)
+        calls.append((kappa, bound, dict(out).get(bound, 0)))
+        return out
+
+    monkeypatch.setattr(flagvar, "_lr_raw", lr)
+    _split_partition.cache_clear()
+    try:
+        for p in [(7, 7, 7, 7), (7, 5, 5, 2), (6, 6, 3, 3, 1), (4, 3, 2, 1), (3, 3, 3)]:
+            _split_partition(p, ranks)
+    finally:
+        _split_partition.cache_clear()
+    occurs: dict = {}
+    for kappa, p, c in calls:
+        assert len(kappa) <= ranks[0], (kappa, p)
+        occurs[kappa, p] = occurs.get((kappa, p), False) or c > 0
+    assert occurs and [k for k, ok in occurs.items() if not ok] == []
 
 
 def _product_terms(a, b):

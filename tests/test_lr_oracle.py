@@ -57,6 +57,17 @@ def test_lr_coefficients_multiply_schur_polynomials(rank):
     assert pruned > 0
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_lr_raw_is_symmetric_in_its_factors(rank):
+    # c^lam_{mu nu} = c^lam_{nu mu}, so _tensor_terms may enumerate either
+    # factor as the strips; both lie in the box it bounds the product by
+    for size_mu, size_nu in itertools.product(range(4), repeat=2):
+        for mu in partitions(size_mu, rank):
+            for nu in partitions(size_nu, rank):
+                box = ((mu[0] if mu else 0) + (nu[0] if nu else 0),) * rank
+                assert _lr_raw(mu, nu, box) == _lr_raw(nu, mu, box), (mu, nu, rank)
+
+
 SPLITS = ((2, 1), (1, 3), (2, 2), (1, 1, 1), (2, 1, 1), (1, 2, 2))
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from flagcoh.schur import (
     CharacterSum,
+    _tensor_terms,
     dual_sum,
     lr_coefficients,
     pad,
@@ -127,3 +128,15 @@ def test_tensor_schur_dimension_property(a, b):
     b = pad(tuple(sorted(b, reverse=True)), rank)
     prod = tensor_schur(a, b, rank)
     assert prod.dimension() == schur_dim(a, rank) * schur_dim(b, rank)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_tensor_terms_is_symmetric(data):
+    # either factor may be enumerated as the strips, determinant twists too
+    rank = data.draw(st.integers(1, 4))
+    weight = st.lists(st.integers(-3, 3), min_size=rank, max_size=rank).map(
+        lambda w: tuple(sorted(w, reverse=True))
+    )
+    a, b = data.draw(weight), data.draw(weight)
+    assert _tensor_terms(a, b, rank) == _tensor_terms(b, a, rank)
