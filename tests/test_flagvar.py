@@ -418,17 +418,14 @@ def _reference_split(p, ranks):
 SPLIT_RANKS = ((2, 2), (1, 3), (3, 1), (2, 1, 1), (2, 2, 2))
 
 
-def _partition(data, rows: int) -> tuple:
-    """A partition with at most ``rows`` rows and entries at most 7."""
-    return tuple(sorted(data.draw(st.lists(st.integers(0, 7), max_size=rows)), reverse=True))
-
-
 @pytest.mark.parametrize("ranks", SPLIT_RANKS)
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_split_partition_matches_unpruned_loop(ranks, data):
-    # one row more than the summands hold, where the split is empty
-    p = _partition(data, sum(ranks) + 1)
+    # entries up to 7, and up to one row more than the summands hold,
+    # where the split is empty
+    rows = st.lists(st.integers(0, 7), max_size=sum(ranks) + 1)
+    p = tuple(sorted(data.draw(rows), reverse=True))
     assert _split_partition(p, ranks) == _reference_split(p, ranks)
 
 
