@@ -62,8 +62,7 @@ from .flagvar import (
     _flat_factor,
     _forget_steps,
     _graded_factor,
-    _span_product,
-    _span_weights,
+    _interval_product,
     _split_partition,
     _subpartitions,
 )
@@ -78,8 +77,7 @@ _CACHES = (
     _flat_factor,
     _forget_steps,
     _graded_factor,
-    _span_product,
-    _span_weights,
+    _interval_product,
     _split_partition,
     _subpartitions,
     _lr_raw,

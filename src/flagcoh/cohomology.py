@@ -17,11 +17,12 @@ Two routes are provided for H^*(F, E):
   regardless.
 
 * ``cohomology_stepwise`` pushes forward one relative Grassmann bundle at
-  a time, deferring filtration splits as long as possible.  It splits a
-  factor with the same ``_graded_factor`` as the one-shot route and turns
-  each piece into a monomial with ``make_monomial``.  It handles one level
-  of the tower per call and caches its pieces per monomial, so a state
-  reached along several branches is computed once.  It often certifies
+  a time, deferring filtration splits as long as possible.  It splits the
+  factor on V/W_{d_1}, the interval (1, s+1), with the same
+  ``_graded_factor`` as the one-shot route and turns each piece into a
+  monomial on the block intervals with ``make_monomial``.  It handles one
+  level of the tower per call and caches its pieces per monomial, so a
+  state reached along several branches is computed once.  It often certifies
   exact vanishing where the one-shot route only yields a bound.
 
 Both routes end in ``_bbw_flat``, Borel-Bott-Weil on a flat piece and its
@@ -35,15 +36,18 @@ each block dualized (negated and reversed within the block) in place;
 boundary: ``cohomology_graded`` flattens the weights ``block_weights``
 reads off a block monomial.
 
+Both routes work on the factors' intervals (lo, hi) as ``flagvar``
+stores them; no slot is spelled inside the engine.
+
 ``certify`` is the one place where the two routes are combined.
 ``ext_groups_best`` can keep its outcomes in a memo keyed by the product
 a^v (x) b, so a pair loop certifies each distinct product once.  For a
-pair of single monomials the key (``flagvar._pair_key``) is built slot by
-slot: the shape and, for each slot, the cached Littlewood-Richardson
-product of a's dual weight with b's weight, from cached per-monomial
-slot maps.  Other pairs are keyed by the product's merged terms.  No
-monomial is built for a key, and the product itself is built only when
-the key is new.  Pairs that share an outcome also share its JSON, which
+pair of single monomials the key (``flagvar._pair_key``) is built
+interval by interval: the shape and, for each interval, the cached
+Littlewood-Richardson product of a's dual weight with b's weight.  No
+monomial is built for such a key, and the product itself is built only
+when the key is new.  Any other pair is keyed by the product itself.
+Pairs that share an outcome also share its JSON, which
 ``PairVerdict.to_json`` builds once and the CLI writes once per indent.
 """
 
@@ -243,7 +247,7 @@ def _monomial_pieces_stepwise(mono: SchurMonomial) -> tuple:
         return ((0, w, 1),), False
     factors = dict(mono.factors)
     sizes = shape.blocks()
-    q1 = shape.slot(1, shape.s + 1)
+    q1 = (1, shape.s + 1)
     if shape.s >= 2 and q1 in factors:
         split = _graded_factor(shape, q1, factors.pop(q1))
         rest = list(factors.items())
@@ -253,8 +257,8 @@ def _monomial_pieces_stepwise(mono: SchurMonomial) -> tuple:
             for piece, m in _block_monomial(shape, ws, rest).terms.items()
         ]
         return _lower_pieces(terms, 0, len(split) > 1)
-    alpha = factors.pop(shape.slot(0, 1), pad((), sizes[0]))
-    beta = factors.pop(shape.slot(1, 2), pad((), sizes[1]))
+    alpha = factors.pop((0, 1), pad((), sizes[0]))
+    beta = factors.pop((1, 2), pad((), sizes[1]))
     res = _bbw_flat(alpha + beta, sizes[:2])
     if res is None:
         return (), False
@@ -263,7 +267,7 @@ def _monomial_pieces_stepwise(mono: SchurMonomial) -> tuple:
         return ((degree, weight, 1),), False
     lower, factor = _forget_steps(shape, shape.dims[1:])
     pushed = make_monomial(
-        lower, [factor(slot, w) for slot, w in factors.items()] + [(lower.slot(0, 1), weight)]
+        lower, [factor(span, w) for span, w in factors.items()] + [((0, 1), weight)]
     )
     return _lower_pieces(pushed.terms.items(), degree, False)
 
@@ -302,20 +306,23 @@ def ext_groups_best(a: BundleExpr, b: BundleExpr, memo: dict | None = None) -> C
     """Ext^*(a, b) = H^*(F, a^v (x) b) by ``certify``.
 
     With ``memo``, a dict from product keys to outcomes, an equal product
-    is certified once.  The key (``flagvar._pair_key``) is built without a
-    monomial.  For single monomials it is the shape, the product of their
-    multiplicities and, slot by slot, the cached Littlewood-Richardson
-    product of a's dual weight with b's, leaving out a slot whose product
-    is the zero weight alone.  For a sum or the zero expression it is the
-    shape and the merged terms of a^v (x) b (``flagvar._product_key``).
-    The product itself is built only on a miss.  A shared outcome must not
-    be mutated."""
+    is certified once.  For single monomials the key (``flagvar._pair_key``)
+    is built without a monomial: the shape, the product of their
+    multiplicities and, interval by interval, the cached
+    Littlewood-Richardson product of a's dual weight with b's, leaving out
+    an interval whose product is the zero weight alone; the product itself
+    is built only on a miss.  A sum or the zero expression is keyed by the
+    product a^v (x) b itself, built once.  A shared outcome must not be
+    mutated."""
     if memo is None:
         return certify(tensor(dual(a), b))
     key = _pair_key(a, b)
+    product = None
+    if key is None:
+        key = product = tensor(dual(a), b)
     outcome = memo.get(key)
     if outcome is None:
-        outcome = memo[key] = certify(tensor(dual(a), b))
+        outcome = memo[key] = certify(product or tensor(dual(a), b))
     return outcome
 
 

@@ -2,12 +2,15 @@
 
 A bundle expression is a nonnegative integer combination of monomials,
 each a tensor product of rational Schur functors applied to tautological
-bundles of a fixed flag shape.  A slot is an interval W_{d_hi}/W_{d_lo} of
-the flag 0 = d_0 < d_1 < ... < d_s < d_(s+1) = n: subbundles W_{d_i}
-(``sub``, (0, i)), quotients V/W_{d_i} (``quot``, (i, s+1)) and consecutive
-quotients W_{d_j}/W_{d_(j-1)} (``block``, (j-1, j)).  Each interval has one
-spelling, so Block(1) is Sub(1) and Block(s+1) is Quot(s); the shape's slot
-table holds both directions, and every map on slots goes through it.
+bundles of a fixed flag shape.  A factor sits on an interval (lo, hi), the
+bundle W_{d_hi}/W_{d_lo} of the flag 0 = d_0 < d_1 < ... < d_s < d_(s+1) = n:
+subbundles W_{d_i} ((0, i), spelled ``sub``), quotients V/W_{d_i} ((i, s+1),
+``quot``) and consecutive quotients W_{d_j}/W_{d_(j-1)} ((j-1, j),
+``block``).  A ``Slot`` is only the spelling of an interval at the input
+and output: ``make_monomial`` and ``BundleExpr.from_json`` read a slot to
+its interval through the shape's table, and ``__str__`` and ``to_json``
+spell each interval back by its canonical slot (Block(1) is Sub(1) and
+Block(s+1) is Quot(s)).  Every map inside the engine works on intervals.
 Everything is immutable and hashable so results can be
 cached aggressively.  Shapes, slots and monomials compute their hash once;
 it is valid only in the process that made them, so they are not pickled.
@@ -23,7 +26,7 @@ only on a block where both masks are set.  Block tuples remain the form at
 the boundary: ``block_weights``, ``graded_expansion`` (which cuts a flat
 piece back into blocks) and ``cohomology.cohomology_graded``.  The
 stepwise route in ``cohomology`` and ``graded_expansion`` turn a piece
-back into a monomial on the block slots (Sub(1), Block(j), Quot(s)) with
+back into a monomial on the block intervals (j, j+1) with
 ``make_monomial``.
 """
 
@@ -42,8 +45,9 @@ from .weights import dual_weight, is_weakly_decreasing, strict_int
 class FlagShape:
     """F(d_1, ..., d_s; V) with dim V = n.  ``dims=()`` is a point.
 
-    Its slot table maps every valid slot to its interval (lo, hi) and every
-    slot interval back to its one spelling (``slot``)."""
+    Its slot table maps every valid slot to its interval (lo, hi), one
+    shared tuple per interval (``interval``), and every slot interval back
+    to its one spelling (``slot``)."""
 
     n: int
     dims: tuple
@@ -59,13 +63,17 @@ class FlagShape:
             prev = d
         ds = (0,) + self.dims + (self.n,)
         s = len(self.dims)
-        spans = {Slot(SUB, i): (0, i) for i in range(1, s + 1)}
-        spans.update({Slot(QUOT, i): (i, s + 1) for i in range(1, s + 1)})
-        spans.update({Slot(BLOCK, j): (j - 1, j) for j in range(1, s + 2)})
+        spellings = [(Slot(SUB, i), (0, i)) for i in range(1, s + 1)]
+        spellings += [(Slot(QUOT, i), (i, s + 1)) for i in range(1, s + 1)]
+        spellings += [(Slot(BLOCK, j), (j - 1, j)) for j in range(1, s + 2)]
+        slots: dict = {}
+        for slot, span in spellings:  # the first spelling is the canonical one
+            slots.setdefault(span, slot)
+        intervals = {span: span for span in slots}
         object.__setattr__(self, "_bounds", ds)
-        object.__setattr__(self, "_spans", spans)
-        # the first spelling of an interval is its canonical one
-        object.__setattr__(self, "_slots", {v: k for k, v in reversed(spans.items())})
+        object.__setattr__(self, "_intervals", intervals)
+        object.__setattr__(self, "_spans", {slot: intervals[span] for slot, span in spellings})
+        object.__setattr__(self, "_slots", slots)
         object.__setattr__(self, "_blocks", tuple(b - a for a, b in zip(ds, ds[1:])))
         object.__setattr__(self, "_hash", hash((self.n, self.dims)))
 
@@ -79,6 +87,13 @@ class FlagShape:
     def blocks(self) -> tuple:
         """Sizes of the consecutive quotients; a composition of n."""
         return self._blocks
+
+    def interval(self, lo: int, hi: int) -> tuple:
+        """The shape's one tuple for the slot interval (lo, hi)."""
+        try:
+            return self._intervals[lo, hi]
+        except KeyError:
+            raise ValueError("(%r, %r) is not a slot interval of %r" % (lo, hi, self)) from None
 
     def slot(self, lo: int, hi: int) -> "Slot":
         """The canonical slot W_{d_hi}/W_{d_lo}."""
@@ -142,19 +157,25 @@ class Slot:
 
 @dataclass(frozen=True)
 class SchurMonomial:
-    """Tensor product of Schur functors on distinct slots of one shape."""
+    """Tensor product of Schur functors on distinct slot intervals of one
+    shape: ``factors`` is a tuple of ((lo, hi), weight) pairs, intervals
+    ascending, no trivial factors.  ``spelled`` gives them as slots."""
 
     shape: FlagShape
-    factors: tuple  # tuple[(Slot, weight)], canonical order, no trivial factors
+    factors: tuple
 
     def __post_init__(self):
-        seen = set()
-        for slot, w in self.factors:
-            if slot in seen:
-                raise ValueError("repeated slot %s (merge via tensor first)" % slot)
-            seen.add(slot)
-            if len(w) != slot.rank(self.shape):
-                raise ValueError("weight %r has wrong length for %s" % (w, slot))
+        shape = self.shape
+        d = shape._bounds
+        prev = ()
+        for span, w in self.factors:
+            if span not in shape._intervals:
+                raise ValueError("%r is not a slot interval of %r" % (span, shape))
+            if span <= prev:
+                raise ValueError("interval %r repeated or out of order (merge first)" % (span,))
+            prev = span
+            if len(w) != d[span[1]] - d[span[0]]:
+                raise ValueError("weight %r has wrong length for %s" % (w, shape.slot(*span)))
             if not is_weakly_decreasing(w):
                 raise ValueError("weight %r not weakly decreasing" % (w,))
         object.__setattr__(self, "_hash", hash((self.shape, self.factors)))
@@ -163,47 +184,56 @@ class SchurMonomial:
         return self._hash
 
     def rank(self) -> int:
+        d = self.shape._bounds
         r = 1
-        for slot, w in self.factors:
-            r *= schur_dim(tuple(w), slot.rank(self.shape))
+        for (lo, hi), w in self.factors:
+            r *= schur_dim(tuple(w), d[hi] - d[lo])
         return r
+
+    def spelled(self) -> list:
+        """The factors as (slot, weight) pairs in slot order: Sub, Block,
+        then Quot, each by index.  Text and JSON spell a monomial so."""
+        slots = self.shape._slots
+        return sorted(((slots[span], w) for span, w in self.factors), key=lambda f: f[0].sort_key())
 
     def __str__(self):
         if not self.factors:
             return "O"
         return " (x) ".join(
-            "S^%s(%s)" % (tuple(_strip_zeros(w)), slot) for slot, w in self.factors
+            "S^%s(%s)" % (tuple(_strip_zeros(w)), slot) for slot, w in self.spelled()
         )
 
 
 def make_monomial(shape: FlagShape, factors: Iterable) -> "BundleExpr":
-    """Build a bundle expression from raw (slot, weight) pairs, merging
-    repeated slots by Littlewood-Richardson at the slot rank.  Every
-    weight must have the slot's rank as its length."""
-    factors = [(slot, tuple(w)) for slot, w in factors]
+    """Build a bundle expression from raw (place, weight) pairs, a place
+    being a ``Slot`` or an interval (lo, hi), merging the factors on one
+    interval by Littlewood-Richardson at its rank.  Every weight must have
+    that rank as its length."""
     d = shape._bounds
-    for slot, w in factors:
-        lo, hi = slot.span(shape)
-        if len(w) != d[hi] - d[lo]:
-            raise ValueError("weight %r has wrong length for %s" % (w, shape.slot(lo, hi)))
+    placed = []
+    for place, w in factors:
+        span = place.span(shape) if isinstance(place, Slot) else shape.interval(*place)
+        w = tuple(w)
+        if len(w) != d[span[1]] - d[span[0]]:
+            raise ValueError("weight %r has wrong length for %s" % (w, shape.slot(*span)))
+        placed.append((span, w))
     # a lone weight is checked by SchurMonomial below, merged ones by _tensor_terms
     return BundleExpr(
-        shape, {SchurMonomial(shape, fs): m for fs, m in _merge_factors(shape, factors).items()}
+        shape, {SchurMonomial(shape, fs): m for fs, m in _merge_factors(placed).items()}
     )
 
 
-def _merge_factors(shape: FlagShape, factors) -> dict:
-    """The product of the (slot, weight) ``factors`` as {factor tuple:
+def _merge_factors(factors) -> dict:
+    """The product of the (interval, weight) ``factors`` as {factor tuple:
     multiplicity}: the weights on one interval are merged by
-    Littlewood-Richardson at the slot rank, each slot in its canonical
-    spelling and order, and all-zero weights are dropped.  The weights are
-    not validated; ``make_monomial`` and ``_product_key`` share this."""
-    by_slot: dict[Slot, list] = {}
-    for slot, w in factors:
-        by_slot.setdefault(shape.slot(*slot.span(shape)), []).append(w)
-    # factor tuples grown in slot order are already canonical
+    Littlewood-Richardson at its rank, the intervals ascend, and all-zero
+    weights are dropped.  The weights are not validated."""
+    by_span: dict = {}
+    for span, w in factors:
+        by_span.setdefault(span, []).append(w)
+    # factor tuples grown in interval order are already canonical
     products = {(): 1}
-    for slot, ws in sorted(by_slot.items(), key=lambda kv: kv[0].sort_key()):
+    for span, ws in sorted(by_span.items()):
         pieces = {ws[0]: 1}
         for w in ws[1:]:
             merged: dict = {}
@@ -214,7 +244,7 @@ def _merge_factors(shape: FlagShape, factors) -> dict:
         grown = {}
         for fs, m in products.items():
             for key, mult in pieces.items():
-                new = fs + ((slot, key),) if any(key) else fs
+                new = fs + ((span, key),) if any(key) else fs
                 grown[new] = grown.get(new, 0) + m * mult
         products = grown
     return products
@@ -277,7 +307,7 @@ class BundleExpr:
                     "mult": m,
                     "factors": [
                         {"slot": slot.kind, "index": slot.index, "weight": list(w)}
-                        for slot, w in mono.factors
+                        for slot, w in mono.spelled()
                     ],
                 }
                 for mono, m in self.monomials()
@@ -304,21 +334,17 @@ def trivial(shape: FlagShape) -> BundleExpr:
 
 
 def _relabel(e: BundleExpr, shape: FlagShape, factor) -> BundleExpr:
-    """Map every factor (slot, w) of every monomial of ``e`` through
+    """Map every factor (interval, w) of every monomial of ``e`` through
     ``factor`` to a factor on ``shape``, summing equal monomials."""
     terms: dict = {}
     for mono, m in e.terms.items():
-        factors = sorted(
-            (factor(slot, w) for slot, w in mono.factors),
-            key=lambda fw: fw[0].sort_key(),
-        )
-        new = SchurMonomial(shape, tuple(factors))
+        new = SchurMonomial(shape, tuple(sorted(factor(span, w) for span, w in mono.factors)))
         terms[new] = terms.get(new, 0) + m
     return BundleExpr(shape, terms)
 
 
 def dual(e: BundleExpr) -> BundleExpr:
-    return _relabel(e, e.shape, lambda slot, w: (slot, dual_weight(w)))
+    return _relabel(e, e.shape, lambda span, w: (span, dual_weight(w)))
 
 
 def sigma_pullback(e: BundleExpr) -> BundleExpr:
@@ -329,12 +355,8 @@ def sigma_pullback(e: BundleExpr) -> BundleExpr:
     if not shape.is_symmetric():
         raise ValueError("sigma pullback needs a symmetric shape")
     top = shape.s + 1
-
-    def factor(slot, w):
-        lo, hi = slot.span(shape)
-        return shape.slot(top - hi, top - lo), dual_weight(w)
-
-    return _relabel(e, shape, factor)
+    image = {(lo, hi): shape.interval(top - hi, top - lo) for lo, hi in shape._intervals}
+    return _relabel(e, shape, lambda span, w: (image[span], dual_weight(w)))
 
 
 def tensor(e1: BundleExpr, e2: BundleExpr) -> BundleExpr:
@@ -349,106 +371,71 @@ def tensor(e1: BundleExpr, e2: BundleExpr) -> BundleExpr:
     return BundleExpr(e1.shape, terms)
 
 
-def _product_key(a: BundleExpr, b: BundleExpr) -> tuple:
-    """A hashable key of ``tensor(dual(a), b)``, equal for two pairs
-    exactly when their products are equal: the shape and the product's
-    (factor tuple, multiplicity) terms.  a's weights are dualized and each
-    pair of terms is merged by ``_merge_factors``, as ``tensor`` does, but
-    no monomial or expression is built or validated."""
-    if a.shape != b.shape:
-        raise ValueError("shape mismatch")
-    shape = a.shape
-    duals = [
-        (tuple((slot, dual_weight(w)) for slot, w in m1.factors), c1) for m1, c1 in a.terms.items()
-    ]
-    terms: dict = {}
-    for f1, c1 in duals:
-        for m2, c2 in b.terms.items():
-            for fs, c in _merge_factors(shape, f1 + m2.factors).items():
-                terms[fs] = terms.get(fs, 0) + c * c1 * c2
-    return shape, frozenset(terms.items())
-
-
 @lru_cache(maxsize=None)
-def _span_weights(mono: SchurMonomial, dualized: bool) -> dict | None:
-    """{(lo, hi): weight} of the factors of ``mono``, each weight dualized
-    when ``dualized``; None when two factors share an interval.  The dict
-    is shared by every caller and must not be mutated."""
-    shape = mono.shape
-    out = {slot.span(shape): dual_weight(w) if dualized else w for slot, w in mono.factors}
-    return out if len(out) == len(mono.factors) else None
-
-
-@lru_cache(maxsize=None)
-def _span_product(u: tuple | None, v: tuple | None) -> tuple | None:
-    """Sigma^u (x) Sigma^v on one slot as ((weight, mult), ...), weights
-    descending, where None stands for a side with no factor there; None
-    when the product is the zero weight alone."""
+def _interval_product(u: tuple | None, v: tuple | None) -> tuple | None:
+    """The dual of Sigma^u tensored with Sigma^v on one interval, as
+    ((weight, mult), ...), weights descending, where None stands for a side
+    with no factor there; None when the product is the zero weight alone."""
     if u is None:
         terms = ((v, 1),)
     elif v is None:
-        terms = ((u, 1),)
+        terms = ((dual_weight(u), 1),)
     else:
-        terms = _tensor_terms(u, v, len(u))
+        terms = _tensor_terms(dual_weight(u), v, len(u))
     return None if len(terms) == 1 and not any(terms[0][0]) else terms
 
 
-def _pair_key(a: BundleExpr, b: BundleExpr) -> tuple:
-    """A hashable key of ``tensor(dual(a), b)``.  Two pairs whose keys are
-    equal have equal products; two pairs with equal products have equal
-    keys when both are pairs of single monomials or neither is.
+def _pair_key(a: BundleExpr, b: BundleExpr) -> tuple | None:
+    """A hashable key of ``tensor(dual(a), b)`` when a and b are single
+    monomials, else None.  Two such pairs have equal keys exactly when
+    their products are equal.
 
-    For single monomials a = c1 m1 and b = c2 m2 the key is the shape,
-    c1 c2 and, slot by slot (as intervals, so every spelling of a slot is
-    one), the Littlewood-Richardson product of m1's dual weight with m2's,
-    leaving out a slot whose product is the zero weight alone.  It is
-    exact: each slot's product has its top weight with multiplicity 1, so
-    the product's terms determine every slot's product and c1 c2.  Other
-    pairs, a sum or the zero expression on either side, or a monomial
-    with two factors on one interval, take ``_product_key``, whose
-    2-tuple never equals this 3-tuple."""
+    For a = c1 m1 and b = c2 m2 the key is the shape, c1 c2 and, interval
+    by interval, the Littlewood-Richardson product of m1's dual weight with
+    m2's, leaving out an interval whose product is the zero weight alone.
+    It is exact: each interval's product has its top weight with
+    multiplicity 1, so the product's terms determine every interval's
+    product and c1 c2."""
     if a.shape != b.shape:
         raise ValueError("shape mismatch")
-    if len(a.terms) == 1 == len(b.terms):
-        [(m1, c1)] = a.terms.items()
-        [(m2, c2)] = b.terms.items()
-        us = _span_weights(m1, True)
-        vs = _span_weights(m2, False)
-        if us is not None and vs is not None:
-            parts = []
-            for span in sorted(us.keys() | vs.keys()):
-                product = _span_product(us.get(span), vs.get(span))
-                if product is not None:
-                    parts.append((span, product))
-            return a.shape, c1 * c2, tuple(parts)
-    return _product_key(a, b)
+    if len(a.terms) != 1 or len(b.terms) != 1:
+        return None
+    [(m1, c1)] = a.terms.items()
+    [(m2, c2)] = b.terms.items()
+    us, vs = dict(m1.factors), dict(m2.factors)
+    parts = []
+    for span in sorted(us.keys() | vs.keys()):
+        product = _interval_product(us.get(span), vs.get(span))
+        if product is not None:
+            parts.append((span, product))
+    return a.shape, c1 * c2, tuple(parts)
 
 
 def _referenced_dims(mono: SchurMonomial) -> set:
     """The flag steps d_1, ..., d_s that end some factor's interval."""
     shape = mono.shape
     d = shape._bounds
-    return {d[k] for slot, _w in mono.factors for k in slot.span(shape)} - {0, shape.n}
+    return {d[k] for span, _w in mono.factors for k in span} - {0, shape.n}
 
 
 @lru_cache(maxsize=None)
 def _forget_steps(shape: FlagShape, dims: tuple):
     """(new_shape, factor): the shape keeping only the flag steps ``dims``
-    of ``shape``, and the map of a factor (slot, w) onto it.  Every slot
-    mapped must have both its endpoints among the kept steps."""
+    of ``shape``, and the map of a factor (interval, w) onto it.  Every
+    interval mapped must have both its endpoints among the kept steps."""
     new_shape = FlagShape(shape.n, dims)
     pos = {d: i for i, d in enumerate(new_shape._bounds)}
     old = shape._bounds
-
-    def factor(slot, w):
-        lo, hi = slot.span(shape)
-        return new_shape.slot(pos[old[lo]], pos[old[hi]]), w
-
-    return new_shape, factor
+    image = {
+        (lo, hi): new_shape.interval(pos[old[lo]], pos[old[hi]])
+        for lo, hi in shape._intervals
+        if old[lo] in pos and old[hi] in pos
+    }
+    return new_shape, lambda span, w: (image[span], w)
 
 
 def minimal_base(e: BundleExpr):
-    """Drop flag steps not referenced by any slot of ``e``.
+    """Drop flag steps not referenced by any factor's interval in ``e``.
 
     Cohomology is unchanged: the forgotten steps are relative Grassmann
     bundles whose structure sheaves push forward to the base.
@@ -529,26 +516,24 @@ def _subpartitions(p: tuple) -> tuple:
 
 def block_weights(mono: SchurMonomial) -> tuple:
     """One weight per consecutive quotient of the flag, zero where ``mono``
-    has no factor.  Every factor must be on a block: Sub(1), Block(j) or
-    Quot(s)."""
+    has no factor.  Every factor must be on a block (j, j+1)."""
     shape = mono.shape
     out = [(0,) * b for b in shape.blocks()]
-    for slot, w in mono.factors:
-        lo, hi = slot.span(shape)
+    for (lo, hi), w in mono.factors:
         if hi != lo + 1:
-            raise ValueError("%s is not a block of %r" % (slot, shape))
+            raise ValueError("%s is not a block of %r" % (shape.slot(lo, hi), shape))
         out[lo] = w
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _graded_factor(shape: FlagShape, slot: Slot, w: tuple) -> tuple:
-    """The associated graded of Sigma^w(slot) for the natural filtration, as
-    ((weight per block of the shape), coeff) pairs: the slot (lo, hi)
-    spans blocks lo+1..hi, and every other block gets the zero weight.
-    Negative entries are absorbed into a determinant twist, which splits
-    as the same twist on every spanned block."""
-    lo, hi = slot.span(shape)
+def _graded_factor(shape: FlagShape, span: tuple, w: tuple) -> tuple:
+    """The associated graded of Sigma^w on the interval ``span`` for the
+    natural filtration, as ((weight per block of the shape), coeff) pairs:
+    the interval (lo, hi) spans blocks lo+1..hi, and every other block gets
+    the zero weight.  Negative entries are absorbed into a determinant
+    twist, which splits as the same twist on every spanned block."""
+    lo, hi = span
     sizes = shape.blocks()
     below = tuple(pad((), b) for b in sizes[:lo])
     above = tuple(pad((), b) for b in sizes[hi:])
@@ -561,14 +546,14 @@ def _graded_factor(shape: FlagShape, slot: Slot, w: tuple) -> tuple:
 
 def _block_monomial(shape: FlagShape, ws: tuple, factors=()) -> BundleExpr:
     """The graded piece with block weights ``ws``, tensored with the raw
-    (slot, weight) ``factors``, as a bundle expression."""
-    blocks = [(shape.slot(j, j + 1), w) for j, w in enumerate(ws) if any(w)]
+    (interval, weight) ``factors``, as a bundle expression."""
+    blocks = [((j, j + 1), w) for j, w in enumerate(ws) if any(w)]
     return make_monomial(shape, [*factors, *blocks])
 
 
 @lru_cache(maxsize=4096)
-def _flat_factor(shape: FlagShape, slot: Slot, w: tuple) -> tuple:
-    """``_graded_factor(shape, slot, w)`` with each piece flattened:
+def _flat_factor(shape: FlagShape, span: tuple, w: tuple) -> tuple:
+    """``_graded_factor(shape, span, w)`` with each piece flattened:
     (((flat vector, mask), coeff), ...), where the flat vector concatenates
     the block weights and the mask has bit j set when block j has rank >= 2
     and a nonzero weight.  The split is computed uncached, so the one-shot
@@ -576,7 +561,7 @@ def _flat_factor(shape: FlagShape, slot: Slot, w: tuple) -> tuple:
     serves the stepwise route alone."""
     return tuple(
         ((sum(ws, ()), sum(1 << j for j, u in enumerate(ws) if len(u) > 1 and any(u))), c)
-        for ws, c in _graded_factor.__wrapped__(shape, slot, w)
+        for ws, c in _graded_factor.__wrapped__(shape, span, w)
     )
 
 
@@ -617,12 +602,12 @@ def _expand_monomial(mono: SchurMonomial):
     zero = (0,) * shape.n
     acc = {zero: 1}
     masks = {zero: 0}  # flat vector -> mask, beside acc: no key tuples
-    for slot, w in mono.factors:
+    for span, w in mono.factors:
         grown: dict = {}
         grown_masks: dict = {}
         for ws, c in acc.items():
             wmask = masks[ws]
-            for (vs, vmask), m in _flat_factor(shape, slot, w):
+            for (vs, vmask), m in _flat_factor(shape, span, w):
                 if wmask & vmask:
                     for key, k in _merge_flat(shape, ws, vs, wmask & vmask):
                         grown[key] = grown.get(key, 0) + c * m * k

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .weights import dual_weight, is_weakly_decreasing, strict_int
+from .weights import is_weakly_decreasing, strict_int
 
 
 def _strip_zeros(p: Sequence[int]) -> tuple:
@@ -247,11 +247,3 @@ def schur_dim(lam: tuple, m: int) -> int:
     if val.denominator != 1:
         raise RuntimeError("Weyl dimension of %r is not an integer" % (lam,))
     return int(val)
-
-
-def dual_sum(s: CharacterSum) -> CharacterSum:
-    """Termwise dual: every key becomes its reversed negation."""
-    out = CharacterSum(s.rank)
-    for w, m in s.items():
-        out.add_term(dual_weight(w), m)
-    return out

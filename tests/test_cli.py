@@ -261,6 +261,24 @@ def test_unsorted_merged_weight_is_an_input_error(tmp_path, capsys):
         assert "flagcoh: input error: weight (0, 1) is not weakly decreasing" in err
 
 
+@pytest.mark.parametrize("kind, index", [("quot", 3), ("block", 0)])
+def test_invalid_slot_is_an_input_error(tmp_path, capsys, kind, index):
+    # the slot is read to its interval through the shape's table, which
+    # names the slot it cannot find
+    expr = {
+        "flag": {"n": 3, "dims": [1, 2]},
+        "terms": [{"mult": 1, "factors": [{"slot": kind, "index": index, "weight": [1]}]}],
+    }
+    path = tmp_path / "expr.json"
+    path.write_text(json.dumps(expr))
+    code, out, err = run(capsys, "cohom", "--expr", str(path))
+    assert code == EX_DATAERR and out == ""
+    assert (
+        "flagcoh: input error: slot %s(%d) invalid on FlagShape(n=3, dims=(1, 2))" % (kind, index)
+        in err
+    )
+
+
 def test_ext_shape_mismatch_is_an_input_error(tmp_path, capsys):
     a = _write_member(tmp_path, "a.json", 3, [1], [{"slot": "sub", "index": 1, "weight": [1]}])
     b = _write_member(tmp_path, "b.json", 3, [2], [{"slot": "sub", "index": 1, "weight": [1, 0]}])

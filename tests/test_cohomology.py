@@ -236,8 +236,10 @@ def test_pushforward_grassmann_examples():
     # Sigma^(1,0)(W) (x) (W_top/W): chi = (0,-1,-1), degree 0, Lambda^2
     assert push((1, 0), (1,)) == (0, (1, 1, 0))
     # the second block of Gr(2,4) has rank 2, not 1
-    with pytest.raises(ValueError):
-        SchurMonomial(FlagShape(4, (2,)), ((Slot(SUB, 1), (1, 0)), (Slot(QUOT, 1), (0,))))
+    with pytest.raises(ValueError, match="wrong length"):
+        SchurMonomial(FlagShape(4, (2,)), (((0, 1), (1, 0)), ((1, 2), (0,))))
+    with pytest.raises(ValueError, match=r"wrong length for quot\(1\)"):
+        make_monomial(FlagShape(4, (2,)), [(Slot(SUB, 1), (1, 0)), (Slot(QUOT, 1), (0,))])
 
 
 def test_one_shot_bound_and_stepwise_refinement():

@@ -121,17 +121,21 @@ def test_make_monomial_merges_by_schur_polynomials(weights):
     factors = [(sub, w) for w in weights] + [(quot, (1, 0))]
     expr = make_monomial(shape, factors)
     assert all(m > 0 for m in expr.terms.values())
+    # a monomial stores its factors on intervals and spells them as slots
+    assert all(mono.factors[-1][0] == quot.span(shape) for mono in expr.terms)
     for point in POINTS:
         xs = {sub: point[:rank], quot: point[rank : rank + 2]}
+        xs.update({slot.span(shape): x for slot, x in xs.items()})
 
         def value(fs):
             out = 1
-            for slot, w in fs:
-                out *= schur_value(tuple(w), xs[slot])
+            for place, w in fs:
+                out *= schur_value(tuple(w), xs[place])
             return out
 
         rhs = sum(m * value(mono.factors) for mono, m in expr.terms.items())
         assert value(factors) == rhs, (weights, point)
+        assert rhs == sum(m * value(mono.spelled()) for mono, m in expr.terms.items())
 
 
 @pytest.mark.parametrize(

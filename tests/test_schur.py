@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 from flagcoh.schur import (
     CharacterSum,
     _tensor_terms,
-    dual_sum,
     lr_coefficients,
     pad,
     schur_dim,
     tensor_schur,
 )
+from flagcoh.weights import dual_weight
 
 
 def partitions_up_to(size, max_rows=None):
@@ -110,6 +110,14 @@ def test_tensor_schur_returns_a_fresh_sum():
     first = tensor_schur((1, 0), (1, 0), 2)
     first.add_term((2, 0), -1)
     assert dict(tensor_schur((1, 0), (1, 0), 2).items()) == {(2, 0): 1, (1, 1): 1}
+
+
+def dual_sum(s: CharacterSum) -> CharacterSum:
+    """Termwise dual: every key becomes its reversed negation."""
+    out = CharacterSum(s.rank)
+    for w, m in s.items():
+        out.add_term(dual_weight(w), m)
+    return out
 
 
 def test_dual_sum():
