@@ -55,7 +55,7 @@ from .twists import (
     counterexample_case,
     orbit_sum,
 )
-from .weights import BBWResolution, InputError, bbw_resolve, dot_action, dual_weight, rho
+from .weights import BBWResolution, InputError, bbw_resolve, dual_weight, rho
 
 from .cohomology import _bbw_flat, _monomial_pieces_graded, _monomial_pieces_stepwise
 from .flagvar import (
@@ -127,7 +127,6 @@ __all__ = [
     "cohomology_graded",
     "cohomology_stepwise",
     "counterexample_case",
-    "dot_action",
     "dual",
     "dual_weight",
     "enumerate_collection",

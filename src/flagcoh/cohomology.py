@@ -39,7 +39,9 @@ reads off a block monomial.
 Both routes work on the factors' intervals (lo, hi) as ``flagvar``
 stores them; no slot is spelled inside the engine.
 
-``certify`` is the one place where the two routes are combined.
+``certify`` is the one place where the two routes are combined.  It runs
+the stepwise route first and the one-shot route only where stepwise is a
+bound, and compares the two Euler characters wherever both run.
 ``ext_groups_best`` can keep its outcomes in a memo keyed by the product
 a^v (x) b, so a pair loop certifies each distinct product once.  For a
 pair of single monomials the key (``flagvar._pair_key``) is built
@@ -278,19 +280,20 @@ def cohomology_stepwise(e: BundleExpr, reduce: bool = True) -> CohomologyOutcome
 
 
 def certify(e: BundleExpr) -> CohomologyOutcome:
-    """H^*(F, e) by the best route: the one-shot answer when it is exact,
-    else the stepwise answer when that is exact, else the one-shot E1
-    bound.  Both routes compute the Euler character exactly, so an exact
-    stepwise answer whose Euler character differs is an engine fault."""
-    outcome = cohomology(e)
+    """H^*(F, e) by the best route: the stepwise answer when it is exact,
+    else the one-shot answer, exact or an E1 bound.  Any two exact answers
+    are equal, and on every pair product of the Kapranov and (T2) checks
+    measured the stepwise route is exact wherever the one-shot route is, so
+    the one-shot fold runs only where stepwise is a bound.  Both routes
+    compute the Euler character exactly, so when both run, differing Euler
+    characters are an engine fault."""
+    outcome = cohomology_stepwise(e)
     if outcome.grade == EXACT:
         return outcome
-    refined = cohomology_stepwise(e)
-    if refined.grade != EXACT:
-        return outcome
-    if refined.euler != outcome.euler:
+    fallback = cohomology(e)
+    if fallback.euler != outcome.euler:
         raise RuntimeError("routes disagree on the Euler character of %s" % e)
-    return refined
+    return fallback
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Integer weight combinatorics for GL_n: rho, the dot action, and the
+"""Integer weight combinatorics for GL_n: rho, dual weights, and the
 Borel-Bott-Weil resolution of a weight into (degree, dominant weight) or
 vanishing.
 
@@ -19,27 +19,6 @@ def rho(n: int) -> tuple:
     if n < 1:
         raise ValueError("rank must be >= 1")
     return tuple(range(n, 0, -1))
-
-
-def apply_perm(perm: Sequence[int], v: Sequence[int]) -> tuple:
-    """Permute coordinate positions: result[i] = v[perm[i]].
-
-    ``perm`` is a tuple of 0-based indices forming a permutation.
-    """
-    if len(perm) != len(v):
-        raise ValueError("rank mismatch between permutation and vector")
-    if sorted(perm) != list(range(len(v))):
-        raise ValueError("not a permutation: %r" % (perm,))
-    return tuple(v[p] for p in perm)
-
-
-def dot_action(perm: Sequence[int], chi: Sequence[int]) -> tuple:
-    """The rho-shifted Weyl action: perm.(chi) = perm(chi + rho) - rho."""
-    n = len(chi)
-    r = rho(n)
-    shifted = tuple(c + rr for c, rr in zip(chi, r))
-    moved = apply_perm(perm, shifted)
-    return tuple(m - rr for m, rr in zip(moved, r))
 
 
 def dual_weight(chi: Sequence[int]) -> tuple:

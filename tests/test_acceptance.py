@@ -12,6 +12,7 @@ import random
 from math import comb
 
 from localization import character_value, localized_euler
+from test_weights import dot_action
 
 from flagcoh.cohomology import (
     EXACT,
@@ -44,7 +45,7 @@ from flagcoh.twists import (
     check_T2,
     counterexample_case,
 )
-from flagcoh.weights import bbw_resolve, dot_action
+from flagcoh.weights import bbw_resolve
 
 
 def acceptance(num, description):

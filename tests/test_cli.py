@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import os
@@ -151,17 +152,42 @@ def test_internal_errors_exit_70(tmp_path, capsys, monkeypatch):
     assert "flagcoh: internal error: AssertionError" in err
 
 
-def test_route_disagreement_is_an_internal_error(tmp_path, capsys, monkeypatch):
-    # W_2 against W_1 on F(1,2;3): one-shot is a bound, so certify asks
-    # the stepwise route, here replaced by one with a wrong Euler character
+def _w2_against_w1(tmp_path):
     a = _write_member(
         tmp_path, "a.json", 3, [1, 2], [{"slot": "sub", "index": 2, "weight": [1, 0]}]
     )
     b = _write_member(
         tmp_path, "b.json", 3, [1, 2], [{"slot": "sub", "index": 1, "weight": [1]}]
     )
-    wrong = engine.CohomologyOutcome(3, engine.EXACT, {0: CharacterSum(3, {(0, 0, 0): 1})})
-    monkeypatch.setattr(engine, "cohomology_stepwise", lambda e: wrong)
+    return a, b
+
+
+def _wrong_euler(grade):
+    return engine.CohomologyOutcome(3, grade, {0: CharacterSum(3, {(0, 0, 0): 1})})
+
+
+def test_route_disagreement_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    # W_2 against W_1 on F(1,2;3): certify asks the stepwise route first,
+    # here replaced by a bound with a wrong Euler character, so it falls
+    # back to the one-shot route and compares the two
+    a, b = _w2_against_w1(tmp_path)
+    monkeypatch.setattr(engine, "cohomology_stepwise", lambda e: _wrong_euler(engine.E1_BOUND))
+    code, out, err = run(capsys, "ext", "--expr", a, "--expr", b, "--best")
+    assert code == EX_SOFTWARE and out == ""
+    assert "routes disagree" in err
+
+
+def test_one_shot_route_disagreement_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    # the same pair with the stepwise answer graded a bound, so that the
+    # one-shot route runs, here replaced by one with a wrong Euler character
+    a, b = _w2_against_w1(tmp_path)
+    stepwise = engine.cohomology_stepwise
+
+    def bound(e):
+        return dataclasses.replace(stepwise(e), grade=engine.E1_BOUND)
+
+    monkeypatch.setattr(engine, "cohomology_stepwise", bound)
+    monkeypatch.setattr(engine, "cohomology", lambda e: _wrong_euler(engine.EXACT))
     code, out, err = run(capsys, "ext", "--expr", a, "--expr", b, "--best")
     assert code == EX_SOFTWARE and out == ""
     assert "routes disagree" in err

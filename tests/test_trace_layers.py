@@ -12,6 +12,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from flagcoh.flagvar import FlagShape, dual, tensor
+from flagcoh.kapranov import enumerate_collection
+
 ROOT = Path(__file__).resolve().parents[1]
 TRACE_JOB = ROOT / "perfbench" / "trace_job.py"
 
@@ -33,13 +36,13 @@ def test_every_public_name_resolves():
     assert not missing, "stale names in flagcoh.__all__: %s" % missing
 
 
-def test_traced_pair_loop_counts_every_pair(tmp_path):
+def _trace(tmp_path, *args):
+    """Run one CLI job under the tracer: its JSON output and its layers."""
     stats_path = tmp_path / "stats.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(TRACE_JOB), str(stats_path)]
-        + ["check-strong", "--n", "3", "--dims", "1", "--format", "json"],
+        [sys.executable, str(TRACE_JOB), str(stats_path)] + list(args) + ["--format", "json"],
         cwd=tmp_path,
         env=env,
         capture_output=True,
@@ -47,8 +50,12 @@ def test_traced_pair_loop_counts_every_pair(tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["overall"] == "confirmed"
-    layers = json.loads(stats_path.read_text())["layers"]
+    return json.loads(proc.stdout), json.loads(stats_path.read_text())["layers"]
+
+
+def test_traced_pair_loop_counts_every_pair(tmp_path):
+    out, layers = _trace(tmp_path, "check-strong", "--n", "3", "--dims", "1")
+    assert out["overall"] == "confirmed"
     # P^2 has three members, so nine ordered pairs
     assert layers["cohomology.ext_best"]["calls"] == 9
     assert layers["kapranov.classify"]["calls"] == 9
@@ -56,5 +63,23 @@ def test_traced_pair_loop_counts_every_pair(tmp_path):
     # per distinct key: fewer products than ordered pairs
     assert layers["flagvar.tensor"]["calls"] < layers["cohomology.ext_best"]["calls"]
     assert layers["flagvar.dual"]["calls"] < layers["cohomology.ext_best"]["calls"]
+    # certify runs the stepwise route once per distinct product, and on
+    # P^2 it is always exact, so the one-shot route never runs
+    members = enumerate_collection(FlagShape(3, (1,))).members
+    products = {tensor(dual(a), b) for a in members for b in members}
+    assert layers["cohomology.one_shot"]["calls"] == 0
+    assert layers["cohomology.stepwise"]["calls"] == len(products)
+
+
+def test_traced_one_shot_fold_runs_in_expand_monomial(tmp_path):
+    expr = {
+        "flag": {"n": 3, "dims": [1, 2]},
+        "terms": [{"mult": 1, "factors": [{"slot": "quot", "index": 1, "weight": [1, 0]}]}],
+    }
+    path = tmp_path / "expr.json"
+    path.write_text(json.dumps(expr))
+    out, layers = _trace(tmp_path, "cohom", "--expr", str(path))
+    assert out["grade"] == "exact"
+    assert layers["cohomology.one_shot"]["calls"] == 1
     # the one-shot fold runs inside the traced flagvar._expand_monomial
     assert layers["flagvar.expand_monomial"]["calls"] > 0

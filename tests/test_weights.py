@@ -5,13 +5,32 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flagcoh.weights import (
-    apply_perm,
     bbw_resolve,
-    dot_action,
     dual_weight,
     is_weakly_decreasing,
     rho,
 )
+
+
+def apply_perm(perm, v) -> tuple:
+    """Permute coordinate positions: result[i] = v[perm[i]].
+
+    ``perm`` is a tuple of 0-based indices forming a permutation.
+    """
+    if len(perm) != len(v):
+        raise ValueError("rank mismatch between permutation and vector")
+    if sorted(perm) != list(range(len(v))):
+        raise ValueError("not a permutation: %r" % (perm,))
+    return tuple(v[p] for p in perm)
+
+
+def dot_action(perm, chi) -> tuple:
+    """The rho-shifted Weyl action: perm.(chi) = perm(chi + rho) - rho."""
+    n = len(chi)
+    r = rho(n)
+    shifted = tuple(c + rr for c, rr in zip(chi, r))
+    moved = apply_perm(perm, shifted)
+    return tuple(m - rr for m, rr in zip(moved, r))
 
 
 def test_rho():
