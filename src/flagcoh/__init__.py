@@ -2,6 +2,8 @@
 exceptional-collection checks, twisted-form descent analysis, and
 line-bundle grids on toric projective-bundle towers."""
 
+import sys
+
 from .cohomology import (
     E1_BOUND,
     EXACT,
@@ -57,41 +59,20 @@ from .twists import (
 )
 from .weights import BBWResolution, InputError, bbw_resolve, dual_weight, rho
 
-from .cohomology import _bbw_flat, _monomial_pieces_graded, _monomial_pieces_stepwise
-from .flagvar import (
-    _flat_factor,
-    _forget_steps,
-    _graded_factor,
-    _interval_product,
-    _split_partition,
-    _subpartitions,
-)
-from .schur import _lr_raw, _tensor_terms
-
 __version__ = "0.1.0"
-
-_CACHES = (
-    _bbw_flat,
-    _monomial_pieces_graded,
-    _monomial_pieces_stepwise,
-    _flat_factor,
-    _forget_steps,
-    _graded_factor,
-    _interval_product,
-    _split_partition,
-    _subpartitions,
-    _lr_raw,
-    _tensor_terms,
-    schur_dim,
-)
 
 
 def clear_caches() -> None:
-    """Empty every ``functools.lru_cache`` of the package.  The caches only
-    hold results computed before, so answers are unchanged; a long-lived
-    process can call this between jobs to give their memory back."""
-    for cached in _CACHES:
-        cached.cache_clear()
+    """Empty every ``functools.lru_cache`` of the package, found as the
+    attributes of its loaded modules that have ``cache_clear``.  The caches
+    only hold results computed before, so answers are unchanged; a
+    long-lived process can call this between jobs to give their memory
+    back."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("flagcoh."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
 
 
 __all__ = [

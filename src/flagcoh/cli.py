@@ -162,8 +162,10 @@ def _parsing():
 
 
 def _parse_ints(s: str) -> tuple:
+    """Comma-separated integers; the empty string is the empty tuple, and
+    an empty item is an error."""
     try:
-        return tuple(int(x) for x in s.split(",") if x.strip() != "")
+        return tuple(int(x) for x in s.split(",")) if s else ()
     except ValueError:
         raise InputError("expected comma-separated integers, got %r" % s)
 

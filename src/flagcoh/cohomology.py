@@ -18,12 +18,13 @@ Two routes are provided for H^*(F, E):
 
 * ``cohomology_stepwise`` pushes forward one relative Grassmann bundle at
   a time, deferring filtration splits as long as possible.  It splits the
-  factor on V/W_{d_1}, the interval (1, s+1), with the same
-  ``_graded_factor`` as the one-shot route and turns each piece into a
-  monomial on the block intervals with ``make_monomial``.  It handles one
-  level of the tower per call and caches its pieces per monomial, so a
-  state reached along several branches is computed once.  It often certifies
-  exact vanishing where the one-shot route only yields a bound.
+  factor on V/W_{d_1}, the interval (1, s+1), with the same cached
+  ``_flat_factor`` as the one-shot route, so each split is held once,
+  and cuts each flat piece into a monomial on the block intervals with
+  ``_flat_monomial``.  It handles one level of the tower per call and
+  caches its pieces per monomial, so a state reached along several
+  branches is computed once.  It often certifies exact vanishing where
+  the one-shot route only yields a bound.
 
 Both routes end in ``_bbw_flat``, Borel-Bott-Weil on a flat piece and its
 block sizes: the one-shot route passes the flag's blocks, the stepwise
@@ -32,9 +33,10 @@ bounded LRU cache, because pair checks resolve the same few thousand
 pieces many times over.  On a miss it reads chi + rho, the singularity
 test, the degree and the dominant weight straight off the flat piece,
 each block dualized (negated and reversed within the block) in place;
-``weights.bbw_resolve`` stays the public resolver.  Block tuples are the form only at the
-boundary: ``cohomology_graded`` flattens the weights ``block_weights``
-reads off a block monomial.
+``weights.bbw_resolve`` stays the public resolver.  A piece is a flat
+vector everywhere inside the engine; block tuples are the form only at
+the boundary: ``cohomology_graded`` flattens the weights
+``block_weights`` reads off a block monomial.
 
 Both routes work on the factors' intervals (lo, hi) as ``flagvar``
 stores them; no slot is spelled inside the engine.
@@ -63,10 +65,10 @@ from .flagvar import (
     BundleExpr,
     FlagShape,
     SchurMonomial,
-    _block_monomial,
     _expand_monomial,
+    _flat_factor,
+    _flat_monomial,
     _forget_steps,
-    _graded_factor,
     _pair_key,
     block_weights,
     dual,
@@ -190,12 +192,12 @@ def _monomial_pieces_graded(mono: SchurMonomial) -> tuple:
     return tuple(pieces), len(expansion) > 1
 
 
-def _run(e: BundleExpr, reduce: bool, route) -> CohomologyOutcome:
-    """Sum a per-monomial route's pieces over ``e``.  The answer is exact
-    unless some monomial needed a filtration and has pieces in adjacent
-    degrees, where a spectral sequence differential might cancel them."""
-    if reduce:
-        _shape, e = minimal_base(e)
+def _run(e: BundleExpr, route) -> CohomologyOutcome:
+    """Sum a per-monomial route's pieces over ``e`` on its minimal base.
+    The answer is exact unless some monomial needed a filtration and has
+    pieces in adjacent degrees, where a spectral sequence differential
+    might cancel them."""
+    _shape, e = minimal_base(e)
     rank = e.shape.n
     by_degree: dict[int, CharacterSum] = {}
     exact = True
@@ -211,9 +213,9 @@ def _run(e: BundleExpr, reduce: bool, route) -> CohomologyOutcome:
     return CohomologyOutcome(rank=rank, grade=EXACT if exact else E1_BOUND, by_degree=by_degree)
 
 
-def cohomology(e: BundleExpr, reduce: bool = True) -> CohomologyOutcome:
+def cohomology(e: BundleExpr) -> CohomologyOutcome:
     """H^*(F, e) by one-shot graded expansion and Borel-Bott-Weil."""
-    return _run(e, reduce, _monomial_pieces_graded)
+    return _run(e, _monomial_pieces_graded)
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +253,12 @@ def _monomial_pieces_stepwise(mono: SchurMonomial) -> tuple:
     sizes = shape.blocks()
     q1 = (1, shape.s + 1)
     if shape.s >= 2 and q1 in factors:
-        split = _graded_factor(shape, q1, factors.pop(q1))
+        split = _flat_factor(shape, q1, factors.pop(q1))
         rest = list(factors.items())
         terms = [
             (piece, c * m)
-            for ws, c in split
-            for piece, m in _block_monomial(shape, ws, rest).terms.items()
+            for (flat, _mask), c in split
+            for piece, m in _flat_monomial(shape, flat, rest).terms.items()
         ]
         return _lower_pieces(terms, 0, len(split) > 1)
     alpha = factors.pop((0, 1), pad((), sizes[0]))
@@ -274,9 +276,9 @@ def _monomial_pieces_stepwise(mono: SchurMonomial) -> tuple:
     return _lower_pieces(pushed.terms.items(), degree, False)
 
 
-def cohomology_stepwise(e: BundleExpr, reduce: bool = True) -> CohomologyOutcome:
+def cohomology_stepwise(e: BundleExpr) -> CohomologyOutcome:
     """H^*(F, e) by level-by-level relative pushforward."""
-    return _run(e, reduce, _monomial_pieces_stepwise)
+    return _run(e, _monomial_pieces_stepwise)
 
 
 def certify(e: BundleExpr) -> CohomologyOutcome:

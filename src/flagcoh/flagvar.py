@@ -15,19 +15,19 @@ Everything is immutable and hashable so results can be
 cached aggressively.  Shapes, slots and monomials compute their hash once;
 it is valid only in the process that made them, so they are not pickled.
 
-A graded piece of the filtration by the flag is a tuple of block weights,
-one weight per consecutive quotient, zero where the piece has no factor.
-``_graded_factor`` splits one factor into such pieces.  The one-shot fold
-``_expand_monomial`` works on their flat form (``_flat_factor``): one
-n-tuple that concatenates the block weights, with a bitmask of the blocks
-of rank >= 2 where the piece may be nonzero.  Two pieces whose masks are
-disjoint multiply by coordinatewise addition; Littlewood-Richardson runs
-only on a block where both masks are set.  Block tuples remain the form at
-the boundary: ``block_weights``, ``graded_expansion`` (which cuts a flat
-piece back into blocks) and ``cohomology.cohomology_graded``.  The
-stepwise route in ``cohomology`` and ``graded_expansion`` turn a piece
-back into a monomial on the block intervals (j, j+1) with
-``make_monomial``.
+A graded piece of the filtration by the flag has one form inside the
+engine, a flat vector: one n-tuple that concatenates one weight per
+consecutive quotient, zero where the piece has no factor, with a bitmask
+of the blocks of rank >= 2 where the piece may be nonzero.
+``_flat_factor`` splits one factor into such pieces, in the one split
+cache that both routes read.  The one-shot fold ``_expand_monomial``
+multiplies them: two pieces whose masks are disjoint multiply by
+coordinatewise addition; Littlewood-Richardson runs only on a block where
+both masks are set.  ``_flat_monomial`` is the one cut of a flat piece
+into a monomial on the block intervals (j, j+1), for the stepwise route
+in ``cohomology`` and for ``graded_expansion``.  Block tuples are the form
+only at the boundary: ``block_weights`` and
+``cohomology.cohomology_graded``.
 """
 
 from __future__ import annotations
@@ -75,6 +75,9 @@ class FlagShape:
         object.__setattr__(self, "_spans", {slot: intervals[span] for slot, span in spellings})
         object.__setattr__(self, "_slots", slots)
         object.__setattr__(self, "_blocks", tuple(b - a for a, b in zip(ds, ds[1:])))
+        # each block interval (j, j+1) with the slice of a flat vector it holds
+        cuts = tuple((intervals[j, j + 1], ds[j], ds[j + 1]) for j in range(s + 1))
+        object.__setattr__(self, "_cuts", cuts)
         object.__setattr__(self, "_hash", hash((self.n, self.dims)))
 
     def __hash__(self):
@@ -526,43 +529,35 @@ def block_weights(mono: SchurMonomial) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _graded_factor(shape: FlagShape, span: tuple, w: tuple) -> tuple:
-    """The associated graded of Sigma^w on the interval ``span`` for the
-    natural filtration, as ((weight per block of the shape), coeff) pairs:
-    the interval (lo, hi) spans blocks lo+1..hi, and every other block gets
-    the zero weight.  Negative entries are absorbed into a determinant
-    twist, which splits as the same twist on every spanned block."""
-    lo, hi = span
-    sizes = shape.blocks()
-    below = tuple(pad((), b) for b in sizes[:lo])
-    above = tuple(pad((), b) for b in sizes[hi:])
-    k = max(0, -min(w))
-    return tuple(
-        (below + tuple(tuple(x - k for x in piece) for piece in ws) + above, c)
-        for ws, c in _split_partition(tuple(x + k for x in w), sizes[lo:hi])
-    )
-
-
-def _block_monomial(shape: FlagShape, ws: tuple, factors=()) -> BundleExpr:
-    """The graded piece with block weights ``ws``, tensored with the raw
-    (interval, weight) ``factors``, as a bundle expression."""
-    blocks = [((j, j + 1), w) for j, w in enumerate(ws) if any(w)]
-    return make_monomial(shape, [*factors, *blocks])
-
-
 @lru_cache(maxsize=4096)
 def _flat_factor(shape: FlagShape, span: tuple, w: tuple) -> tuple:
-    """``_graded_factor(shape, span, w)`` with each piece flattened:
-    (((flat vector, mask), coeff), ...), where the flat vector concatenates
-    the block weights and the mask has bit j set when block j has rank >= 2
-    and a nonzero weight.  The split is computed uncached, so the one-shot
-    route holds each split once, here, and ``_graded_factor``'s cache
-    serves the stepwise route alone."""
-    return tuple(
-        ((sum(ws, ()), sum(1 << j for j, u in enumerate(ws) if len(u) > 1 and any(u))), c)
-        for ws, c in _graded_factor.__wrapped__(shape, span, w)
-    )
+    """The associated graded of Sigma^w on the interval ``span`` for the
+    natural filtration, as (((flat vector, mask), coeff), ...).  The
+    interval (lo, hi) spans blocks lo+1..hi; the flat vector concatenates
+    one weight per block of the shape, zero on every block outside the
+    span, and the mask has bit j set when block j has rank >= 2 and a
+    nonzero weight.  Negative entries are absorbed into a determinant
+    twist, which splits as the same twist on every spanned block.  Both
+    routes read their splits here, so each split is held once."""
+    lo, hi = span
+    d = shape._bounds
+    below, above = (0,) * d[lo], (0,) * (shape.n - d[hi])
+    k = max(0, -min(w))
+    out = []
+    for ws, c in _split_partition(tuple(x + k for x in w), shape.blocks()[lo:hi]):
+        ws = [tuple(x - k for x in piece) for piece in ws]
+        mask = sum(1 << (lo + j) for j, u in enumerate(ws) if len(u) > 1 and any(u))
+        out.append(((below + sum(ws, ()) + above, mask), c))
+    return tuple(out)
+
+
+def _flat_monomial(shape: FlagShape, flat: tuple, factors=()) -> BundleExpr:
+    """The graded piece with flat vector ``flat``, tensored with the raw
+    (interval, weight) ``factors``, as a bundle expression: the one cut of
+    a flat piece into factors on the block intervals (j, j+1), leaving out
+    every all-zero block."""
+    blocks = [(span, w) for span, a, b in shape._cuts if any(w := flat[a:b])]
+    return make_monomial(shape, [*factors, *blocks])
 
 
 def _merge_flat(shape: FlagShape, ws: tuple, vs: tuple, both: int) -> list:
@@ -570,11 +565,9 @@ def _merge_flat(shape: FlagShape, ws: tuple, vs: tuple, both: int) -> list:
     ``both``, as (flat vector, mult) pairs: every block of ``both`` is
     merged by Littlewood-Richardson, every other block added
     coordinatewise."""
-    d = shape._bounds
     out = [(tuple(map(add, ws, vs)), 1)]
-    for j in range(len(d) - 1):
+    for j, (_span, lo, hi) in enumerate(shape._cuts):
         if both >> j & 1:
-            lo, hi = d[j], d[j + 1]
             terms = _tensor_terms(ws[lo:hi], vs[lo:hi], hi - lo)
             merged = []
             for key, c in out:
@@ -628,11 +621,9 @@ def graded_expansion(e: BundleExpr):
     pieces (levels restart per monomial of the expression).
     """
     out = []
-    spans = list(zip(e.shape._bounds, e.shape._bounds[1:]))  # the blocks, as slices
     for mono, m in e.monomials():
-        # block tuples of fixed sizes sort as their flat vectors do
         pieces = sorted(_expand_monomial(mono), reverse=True)
         for level, (flat, c) in enumerate(pieces):
-            [gm] = _block_monomial(e.shape, tuple(flat[a:b] for a, b in spans)).terms
+            [gm] = _flat_monomial(e.shape, flat).terms
             out.append((gm, c * m, level))
     return out

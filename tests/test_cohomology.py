@@ -25,7 +25,7 @@ from flagcoh.flagvar import (
     SchurMonomial,
     Slot,
     _flat_factor,
-    _graded_factor,
+    _flat_monomial,
     block_weights,
     dual,
     make_monomial,
@@ -33,7 +33,7 @@ from flagcoh.flagvar import (
     tensor,
     trivial,
 )
-from flagcoh.schur import CharacterSum, pad
+from flagcoh.schur import CharacterSum, _tensor_terms, pad
 from flagcoh.weights import bbw_resolve
 
 # the package's ``cohomology`` attribute is the function, not the module
@@ -154,18 +154,49 @@ def test_flat_bbw_fixed_cases():
     assert F246.dimension() == 12
 
 
-def test_one_shot_holds_each_split_once():
-    # E_8 of the large-weight workload: the one-shot route keeps its splits
-    # in _flat_factor alone, and the stepwise route in _graded_factor
+def test_each_split_is_held_once_whichever_route_asks():
+    # E_8 of the large-weight workload: the stepwise route splits Quot(1),
+    # the interval (1, 3), which the one-shot route split before; it reads
+    # that split from _flat_factor and adds no entry of its own
     e = make_monomial(F246, [(Slot(QUOT, 1), (8, 4, 3, 0)), (Slot(SUB, 2), (0, 0, -1, -8))])
     flagcoh.clear_caches()
     cohomology(e)
-    assert _graded_factor.cache_info().currsize == 0
-    assert _flat_factor.cache_info().currsize > 0
+    before = _flat_factor.cache_info()
+    assert before.currsize > 0
     cohomology_stepwise(e)
-    assert _graded_factor.cache_info().currsize > 0
+    after = _flat_factor.cache_info()
+    assert after.currsize == before.currsize
+    assert after.hits > before.hits
     flagcoh.clear_caches()
-    assert _graded_factor.cache_info().currsize == 0 == _flat_factor.cache_info().currsize
+    assert _flat_factor.cache_info().currsize == 0
+
+
+def test_flat_factor_pieces():
+    # Quot(1) on F(2,4;6) spans blocks 2 and 3, so its pieces set mask
+    # bits 1 and 2; the dual of Sigma^(1) is split after a determinant shift
+    assert _flat_factor(F246, (1, 3), (1, 0, 0, 0)) == (
+        (((0, 0, 0, 0, 1, 0), 0b100), 1),
+        (((0, 0, 1, 0, 0, 0), 0b010), 1),
+    )
+    assert _flat_factor(F246, (1, 3), (0, 0, 0, -1)) == (
+        (((0, 0, 0, -1, 0, 0), 0b010), 1),
+        (((0, 0, 0, 0, 0, -1), 0b100), 1),
+    )
+    # rank-1 blocks set no bit; the adjoint of GL_3 has the zero weight twice
+    f1234 = FlagShape(4, (1, 2, 3))
+    split = dict(_flat_factor(f1234, (1, 4), (1, 0, -1)))
+    assert split[(0, 0, 0, 0), 0] == 2
+    assert sum(split.values()) == 8 and {mask for _flat, mask in split} == {0}
+
+
+def test_flat_monomial_cuts_only_nonzero_blocks():
+    # the zero block (0, 1) is left out, so nothing is merged into Sub(1)
+    flagcoh.clear_caches()
+    e = _flat_monomial(F123, (0, 2, 1), [((0, 1), (3,))])
+    expected = [(Slot(SUB, 1), (3,)), (Slot(BLOCK, 2), (2,)), (Slot(QUOT, 2), (1,))]
+    assert e == make_monomial(F123, expected)
+    assert _tensor_terms.cache_info().currsize == 0
+    assert _flat_monomial(GR24, (0, 0, 0, 0)) == trivial(GR24)
 
 
 def test_non_block_factor_rejected():
@@ -295,10 +326,11 @@ def test_degree_bound():
         assert all(d <= e.shape.dimension() for d in out.degrees())
 
 
-def test_minimal_base_invariance():
+def test_minimal_base_invariance(monkeypatch):
     e = make_monomial(F123, [(Slot(SUB, 2), (2, 1))])
-    full = cohomology(e, reduce=False)
-    reduced = cohomology(e, reduce=True)
+    reduced = cohomology(e)
+    monkeypatch.setattr(engine, "minimal_base", lambda e: (e.shape, e))
+    full = cohomology(e)
     assert full.grade == reduced.grade
     assert full.by_degree == reduced.by_degree
     assert full.euler == reduced.euler
