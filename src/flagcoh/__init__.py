@@ -57,7 +57,7 @@ from .twists import (
     counterexample_case,
     orbit_sum,
 )
-from .weights import BBWResolution, InputError, bbw_resolve, dual_weight, rho
+from .weights import InputError, bbw_resolve, dual_weight
 
 __version__ = "0.1.0"
 
@@ -76,7 +76,6 @@ def clear_caches() -> None:
 
 
 __all__ = [
-    "BBWResolution",
     "BLOCK",
     "QUOT",
     "SUB",
@@ -122,7 +121,6 @@ __all__ = [
     "make_monomial",
     "minimal_base",
     "orbit_sum",
-    "rho",
     "schur_dim",
     "sigma_pullback",
     "tensor",

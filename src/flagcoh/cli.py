@@ -204,21 +204,22 @@ def _cmd_bbw(args):
     if args.n < 1 or len(weight) != args.n:
         raise InputError("weight length must equal n >= 1")
     res = bbw_resolve(weight)
-    if res.singular:
+    if res is None:
         _emit(args, lambda: {"singular": True}, lambda: ["singular: all cohomology vanishes"])
     else:
-        bundle = dual_weight(res.dominant)
+        degree, dominant = res
+        bundle = dual_weight(dominant)
         _emit(
             args,
             lambda: {
                 "singular": False,
-                "degree": res.degree,
-                "dominant": list(res.dominant),
+                "degree": degree,
+                "dominant": list(dominant),
                 "cohomology_weight": list(bundle),
             },
             lambda: [
-                "degree %d, dominant %s" % (res.degree, res.dominant),
-                "H^%d = S^%s(V)" % (res.degree, bundle),
+                "degree %d, dominant %s" % (degree, dominant),
+                "H^%d = S^%s(V)" % (degree, bundle),
             ],
         )
     return 0

@@ -26,16 +26,13 @@ Two routes are provided for H^*(F, E):
   branches is computed once.  It often certifies exact vanishing where
   the one-shot route only yields a bound.
 
-Both routes end in ``_bbw_flat``, Borel-Bott-Weil on a flat piece and its
-block sizes: the one-shot route passes the flag's blocks, the stepwise
-route the two blocks of one Grassmann fibre.  It is the one BBW cache, a
-bounded LRU cache, because pair checks resolve the same few thousand
-pieces many times over.  On a miss it reads chi + rho, the singularity
-test, the degree and the dominant weight straight off the flat piece,
-each block dualized (negated and reversed within the block) in place;
-``weights.bbw_resolve`` stays the public resolver.  A piece is a flat
-vector everywhere inside the engine; block tuples are the form only at
-the boundary: ``cohomology_graded`` flattens the weights
+Both routes end in ``weights._bbw_flat``, the package's one
+Borel-Bott-Weil, on a flat piece and its block sizes: the one-shot route
+passes the flag's blocks, the stepwise route the two blocks of one
+Grassmann fibre.  It is the one BBW cache, a bounded LRU cache, because
+pair checks resolve the same few thousand pieces many times over.  A
+piece is a flat vector everywhere inside the engine; block tuples are the
+form only at the boundary: ``cohomology_graded`` flattens the weights
 ``block_weights`` reads off a block monomial.
 
 Both routes work on the factors' intervals (lo, hi) as ``flagvar``
@@ -57,7 +54,6 @@ Pairs that share an outcome also share its JSON, which
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -77,6 +73,7 @@ from .flagvar import (
     tensor,
 )
 from .schur import CharacterSum, pad
+from .weights import _bbw_flat
 
 EXACT = "exact"
 E1_BOUND = "e1bound"
@@ -131,43 +128,6 @@ class CohomologyOutcome:
     @classmethod
     def euler_only(cls, euler: CharacterSum) -> "CohomologyOutcome":
         return cls(rank=euler.rank, grade=EULER_ONLY, by_degree={}, euler=euler)
-
-
-# check-strong on F(1,2,3,4;5) resolves about 2,500 distinct pieces and a
-# twist-check --sigma on a small shape at most 1,740, while one-shot cohom
-# of a large weight may resolve thousands that never repeat: the bound
-# holds a pair check's pieces whole and caps the memory of the rest.
-@lru_cache(maxsize=4096)
-def _bbw_flat(weights: tuple, sizes: tuple) -> tuple | None:
-    """Borel-Bott-Weil for Sigma^w_1 (x) ... (x) Sigma^w_k of the consecutive
-    quotients of a filtration of V with ranks ``sizes``, the w_j
-    concatenated in the flat vector ``weights``: ``None`` (vanishes) or
-    (degree, dominant GL(V) weight w) meaning H^degree = Sigma^w(V).
-
-    It is ``weights.bbw_resolve`` read straight off the flat piece, with
-    no ``BBWResolution`` built: chi is each block's dual (the block
-    reversed and negated), chi + rho is singular when an entry repeats,
-    the degree is the number of pairs i < j with (chi + rho)_i <
-    (chi + rho)_j, counted by bisection, and w is the dual of
-    sorted(chi + rho) - rho, that is (k + 1 - s_k) over the entries s_k of
-    chi + rho in increasing order."""
-    n = len(weights)
-    chi: list = []
-    stop = 0
-    for b in sizes:  # each block's dual: reversed within the block, negated
-        start, stop = stop, stop + b
-        chi += reversed(weights[start:stop])
-    shifted = [n - k - x for k, x in enumerate(chi)]  # chi + rho
-    if len(set(shifted)) < n:
-        return None
-    seen: list = []
-    degree = 0
-    for v in shifted:
-        degree += bisect_left(seen, v)
-        insort(seen, v)
-    if not 0 <= degree <= n * (n - 1) // 2:
-        raise RuntimeError("BBW degree %r out of range for rank %d" % (degree, n))
-    return degree, tuple(k + 1 - x for k, x in enumerate(seen))
 
 
 def cohomology_graded(gm: SchurMonomial, shape: FlagShape):

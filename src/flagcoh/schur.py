@@ -95,9 +95,6 @@ class CharacterSum:
             out.add_term(w, m)
         return out
 
-    def __sub__(self, other: "CharacterSum") -> "CharacterSum":
-        return self + other.scale(-1)
-
     def scale(self, c: int) -> "CharacterSum":
         if c == 0:
             return CharacterSum(self.rank)

@@ -17,7 +17,6 @@ from flagcoh.flagvar import BundleExpr, FlagShape
 from flagcoh.kapranov import check_strong_exceptional, enumerate_collection
 from flagcoh.schur import CharacterSum
 from flagcoh.twists import WITH_SIGMA, TwistGroup, check_T2
-from flagcoh.weights import BBWResolution
 
 # the package's ``cohomology`` attribute is the function, not the module
 engine = importlib.import_module("flagcoh.cohomology")
@@ -511,7 +510,7 @@ def test_json_writer_rejects_what_it_does_not_write(obj):
 
 def test_unwritable_payload_is_an_internal_error(capsys, monkeypatch):
     # a float degree would be written by json.dumps; the writer refuses it
-    monkeypatch.setattr(cli, "bbw_resolve", lambda w: BBWResolution(False, 0.5, (1, 0)))
+    monkeypatch.setattr(cli, "bbw_resolve", lambda w: (0.5, (1, 0)))
     code, out, err = run(capsys, "bbw", "--n", "2", "--weight", "1,0", "--format", "json")
     assert code == EX_SOFTWARE and out == ""
     assert "TypeError" in err

@@ -2,9 +2,12 @@
 which combines them, against an independent Euler-character oracle
 (Atiyah-Bott localization, ``localization.py``)."""
 
+import ast
 import random
 from collections import Counter
+from pathlib import Path
 
+import pytest
 from localization import character_value, localized_euler
 
 from flagcoh.cohomology import E1_BOUND, EXACT, certify, cohomology, cohomology_stepwise
@@ -21,6 +24,16 @@ from flagcoh.flagvar import (
 )
 from flagcoh.kapranov import enumerate_collection
 from flagcoh.twists import WITH_SIGMA, TwistGroup, orbit
+
+
+@pytest.mark.parametrize("oracle", ["bbw_oracle.py", "localization.py"])
+def test_oracle_imports_nothing_from_flagcoh(oracle):
+    # an oracle that shared engine code could share its faults
+    tree = ast.parse((Path(__file__).parent / oracle).read_text())
+    modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+    modules += [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    assert [m for m in modules if m.split(".")[0] == "flagcoh"] == [], oracle
+
 
 # distinct nonzero coordinates; the first n are used on F(...; k^n)
 POINTS = ((2, 3, 5, 7, 11), (-3, 4, -5, 13, 6))
