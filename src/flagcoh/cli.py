@@ -50,10 +50,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EX_USAGE)
 
 
+# the pending chunks (or text lines) at which the report is written out
+FLUSH_CHUNKS = 8192
+
+
 def _emit(args, payload, lines, shared: dict | None = None):
-    """Print ``payload()`` as JSON or the lines of ``lines()``, as
-    ``args.format`` asks; the other rendering is never built.  Either is
-    built whole before anything is printed.
+    """Write ``payload()`` as JSON or the lines of ``lines()`` to stdout,
+    as ``args.format`` asks; the other rendering is never built.  Either
+    is written in batches of about ``FLUSH_CHUNKS`` chunks or lines while
+    it is rendered, so a fault while rendering leaves a prefix of the
+    report on stdout; the exit code says whether it is whole.
 
     The JSON is the text of ``json.dumps(payload(), sort_keys=True,
     indent=2)``, written by ``_json_chunks``: ``json.dumps`` uses its C
@@ -63,6 +69,8 @@ def _emit(args, payload, lines, shared: dict | None = None):
     values of each outcome object (``PairVerdict.to_json``); those that
     two or more pairs use are rendered once per indent, and their text is
     reused."""
+    write = sys.stdout.write
+    out: list = []
     if args.format == "json":
         obj = payload()
         memo = {
@@ -72,11 +80,15 @@ def _emit(args, payload, lines, shared: dict | None = None):
             for v in (hom, outcome)
             if v
         }
-        out: list = []
-        _json_chunks(obj, out, "\n", memo)
-        print("".join(out))
+        _json_chunks(obj, out, "\n", memo, write)
+        out.append("\n")
     else:
-        print("".join(line + "\n" for line in lines()), end="")
+        for line in lines():
+            out.append(line + "\n")
+            if len(out) >= FLUSH_CHUNKS:
+                write("".join(out))
+                out.clear()
+    write("".join(out))
 
 
 # the text of a JSON leaf, looked up by its exact type, so that a bool is
@@ -89,7 +101,7 @@ _LEAF_TEXT = {
 }
 
 
-def _json_chunks(obj, out: list, newline: str, memo: dict | None = None):
+def _json_chunks(obj, out: list, newline: str, memo: dict | None = None, write=None):
     """Append to ``out`` the pieces of ``json.dumps(obj, sort_keys=True,
     indent=2)``; ``newline`` is a newline and the indent of ``obj``'s
     line.  Only dict (with str keys), list, tuple, str, int, bool and None
@@ -99,7 +111,10 @@ def _json_chunks(obj, out: list, newline: str, memo: dict | None = None):
     a container that occurs more than once to its texts by indent: such a
     container is rendered once per indent and its text appended again.
     Any other container costs one id lookup while ``memo`` is non-empty,
-    none while it is empty."""
+    none while it is empty.  With ``write``, after each item of a list
+    ``out`` is written and cleared once it holds ``FLUSH_CHUNKS`` chunks;
+    a memoized container is rendered into a list of its own, never
+    written part-way."""
     kind = type(obj)
     leaf = _LEAF_TEXT.get(kind)
     if leaf is not None:
@@ -123,7 +138,7 @@ def _json_chunks(obj, out: list, newline: str, memo: dict | None = None):
                 out.append(head + leaf(value))
             else:
                 out.append(head)
-                _json_chunks(value, out, inner, memo)
+                _json_chunks(value, out, inner, memo, write)
             sep = "," + inner
         out.append(newline + "}")
     elif (kind is list or kind is tuple) and obj:
@@ -138,7 +153,10 @@ def _json_chunks(obj, out: list, newline: str, memo: dict | None = None):
                 out.append(sep + leaf(item))
             else:
                 out.append(sep)
-                _json_chunks(item, out, inner, memo)
+                _json_chunks(item, out, inner, memo, write)
+                if write is not None and len(out) >= FLUSH_CHUNKS:
+                    write("".join(out))
+                    out.clear()
             sep = "," + inner
         out.append(newline + "]")
     elif kind is dict:

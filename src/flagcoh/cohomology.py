@@ -46,8 +46,10 @@ a^v (x) b, so a pair loop certifies each distinct product once.  For a
 pair of single monomials the key (``flagvar._pair_key``) is built
 interval by interval: the shape and, for each interval, the cached
 Littlewood-Richardson product of a's dual weight with b's weight.  No
-monomial is built for such a key, and the product itself is built only
-when the key is new.  Any other pair is keyed by the product itself.
+monomial is built for such a key, and when the key is new the product is
+built from it, one Littlewood-Richardson term per interval
+(``flagvar._pair_product``), without a ``tensor``.  Any other pair is
+keyed by the product itself.
 Pairs that share an outcome also share its JSON, which
 ``PairVerdict.to_json`` builds once and the CLI writes once per indent.
 """
@@ -66,6 +68,7 @@ from .flagvar import (
     _flat_monomial,
     _forget_steps,
     _pair_key,
+    _pair_product,
     block_weights,
     dual,
     make_monomial,
@@ -275,19 +278,19 @@ def ext_groups_best(a: BundleExpr, b: BundleExpr, memo: dict | None = None) -> C
     is built without a monomial: the shape, the product of their
     multiplicities and, interval by interval, the cached
     Littlewood-Richardson product of a's dual weight with b's, leaving out
-    an interval whose product is the zero weight alone; the product itself
-    is built only on a miss.  A sum or the zero expression is keyed by the
-    product a^v (x) b itself, built once.  A shared outcome must not be
-    mutated."""
+    an interval whose product is the zero weight alone; on a miss the
+    product is built from the key (``flagvar._pair_product``).  A sum or
+    the zero expression is keyed by the product a^v (x) b itself, built
+    once.  A shared outcome must not be mutated."""
     if memo is None:
         return certify(tensor(dual(a), b))
     key = _pair_key(a, b)
-    product = None
     if key is None:
-        key = product = tensor(dual(a), b)
+        key = tensor(dual(a), b)
     outcome = memo.get(key)
     if outcome is None:
-        outcome = memo[key] = certify(product or tensor(dual(a), b))
+        product = key if isinstance(key, BundleExpr) else _pair_product(key)
+        outcome = memo[key] = certify(product)
     return outcome
 
 

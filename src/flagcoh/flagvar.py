@@ -414,6 +414,23 @@ def _pair_key(a: BundleExpr, b: BundleExpr) -> tuple | None:
     return a.shape, c1 * c2, tuple(parts)
 
 
+def _pair_product(key: tuple) -> BundleExpr:
+    """``tensor(dual(a), b)`` built from ``key = _pair_key(a, b)``: one
+    term of each interval's Littlewood-Richardson product per monomial,
+    its multiplicity the terms' times c1 c2, with an all-zero weight
+    dropped as ``_merge_factors`` does."""
+    shape, mult, parts = key
+    products = {(): mult}
+    for span, terms in parts:
+        grown = {}
+        for fs, m in products.items():
+            for w, c in terms:
+                new = fs + ((span, w),) if any(w) else fs
+                grown[new] = grown.get(new, 0) + m * c
+        products = grown
+    return BundleExpr(shape, {SchurMonomial(shape, fs): m for fs, m in products.items()})
+
+
 def _referenced_dims(mono: SchurMonomial) -> set:
     """The flag steps d_1, ..., d_s that end some factor's interval."""
     shape = mono.shape

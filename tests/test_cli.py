@@ -568,6 +568,103 @@ def test_pairs_sharing_an_outcome_render_identically():
     assert sorted(memo[id(p1["hom"])]) == ["\n  ", "\n      "]
 
 
+class _Writes:
+    """A stdout that records each write, to see where the report was cut."""
+
+    def __init__(self):
+        self.writes: list = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+    def text(self) -> str:
+        return "".join(self.writes)
+
+
+def _streamed(monkeypatch, argv, flush=None):
+    """(exit code, writes) of ``main(argv)`` with stdout recorded, and the
+    flush size lowered to ``flush`` when given."""
+    if flush is not None:
+        monkeypatch.setattr(cli, "FLUSH_CHUNKS", flush)
+    out = _Writes()
+    with monkeypatch.context() as m:
+        m.setattr(sys, "stdout", out)
+        code = main(argv)
+    return code, out
+
+
+def _pair_write_indices(text, writes) -> list:
+    """The index of the write holding the start of each item of the
+    report's "pairs" list, whose items start at an indent of four."""
+    ends, total = [], 0
+    for w in writes:
+        total += len(w)
+        ends.append(total)
+    start = text.index('\n  "pairs": [')
+    stop = text.index("\n  ]", start)
+    indices, at = [], text.find("\n    {", start)
+    while 0 <= at < stop:
+        indices.append(next(k for k, end in enumerate(ends) if at < end))
+        at = text.find("\n    {", at + 1)
+    return indices
+
+
+@pytest.mark.parametrize("argv, report", _pair_reports())
+def test_streamed_report_is_byte_identical(monkeypatch, argv, report):
+    # a lowered flush size makes a small job write many times; the text is
+    # still json.dumps's, and the text format the unbatched one
+    code, out = _streamed(monkeypatch, argv + ["--format", "json"], flush=16)
+    assert code == report.exit_code and len(out.writes) > 10
+    text = out.text()
+    assert text == json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
+    # pairs sharing an outcome are written on both sides of a flush
+    indices = _pair_write_indices(text, out.writes)
+    assert len(indices) == len(report.pairs)
+    by_outcome: dict = {}
+    for p, k in zip(report.pairs, indices):
+        if p.hom_character:
+            by_outcome.setdefault(id(p.outcome), set()).add(k)
+    assert any(len(ks) > 1 for ks in by_outcome.values())
+    _code, whole = _streamed(monkeypatch, argv, flush=10**9)
+    assert len(whole.writes) == 1
+    _code, batched = _streamed(monkeypatch, argv, flush=16)
+    assert batched.text() == whole.text()
+    assert len(batched.writes) == 1 + len(whole.text().splitlines()) // 16
+
+
+def test_render_fault_after_a_write_leaves_a_prefix(capsys, monkeypatch):
+    # a float witness in the last pair is written by json.dumps; the writer
+    # refuses it after the report's first batches have been written
+    spoiled = []
+
+    def check(c):
+        report = check_strong_exceptional(c)
+        report.pairs[-1].witness = 0.5
+        spoiled.append(report)
+        return report
+
+    monkeypatch.setattr(cli, "check_strong_exceptional", check)
+    monkeypatch.setattr(cli, "FLUSH_CHUNKS", 16)
+    code, out, err = run(capsys, "check-strong", "--n", "4", "--dims", "1,2,3", "--format", "json")
+    assert code == EX_SOFTWARE and "TypeError" in err
+    [report] = spoiled
+    whole = json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
+    assert out and len(out) < len(whole) and whole.startswith(out)
+
+
+def test_large_report_is_written_in_bounded_batches(monkeypatch):
+    # a chunk is an indented JSON line or one shared value's text, about
+    # 110 bytes on average here, so a batch of FLUSH_CHUNKS of them stays
+    # below this bound (the largest is 0.95 MB), while the 8.8 MB report,
+    # joined and written at once, would not
+    bound = 256 * cli.FLUSH_CHUNKS
+    argv = ["check-strong", "--n", "5", "--dims", "1,2,3,4", "--format", "json"]
+    code, out = _streamed(monkeypatch, argv)
+    sizes = [len(w) for w in out.writes]
+    assert code == 0 and sum(sizes) > 4 * bound
+    assert max(sizes) <= bound
+
+
 def test_clear_caches_empties_every_cache(capsys):
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "flagcoh"]
     # every lru_cache, found where the package's modules bind it

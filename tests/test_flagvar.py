@@ -18,6 +18,7 @@ from flagcoh.flagvar import (
     Slot,
     _expand_monomial,
     _pair_key,
+    _pair_product,
     _split_partition,
     _subpartitions,
     block_weights,
@@ -601,6 +602,44 @@ def test_product_keys_are_equal_exactly_when_products_are(data):
             assert k1 != k2
     # (a, b) and (a (x) L, b (x) L)
     assert keys[pairs.index((pool[0], pool[1]))] == keys[pairs.index((pool[2], pool[3]))]
+
+
+def _random_single(data, shape):
+    """One monomial of a random expression, with multiplicity 1 to 3."""
+    e = _random_expr(data, shape)
+    mono = data.draw(st.sampled_from(sorted(e.terms, key=str)))
+    return BundleExpr(shape, {mono: data.draw(st.integers(1, 3))})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pair_product_is_the_product_of_the_pair(data):
+    shape = data.draw(st.sampled_from(KEY_SHAPES))
+    a, b = _random_single(data, shape), _random_single(data, shape)
+    assert _pair_product(_pair_key(a, b)) == tensor(dual(a), b)
+
+
+def test_pair_product_fixed_cases(monkeypatch):
+    # adj^v (x) adj on the rank-3 block of F(1,4;5) holds the zero weight,
+    # which is dropped (the trivial monomial), and adj twice
+    adj = make_monomial(F145, [(Slot(BLOCK, 2), (1, 0, -1))])
+    product = _pair_product(_pair_key(adj, adj))
+    assert product == tensor(dual(adj), adj)
+    assert product.terms[SchurMonomial(F145, ())] == 1
+    assert product.terms[SchurMonomial(F145, (((1, 2), (1, 0, -1)),))] == 2
+    # c1 c2 multiplies every term
+    w1 = make_monomial(F145, [(Slot(SUB, 1), (1,))])
+    a, b = BundleExpr(F145, {m: 2 for m in adj.terms}), BundleExpr(F145, {m: 3 for m in w1.terms})
+    product = _pair_product(_pair_key(a, b))
+    assert product == tensor(dual(a), b)
+    assert product.terms[SchurMonomial(F145, (((0, 1), (1,)), ((1, 2), (1, 0, -1))))] == 6
+    # a key with no parts is the trivial bundle
+    o = trivial(F1234)
+    assert _pair_key(o, o)[2] == () and _pair_product(_pair_key(o, o)) == o
+    # a pair-memo miss certifies the product built from the key, not a tensor
+    expected = engine.ext_groups_best(adj, adj)
+    monkeypatch.setattr(engine, "tensor", None)
+    assert engine.ext_groups_best(adj, adj, {}) == expected
 
 
 def test_pair_key_fixed_cases():
