@@ -8,7 +8,6 @@ from .cohomology import (
     E1_BOUND,
     EXACT,
     CohomologyOutcome,
-    certify,
     cohomology,
     cohomology_graded,
     cohomology_stepwise,
@@ -98,7 +97,6 @@ __all__ = [
     "WITH_SIGMA",
     "bbw_resolve",
     "block_weights",
-    "certify",
     "check_T2",
     "check_grid_collection",
     "check_strong_exceptional",

@@ -389,7 +389,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--expr", action="append", default=[], help="give twice: source then target"
     )
-    p.add_argument("--best", action="store_true", help="refine E1 bounds stepwise")
+    p.add_argument("--best", action="store_true", help="stepwise route")
 
     p = add("kapranov", _cmd_kapranov, "enumerate the exceptional collection")
     p.add_argument("--n", type=int, required=True)

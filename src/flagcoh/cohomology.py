@@ -38,11 +38,13 @@ form only at the boundary: ``cohomology_graded`` flattens the weights
 Both routes work on the factors' intervals (lo, hi) as ``flagvar``
 stores them; no slot is spelled inside the engine.
 
-``certify`` is the one place where the two routes are combined.  It runs
-the stepwise route first and the one-shot route only where stepwise is a
-bound, and compares the two Euler characters wherever both run.
+``cohomology`` serves ``cohom``, ``ext``, ``--euler-only`` and the
+counterexample readings; ``cohomology_stepwise`` serves every pair check
+through ``ext_groups_best``.  Wherever stepwise is only a bound, its
+bound is at most the one-shot bound, weight by weight, on every pair
+product measured, so pair checks never run the one-shot fold.
 ``ext_groups_best`` can keep its outcomes in a memo keyed by the product
-a^v (x) b, so a pair loop certifies each distinct product once.  For a
+a^v (x) b, so a pair loop resolves each distinct product once.  For a
 pair of single monomials the key (``flagvar._pair_key``) is built
 interval by interval: the shape and, for each interval, the cached
 Littlewood-Richardson product of a's dual weight with b's weight.  No
@@ -244,23 +246,6 @@ def cohomology_stepwise(e: BundleExpr) -> CohomologyOutcome:
     return _run(e, _monomial_pieces_stepwise)
 
 
-def certify(e: BundleExpr) -> CohomologyOutcome:
-    """H^*(F, e) by the best route: the stepwise answer when it is exact,
-    else the one-shot answer, exact or an E1 bound.  Any two exact answers
-    are equal, and on every pair product of the Kapranov and (T2) checks
-    measured the stepwise route is exact wherever the one-shot route is, so
-    the one-shot fold runs only where stepwise is a bound.  Both routes
-    compute the Euler character exactly, so when both run, differing Euler
-    characters are an engine fault."""
-    outcome = cohomology_stepwise(e)
-    if outcome.grade == EXACT:
-        return outcome
-    fallback = cohomology(e)
-    if fallback.euler != outcome.euler:
-        raise RuntimeError("routes disagree on the Euler character of %s" % e)
-    return fallback
-
-
 # ---------------------------------------------------------------------------
 # derived functors of Hom
 
@@ -271,10 +256,11 @@ def ext_groups(a: BundleExpr, b: BundleExpr) -> CohomologyOutcome:
 
 
 def ext_groups_best(a: BundleExpr, b: BundleExpr, memo: dict | None = None) -> CohomologyOutcome:
-    """Ext^*(a, b) = H^*(F, a^v (x) b) by ``certify``.
+    """Ext^*(a, b) = H^*(F, a^v (x) b) by the stepwise route, exact or an
+    E1 bound.
 
     With ``memo``, a dict from product keys to outcomes, an equal product
-    is certified once.  For single monomials the key (``flagvar._pair_key``)
+    is resolved once.  For single monomials the key (``flagvar._pair_key``)
     is built without a monomial: the shape, the product of their
     multiplicities and, interval by interval, the cached
     Littlewood-Richardson product of a's dual weight with b's, leaving out
@@ -283,14 +269,14 @@ def ext_groups_best(a: BundleExpr, b: BundleExpr, memo: dict | None = None) -> C
     the zero expression is keyed by the product a^v (x) b itself, built
     once.  A shared outcome must not be mutated."""
     if memo is None:
-        return certify(tensor(dual(a), b))
+        return cohomology_stepwise(tensor(dual(a), b))
     key = _pair_key(a, b)
     if key is None:
         key = tensor(dual(a), b)
     outcome = memo.get(key)
     if outcome is None:
         product = key if isinstance(key, BundleExpr) else _pair_product(key)
-        outcome = memo[key] = certify(product)
+        outcome = memo[key] = cohomology_stepwise(product)
     return outcome
 
 

@@ -202,7 +202,7 @@ def _check_pairs(members: list, below: str) -> list:
     """The one loop over ordered pairs: Ext^*(members[i], members[j]) by
     ``ext_groups_best``, classified against ``higher`` for i <= j and
     against ``below`` for i > j.  Pairs with equal products a^v (x) b
-    share one outcome, certified once for the life of the call."""
+    share one outcome, resolved once for the life of the call."""
     if not members:
         raise InputError("empty collection")
     pairs = []

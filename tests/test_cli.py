@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import json
 import os
@@ -11,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flagcoh
-from flagcoh import cli, kapranov
+from flagcoh import cli, kapranov, twists
 from flagcoh.cli import EX_DATAERR, EX_SOFTWARE, EX_USAGE, main
 from flagcoh.flagvar import BundleExpr, FlagShape
 from flagcoh.kapranov import check_strong_exceptional, enumerate_collection
@@ -151,43 +150,27 @@ def test_internal_errors_exit_70(tmp_path, capsys, monkeypatch):
     assert "flagcoh: internal error: AssertionError" in err
 
 
-def _w2_against_w1(tmp_path):
-    a = _write_member(
-        tmp_path, "a.json", 3, [1, 2], [{"slot": "sub", "index": 2, "weight": [1, 0]}]
-    )
-    b = _write_member(
-        tmp_path, "b.json", 3, [1, 2], [{"slot": "sub", "index": 1, "weight": [1]}]
-    )
-    return a, b
-
-
 def _wrong_euler(grade):
-    return engine.CohomologyOutcome(3, grade, {0: CharacterSum(3, {(0, 0, 0): 1})})
+    return engine.CohomologyOutcome(4, grade, {0: CharacterSum(4, {(0, 0, 0, 0): 7})})
 
 
-def test_route_disagreement_is_an_internal_error(tmp_path, capsys, monkeypatch):
-    # W_2 against W_1 on F(1,2;3): certify asks the stepwise route first,
-    # here replaced by a bound with a wrong Euler character, so it falls
-    # back to the one-shot route and compares the two
-    a, b = _w2_against_w1(tmp_path)
-    monkeypatch.setattr(engine, "cohomology_stepwise", lambda e: _wrong_euler(engine.E1_BOUND))
-    code, out, err = run(capsys, "ext", "--expr", a, "--expr", b, "--best")
+COUNTEREXAMPLE_1 = ("counterexample", "--case", "1", "--n", "4", "--dims", "2")
+
+
+def test_route_disagreement_is_an_internal_error(capsys, monkeypatch):
+    # a counterexample reading runs both routes, so it compares their Euler
+    # characters; here the stepwise route is replaced by one with a wrong
+    # Euler character
+    monkeypatch.setattr(twists, "cohomology_stepwise", lambda e: _wrong_euler(engine.E1_BOUND))
+    code, out, err = run(capsys, *COUNTEREXAMPLE_1)
     assert code == EX_SOFTWARE and out == ""
     assert "routes disagree" in err
 
 
-def test_one_shot_route_disagreement_is_an_internal_error(tmp_path, capsys, monkeypatch):
-    # the same pair with the stepwise answer graded a bound, so that the
-    # one-shot route runs, here replaced by one with a wrong Euler character
-    a, b = _w2_against_w1(tmp_path)
-    stepwise = engine.cohomology_stepwise
-
-    def bound(e):
-        return dataclasses.replace(stepwise(e), grade=engine.E1_BOUND)
-
-    monkeypatch.setattr(engine, "cohomology_stepwise", bound)
-    monkeypatch.setattr(engine, "cohomology", lambda e: _wrong_euler(engine.EXACT))
-    code, out, err = run(capsys, "ext", "--expr", a, "--expr", b, "--best")
+def test_one_shot_route_disagreement_is_an_internal_error(capsys, monkeypatch):
+    # the same reading with the one-shot route replaced instead
+    monkeypatch.setattr(twists, "cohomology", lambda e: _wrong_euler(engine.EXACT))
+    code, out, err = run(capsys, *COUNTEREXAMPLE_1)
     assert code == EX_SOFTWARE and out == ""
     assert "routes disagree" in err
 

@@ -508,7 +508,7 @@ def test_split_partition_enumerates_only_kappas_that_occur(monkeypatch, ranks):
 def _memo_key(a, b):
     """The key ``ext_groups_best`` files the pair (a, b) under: its memo
     records the key of each lookup and answers with a hit, so nothing is
-    certified."""
+    resolved."""
     keys = []
 
     class Memo(dict):
@@ -598,7 +598,7 @@ def test_product_keys_are_equal_exactly_when_products_are(data):
             assert (k1 == k2) == (p1 == p2)
             assert k1 != k2 or hash(k1) == hash(k2)
         else:
-            # a product reached from both key forms is certified once per form
+            # a product reached from both key forms is resolved once per form
             assert k1 != k2
     # (a, b) and (a (x) L, b (x) L)
     assert keys[pairs.index((pool[0], pool[1]))] == keys[pairs.index((pool[2], pool[3]))]
@@ -636,7 +636,7 @@ def test_pair_product_fixed_cases(monkeypatch):
     # a key with no parts is the trivial bundle
     o = trivial(F1234)
     assert _pair_key(o, o)[2] == () and _pair_product(_pair_key(o, o)) == o
-    # a pair-memo miss certifies the product built from the key, not a tensor
+    # a pair-memo miss resolves the product built from the key, not a tensor
     expected = engine.ext_groups_best(adj, adj)
     monkeypatch.setattr(engine, "tensor", None)
     assert engine.ext_groups_best(adj, adj, {}) == expected

@@ -217,14 +217,14 @@ def test_every_pair_check_makes_one_ext_call_per_ordered_pair(monkeypatch, shape
 
 def test_pair_loop_certifies_each_distinct_product_once(monkeypatch):
     engine = importlib.import_module("flagcoh.cohomology")
-    certify = engine.certify
+    stepwise = engine.cohomology_stepwise
     certified = []
 
     def counting(e):
         certified.append(e)
-        return certify(e)
+        return stepwise(e)
 
-    monkeypatch.setattr(engine, "certify", counting)
+    monkeypatch.setattr(engine, "cohomology_stepwise", counting)
     c = enumerate_collection(FlagShape(4, (1, 2, 3)))
     products = [tensor(dual(a), b) for a in c.members for b in c.members]
     distinct = set(products)
@@ -245,5 +245,5 @@ def test_pair_loop_certifies_each_distinct_product_once(monkeypatch):
         by_product.setdefault(e, []).append(p)
     assert any(len(ps) > 1 for ps in by_product.values())
     for e, ps in by_product.items():
-        fresh = certify(e).to_json()
+        fresh = stepwise(e).to_json()
         assert all(p.outcome.to_json() == fresh for p in ps)

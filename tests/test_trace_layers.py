@@ -36,8 +36,9 @@ def test_every_public_name_resolves():
     assert not missing, "stale names in flagcoh.__all__: %s" % missing
 
 
-def _trace(tmp_path, *args):
-    """Run one CLI job under the tracer: its JSON output and its layers."""
+def _trace(tmp_path, *args, code=0):
+    """Run one CLI job under the tracer, which must exit with ``code``: its
+    JSON output and its layers."""
     stats_path = tmp_path / "stats.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -49,7 +50,7 @@ def _trace(tmp_path, *args):
         text=True,
         timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return json.loads(proc.stdout), json.loads(stats_path.read_text())["layers"]
 
 
@@ -63,12 +64,21 @@ def test_traced_pair_loop_counts_every_pair(tmp_path):
     # per distinct key: fewer products than ordered pairs
     assert layers["flagvar.tensor"]["calls"] < layers["cohomology.ext_best"]["calls"]
     assert layers["flagvar.dual"]["calls"] < layers["cohomology.ext_best"]["calls"]
-    # certify runs the stepwise route once per distinct product, and on
-    # P^2 it is always exact, so the one-shot route never runs
+    # the pair memo runs the stepwise route once per distinct product, and
+    # no pair check runs the one-shot route
     members = enumerate_collection(FlagShape(3, (1,))).members
     products = {tensor(dual(a), b) for a in members for b in members}
     assert layers["cohomology.one_shot"]["calls"] == 0
     assert layers["cohomology.stepwise"]["calls"] == len(products)
+
+
+def test_traced_sigma_pair_check_never_runs_the_one_shot_route(tmp_path):
+    # sigma F(1,3;4) has 25 distinct products where stepwise is only a
+    # bound; the pair check keeps that bound and does not fold them one-shot
+    out, layers = _trace(tmp_path, "twist-check", "--n", "4", "--dims", "1,3", "--sigma", code=1)
+    assert out["status"] == "refuted"
+    assert layers["cohomology.stepwise"]["calls"] > layers["cohomology.stepwise"]["exact"] > 0
+    assert layers["cohomology.one_shot"]["calls"] == 0
 
 
 def test_traced_one_shot_fold_runs_in_expand_monomial(tmp_path):
