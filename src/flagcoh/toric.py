@@ -18,12 +18,17 @@ exceptional (checked explicitly on Hirzebruch surfaces); the grid is
 ordered lexicographically with the topmost level's coordinates most
 significant and the base least.
 
-A grid pair's answer depends only on the difference of its two line
-bundles, so ``check_grid_collection`` computes each distinct difference
-once.  Pushforward terms are carried as aggregated multiplicities
-{(lower multidegree, cohomological degree): mult}: Sym^n of a split bundle
-is one count per distinct summed multidegree, and equal terms are summed
-after every factor.
+Pushing O(md) down one level only translates the lower multidegree by
+offsets that depend on the level's twists alone.  So cohomology comes
+from a table built for one call: each level is pushed once per distinct
+tuple of its twists, from the zero lower multidegree, to aggregated
+multiplicities {(lower offset, degree shift): mult} (Sym^n of a split
+bundle is one count per distinct summed multidegree, and equal terms are
+summed after every factor), and each stage below the top keeps its
+answers per multidegree in its own memo.  The memos live as long as the
+table; nothing is kept between calls.  A grid pair's answer depends only
+on the difference of its two line bundles, so ``check_grid_collection``
+builds one table and resolves each distinct difference once.
 
 The Galois group permutes the factors within each level.  It is given by
 per-level generators, written as permutations of the Picard coordinates,
@@ -36,6 +41,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import comb
+from operator import add, mul, sub
 
 from .kapranov import CONFIRMED, EXIT_CODE, REFUTED
 from .weights import InputError, strict_int
@@ -133,16 +139,40 @@ class TowerSpec:
 
     @classmethod
     def from_json(cls, data):
-        levels = tuple(
-            Level(
-                bundles=tuple(
-                    tuple(tuple(map(strict_int, md)) for md in b) for b in lv["bundles"]
-                ),
-                perms=tuple(tuple(map(strict_int, p)) for p in lv.get("perms", [])),
+        """Read a tower; an unknown key, or ``levels``, ``bundles``,
+        ``perms`` or one of their entries that is not a JSON list, is an
+        input error, never ignored or coerced."""
+        _check_keys(data, ("base_dim", "levels"), "tower")
+        levels = []
+        for lv in _json_list(data["levels"], "levels"):
+            _check_keys(lv, ("bundles", "perms"), "level")
+            bundles = tuple(
+                tuple(_ints(md, "a multidegree") for md in _json_list(b, "a bundle"))
+                for b in _json_list(lv["bundles"], "bundles")
             )
-            for lv in data["levels"]
-        )
-        return cls(strict_int(data["base_dim"]), levels)
+            perms = tuple(
+                _ints(p, "a permutation") for p in _json_list(lv.get("perms", []), "perms")
+            )
+            levels.append(Level(bundles, perms))
+        return cls(strict_int(data["base_dim"]), tuple(levels))
+
+
+def _check_keys(obj, keys: tuple, what: str):
+    if not isinstance(obj, dict):
+        raise InputError("a %s must be a JSON object" % what)
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise InputError("unknown key %s in a %s" % (", ".join(map(repr, unknown)), what))
+
+
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise InputError("%s must be a JSON list, got %r" % (what, value))
+    return value
+
+
+def _ints(value, what: str) -> tuple:
+    return tuple(map(strict_int, _json_list(value, what)))
 
 
 def _proj_cohomology(r: int, t: int) -> dict:
@@ -193,39 +223,77 @@ def _push_factor(terms: dict, bundle, t: int) -> dict:
     return out
 
 
+def _push_level(level: Level, twists: tuple, width: int) -> dict:
+    """Push O(twists) down one level from the zero multidegree of the
+    stage below, one factor at a time: {(lower offset, degree shift):
+    mult}.  Every push only translates, so O(md, twists) over a lower
+    multidegree md pushes to the same terms moved by md."""
+    terms = {((0,) * width, 0): 1}
+    for bundle, t in zip(level.bundles, twists):
+        terms = _push_factor(terms, bundle, t)
+        if not terms:
+            break
+    return terms
+
+
+class _CohomologyTable:
+    """H^*(O(md)) on a tower, one stage at a time.  Stage 0 is the base
+    and stage k adds level k; H on stage k is the sum over the terms of
+    the level push of mult x H on stage k - 1 at the moved multidegree,
+    every degree shifted.  Each level push is kept per distinct twist
+    tuple and each stage's answers per multidegree, for the life of the
+    table; the top stage's answers are not kept, so a caller that asks
+    again keeps its own.  Answers are tuples ((degree, dimension), ...):
+    most are empty or one degree, and a tuple holds them in a fraction of
+    a dict's memory."""
+
+    def __init__(self, tower: TowerSpec):
+        self.tower = tower
+        self._widths = [tower.base_picard]  # Picard rank of each stage
+        for level in tower.levels:
+            self._widths.append(self._widths[-1] + level.m)
+        self._pushes = [{} for _ in tower.levels]
+        self._memos = [{} for _ in tower.levels]  # stages 0 .. top - 1
+
+    def top(self, md: tuple) -> tuple:
+        """H^*(tower, O(md)), in increasing degree."""
+        return tuple(sorted(self._compute(len(self.tower.levels), md).items()))
+
+    def _stage(self, k: int, md: tuple) -> tuple:
+        memo = self._memos[k]
+        coh = memo.get(md)
+        if coh is None:
+            coh = memo[md] = tuple(self._compute(k, md).items())
+        return coh
+
+    def _compute(self, k: int, md: tuple) -> dict:
+        if k == 0:
+            r = self.tower.base_dim
+            return _proj_cohomology(r, md[0]) if r > 0 else {0: 1}
+        width = self._widths[k - 1]
+        twists = md[width:]
+        pushes = self._pushes[k - 1]
+        push = pushes.get(twists)
+        if push is None:
+            push = pushes[twists] = _push_level(self.tower.levels[k - 1], twists, width)
+        low = md[:width]
+        out: dict = {}
+        for (off, shift), mult in push.items():
+            for deg, dim in self._stage(k - 1, tuple(map(add, low, off))):
+                out[deg + shift] = out.get(deg + shift, 0) + mult * dim
+        return out
+
+
 def line_bundle_cohomology(tower: TowerSpec, d) -> dict:
     """H^*(tower, O(d)) as a map {degree: dimension}, computed exactly by
-    pushing down one projective-bundle factor at a time.  The multidegree
-    must be integers; floats and booleans raise ``InputError``."""
+    pushing down one level at a time.  The multidegree must be integers;
+    floats and booleans raise ``InputError``."""
     d = tuple(strict_int(x) for x in d)
     if len(d) != tower.picard_rank:
         raise ValueError(
             "multidegree length %d, expected %d" % (len(d), tower.picard_rank)
         )
-    terms = {(d, 0): 1}
-    hi = tower.picard_rank
-    for level in reversed(tower.levels):
-        lo = hi - level.m
-        new_terms: dict = {}
-        for (md, cd), mult in terms.items():
-            pieces = {(md[:lo], cd): mult}
-            for k in range(level.m):
-                pieces = _push_factor(pieces, level.bundles[k], md[lo + k])
-                if not pieces:
-                    break
-            for key, m in pieces.items():
-                new_terms[key] = new_terms.get(key, 0) + m
-        terms = new_terms
-        hi = lo
-    out: dict[int, int] = {}
-    for (md, cd), mult in terms.items():
-        if tower.base_dim > 0:
-            base = _proj_cohomology(tower.base_dim, md[0])
-        else:
-            base = {0: 1}
-        for deg, dim in base.items():
-            out[cd + deg] = out.get(cd + deg, 0) + mult * dim
-    return {deg: dim for deg, dim in sorted(out.items()) if dim}
+    return dict(_CohomologyTable(tower).top(d))
 
 
 @dataclass
@@ -255,26 +323,41 @@ def check_grid_collection(tower: TowerSpec) -> GridReport:
     a < b (lex) the difference must have no higher cohomology, for a > b
     no cohomology at all, and Hom(O(a), O(a)) = k automatically.
 
-    A pair's answer is H^*(O(b - a)), so each distinct difference is
-    computed once; the memo lives for this call only and holds at most
-    prod(2 r_i + 1) entries, one per point of the box of differences.
+    A pair's answer is H^*(O(b - a)).  One cohomology table serves the
+    whole call, and its per-stage memos die with it.  Each grid point
+    gets a mixed-radix code with strides prod(2 r_c + 1): the grid lies
+    in the box prod [-r_c, 0], so every coordinate of b - a lies in
+    [-r_c, r_c] and code(b) - code(a) names b - a alone.  The pair memo is
+    keyed by that integer and holds the one copy of each answer, one per
+    point of the box of differences; the difference itself is built only
+    to resolve a new key or to report a failure.
     """
     grid = tower.grid()
     report = GridReport(tower, grid)
+    strides, stride = [], 1
+    for r in tower.grid_ranges():
+        strides.append(stride)
+        stride *= 2 * r + 1
+    codes = [sum(map(mul, a, strides)) for a in grid]
+    table = _CohomologyTable(tower)
     memo: dict = {}
-    for i, a in enumerate(grid):
-        for j, b in enumerate(grid):
+    for i, (a, code_a) in enumerate(zip(grid, codes)):
+        for j, code_b in enumerate(codes):
             if i == j:
                 continue
-            diff = tuple(y - x for x, y in zip(a, b))
-            coh = memo.get(diff)
+            coh = memo.get(code_b - code_a)
             if coh is None:
-                coh = memo[diff] = line_bundle_cohomology(tower, diff)
-            bad = {deg: dim for deg, dim in coh.items() if i > j or deg > 0}
-            if bad:
+                coh = memo[code_b - code_a] = table.top(tuple(map(sub, grid[j], a)))
+            # coh is in increasing degree, so coh[-1][0] is its top degree
+            if coh and (i > j or coh[-1][0] > 0):
                 report.status = REFUTED
                 report.failures.append(
-                    {"i": i, "j": j, "difference": list(diff), "cohomology": bad}
+                    {
+                        "i": i,
+                        "j": j,
+                        "difference": list(map(sub, grid[j], a)),
+                        "cohomology": {deg: dim for deg, dim in coh if i > j or deg > 0},
+                    }
                 )
     return report
 

@@ -137,6 +137,30 @@ def test_toric_rejects_non_integers(tmp_path, capsys):
     assert code == EX_DATAERR
 
 
+@pytest.mark.parametrize(
+    "tower, message",
+    [
+        ({"base_dim": 1, "levels": [], "extra": 1}, "unknown key 'extra' in a tower"),
+        (
+            {"base_dim": 1, "levels": [{"bundles": [[[0], [0]], [[0], [0]]], "perm": [[1, 0]]}]},
+            "unknown key 'perm' in a level",
+        ),
+        ({"base_dim": 1, "levels": [{"bundles": [[[0], [1]]], "perms": {}}]}, "perms must be a JSON list"),
+        ({"base_dim": 1, "levels": {}}, "levels must be a JSON list"),
+        ({"base_dim": 1, "levels": [{"bundles": {}}]}, "bundles must be a JSON list"),
+        ({"base_dim": 0, "levels": [{"bundles": [[{}, []]]}]}, "a multidegree must be a JSON list"),
+        ({"base_dim": 1, "levels": [{"bundles": [[[0]]], "perms": [{}]}]}, "a permutation must be a JSON list"),
+        ({"base_dim": 1, "levels": [[]]}, "a level must be a JSON object"),
+    ],
+)
+def test_toric_rejects_malformed_towers(tmp_path, capsys, tower, message):
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps(tower))
+    code, out, err = run(capsys, "toric-check", "--tower", str(path))
+    assert code == EX_DATAERR and out == ""
+    assert message in err
+
+
 def test_internal_errors_exit_70(tmp_path, capsys, monkeypatch):
     path = tmp_path / "expr.json"
     path.write_text(json.dumps(_cohom_expr()))

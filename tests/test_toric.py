@@ -174,26 +174,55 @@ def test_two_level_tower_confirmed():
     assert report.status == CONFIRMED
 
 
-def test_shuffled_grid_refutes():
-    # the wrong order is detected: check a manually reversed P^2 pair
-    # via the difference convention: O, O(-1) in that order has a backward Hom
+def _reference_failures(tw, grid):
+    """The failures of the pair loop over ``grid``, each difference
+    resolved afresh by the reference pushforward."""
+    out = []
+    for i, a in enumerate(grid):
+        for j, b in enumerate(grid):
+            if i == j:
+                continue
+            diff = tuple(y - x for x, y in zip(a, b))
+            coh = _reference_line_bundle_cohomology(tw, diff)
+            bad = {deg: dim for deg, dim in coh.items() if i > j or deg > 0}
+            if bad:
+                out.append({"i": i, "j": j, "difference": list(diff), "cohomology": bad})
+    return out
+
+
+def test_shuffled_grid_refutes(monkeypatch):
+    # the wrong order is detected: O, O(-1) in that order has a backward Hom
     coh = line_bundle_cohomology(P2, (1,))
     assert coh == {0: 3}
     report = check_grid_collection(P2)
     assert report.status == CONFIRMED
-    # sanity: a tower refutation is reachable (fake grid by direct call)
-    from flagcoh.toric import GridReport
+    lex_grid = TowerSpec.grid
+    monkeypatch.setattr(TowerSpec, "grid", lambda self: list(reversed(lex_grid(self))))
+    for tw in (P2, F1):
+        bad = check_grid_collection(tw)
+        assert bad.grid == list(reversed(lex_grid(tw)))
+        assert bad.status == REFUTED and bad.exit_code == 1
+        assert bad.failures and bad.failures == _reference_failures(tw, bad.grid), tw
 
-    bad = GridReport(P2, list(reversed(P2.grid())))
-    for i, a in enumerate(bad.grid):
-        for j, b in enumerate(bad.grid):
-            if i == j:
-                continue
-            diff = tuple(y - x for x, y in zip(a, b))
-            out = line_bundle_cohomology(P2, diff)
-            if any(deg > 0 or i > j for deg in out):
-                bad.status = REFUTED
-    assert bad.status == REFUTED
+
+def test_higher_ext_refutes(monkeypatch):
+    # O, O(-3) on P^2 is not exceptional: Ext^2(O, O(-3)) = H^2(O(-3)) = k,
+    # a failure above the diagonal, so the grid check's higher-vanishing
+    # branch is reached; the grid stays inside the box of its ranges
+    monkeypatch.setattr(TowerSpec, "grid", lambda self: [(0,), (-3,)])
+    monkeypatch.setattr(TowerSpec, "grid_ranges", lambda self: [3])
+    report = check_grid_collection(P2)
+    assert report.status == REFUTED
+    assert report.failures == _reference_failures(P2, report.grid)
+    assert report.failures[0] == {"i": 0, "j": 1, "difference": [-3], "cohomology": {2: 1}}
+    # H^*(F_2, O(-2, 1)) = k in degrees 0 and 1: the pair fails on its top
+    # degree although its lowest is 0, and only degree 1 is reported
+    monkeypatch.setattr(TowerSpec, "grid", lambda self: [(0, -1), (-2, 0)])
+    monkeypatch.setattr(TowerSpec, "grid_ranges", lambda self: [2, 1])
+    assert line_bundle_cohomology(F2, (-2, 1)) == {0: 1, 1: 1}
+    report = check_grid_collection(F2)
+    assert report.failures == _reference_failures(F2, report.grid)
+    assert report.failures[0] == {"i": 0, "j": 1, "difference": [-2, 1], "cohomology": {1: 1}}
 
 
 def test_orbit_swap():
@@ -312,20 +341,46 @@ def test_aggregated_pushforward_matches_list_form():
 
 
 def test_grid_check_computes_each_difference_once(monkeypatch):
-    seen = []
+    resolved, pushed = [], []
+    top, push_level = toric._CohomologyTable.top, toric._push_level
 
-    def counting(tw, d):
-        seen.append(d)
-        return line_bundle_cohomology(tw, d)
+    def counting_top(table, md):
+        resolved.append(md)
+        return top(table, md)
 
-    monkeypatch.setattr(toric, "line_bundle_cohomology", counting)
-    tw = _perfbench_towers()[-1]  # the smoke tower
-    report = check_grid_collection(tw)
-    box = 1
-    for r in tw.grid_ranges():
-        box *= 2 * r + 1
-    assert len(seen) == len(set(seen)) == box - 1
-    assert report.status == CONFIRMED
+    def counting_push(level, twists, width):
+        pushed.append((width, twists))
+        return push_level(level, twists, width)
+
+    monkeypatch.setattr(toric._CohomologyTable, "top", counting_top)
+    monkeypatch.setattr(toric, "_push_level", counting_push)
+    towers = _perfbench_towers()
+    for tw in (towers[-1], towers[0]):  # the smoke tower and variant 0
+        resolved.clear()
+        pushed.clear()
+        report = check_grid_collection(tw)
+        assert report.status == CONFIRMED
+        # every nonzero difference, each resolved once
+        assert sorted(resolved) == sorted(d for d in _differences(tw) if any(d))
+        # each level pushed once per distinct twist tuple; the top level
+        # sees every twist tuple of its box
+        assert len(pushed) == len(set(pushed))
+        top_width = tw.picard_rank - tw.levels[-1].m
+        top_ranges = tw.grid_ranges()[top_width:]
+        top_twists = {t for w, t in pushed if w == top_width}
+        assert top_twists == set(itertools.product(*(range(-r, r + 1) for r in top_ranges)))
+
+
+def test_shared_table_answers_do_not_depend_on_query_order():
+    towers = _perfbench_towers() + [P1xP1, P1xP1_OVER_BASE, P2, F1, F2, F3, P1CUBE]
+    assert len(towers) == 16
+    rng = random.Random(20261019)
+    for tw in towers:
+        table = toric._CohomologyTable(tw)
+        diffs = list(_differences(tw))
+        rng.shuffle(diffs)
+        for d in diffs:
+            assert dict(table.top(d)) == _reference_line_bundle_cohomology(tw, d), (tw, d)
 
 
 def _reference_group_elements(tw):
