@@ -5,11 +5,10 @@ Two routes are provided for H^*(F, E):
 * ``cohomology`` expands E into block-graded pieces in one shot and
   resolves each piece by Borel-Bott-Weil.  A piece is a flat weight
   vector, the weights of the blocks of the flag concatenated, and the
-  fold never builds a monomial.  Each piece carries a mask of the blocks
-  of rank >= 2 where it may be nonzero; two pieces whose masks are
-  disjoint multiply by adding their vectors, which is exact because
-  Littlewood-Richardson at GL_1 is addition and a zero block keeps the
-  other side's weight, and only a block set in both masks is merged by
+  fold never builds a monomial.  Two pieces multiply by adding their
+  vectors, which is exact because Littlewood-Richardson at GL_1 is
+  addition and a zero block keeps the other side's weight; only a block
+  of rank >= 2 where both vectors are nonzero is merged by
   Littlewood-Richardson.  When the nonzero degrees of a monomial's
   filtration pieces are pairwise non-adjacent no spectral sequence
   differential can exist and the answer is exact; otherwise the result
@@ -143,7 +142,6 @@ def cohomology_graded(gm: SchurMonomial, shape: FlagShape):
     return _bbw_flat(sum(block_weights(gm), ()), shape.blocks())
 
 
-@lru_cache(maxsize=None)
 def _monomial_pieces_graded(mono: SchurMonomial) -> tuple:
     """One-shot pieces of a monomial: ((degree, weight, mult), ...) plus a
     flag telling whether more than one filtration piece was involved."""
@@ -222,7 +220,7 @@ def _monomial_pieces_stepwise(mono: SchurMonomial) -> tuple:
         rest = list(factors.items())
         terms = [
             (piece, c * m)
-            for (flat, _mask), c in split
+            for flat, c in split
             for piece, m in _flat_monomial(shape, flat, rest).terms.items()
         ]
         return _lower_pieces(terms, 0, len(split) > 1)
@@ -259,17 +257,18 @@ def ext_groups_best(a: BundleExpr, b: BundleExpr, memo: dict | None = None) -> C
     """Ext^*(a, b) = H^*(F, a^v (x) b) by the stepwise route, exact or an
     E1 bound.
 
-    With ``memo``, a dict from product keys to outcomes, an equal product
-    is resolved once.  For single monomials the key (``flagvar._pair_key``)
-    is built without a monomial: the shape, the product of their
-    multiplicities and, interval by interval, the cached
-    Littlewood-Richardson product of a's dual weight with b's, leaving out
-    an interval whose product is the zero weight alone; on a miss the
-    product is built from the key (``flagvar._pair_product``).  A sum or
-    the zero expression is keyed by the product a^v (x) b itself, built
-    once.  A shared outcome must not be mutated."""
+    The product is keyed, and ``memo``, a dict from product keys to
+    outcomes (a fresh one when None), resolves an equal product once.  For
+    single monomials the key (``flagvar._pair_key``) is built without a
+    monomial: the shape, the product of their multiplicities and, interval
+    by interval, the cached Littlewood-Richardson product of a's dual
+    weight with b's, leaving out an interval whose product is the zero
+    weight alone; on a miss the product is built from the key
+    (``flagvar._pair_product``).  A sum or the zero expression is keyed by
+    the product a^v (x) b itself, built once.  A shared outcome must not
+    be mutated."""
     if memo is None:
-        return cohomology_stepwise(tensor(dual(a), b))
+        memo = {}
     key = _pair_key(a, b)
     if key is None:
         key = tensor(dual(a), b)

@@ -17,17 +17,15 @@ it is valid only in the process that made them, so they are not pickled.
 
 A graded piece of the filtration by the flag has one form inside the
 engine, a flat vector: one n-tuple that concatenates one weight per
-consecutive quotient, zero where the piece has no factor, with a bitmask
-of the blocks of rank >= 2 where the piece may be nonzero.
+consecutive quotient, zero where the piece has no factor.
 ``_flat_factor`` splits one factor into such pieces, in the one split
 cache that both routes read.  The one-shot fold ``_expand_monomial``
-multiplies them: two pieces whose masks are disjoint multiply by
-coordinatewise addition; Littlewood-Richardson runs only on a block where
-both masks are set.  ``_flat_monomial`` is the one cut of a flat piece
-into a monomial on the block intervals (j, j+1), for the stepwise route
-in ``cohomology`` and for ``graded_expansion``.  Block tuples are the form
-only at the boundary: ``block_weights`` and
-``cohomology.cohomology_graded``.
+multiplies them by coordinatewise addition; Littlewood-Richardson runs
+only on a block of rank >= 2 where both pieces are nonzero.
+``_flat_monomial`` is the one cut of a flat piece into a monomial on the
+block intervals (j, j+1), for the stepwise route in ``cohomology`` and
+for ``graded_expansion``.  Block tuples are the form only at the
+boundary: ``block_weights`` and ``cohomology.cohomology_graded``.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from operator import add
 from typing import Iterable
 
 from .schur import _lr_raw, _strip_zeros, _tensor_terms, pad, schur_dim
-from .weights import dual_weight, is_weakly_decreasing, strict_int
+from .weights import _check_keys, _ints, _json_list, dual_weight, is_weakly_decreasing, strict_int
 
 
 @dataclass(frozen=True)
@@ -118,7 +116,10 @@ class FlagShape:
 
     @classmethod
     def from_json(cls, data):
-        return cls(strict_int(data["n"]), tuple(map(strict_int, data["dims"])))
+        """Read a shape; a key other than ``n`` and ``dims``, or ``dims``
+        that is not a JSON list, is an input error."""
+        _check_keys(data, ("n", "dims"), "flag")
+        return cls(strict_int(data["n"]), _ints(data["dims"], "dims"))
 
 
 SUB, QUOT, BLOCK = "sub", "quot", "block"
@@ -234,8 +235,7 @@ def _merge_factors(factors) -> dict:
     by_span: dict = {}
     for span, w in factors:
         by_span.setdefault(span, []).append(w)
-    # factor tuples grown in interval order are already canonical
-    products = {(): 1}
+    parts = []
     for span, ws in sorted(by_span.items()):
         pieces = {ws[0]: 1}
         for w in ws[1:]:
@@ -244,11 +244,23 @@ def _merge_factors(factors) -> dict:
                 for lam, c in _tensor_terms(key, w, len(w)):
                     merged[lam] = merged.get(lam, 0) + c * mult
             pieces = merged
-        grown = {}
+        parts.append((span, pieces.items()))
+    return _grow_factors(1, parts)
+
+
+def _grow_factors(mult: int, parts) -> dict:
+    """{factor tuple: multiplicity} from the trivial tuple with multiplicity
+    ``mult``, grown by each (interval, ((weight, mult), ...)) of ``parts``
+    in turn: one tuple per weight, the multiplicities multiplied, an
+    all-zero weight dropped.  Tuples grown in ascending interval order are
+    already canonical."""
+    products = {(): mult}
+    for span, terms in parts:
+        grown: dict = {}
         for fs, m in products.items():
-            for key, mult in pieces.items():
-                new = fs + ((span, key),) if any(key) else fs
-                grown[new] = grown.get(new, 0) + m * mult
+            for w, c in terms:
+                new = fs + ((span, w),) if any(w) else fs
+                grown[new] = grown.get(new, 0) + m * c
         products = grown
     return products
 
@@ -319,13 +331,19 @@ class BundleExpr:
 
     @classmethod
     def from_json(cls, data) -> "BundleExpr":
+        """Read an expression; an unknown key in the expression, a term or a
+        factor, or ``terms``, ``factors`` or a weight that is not a JSON
+        list, is an input error, never ignored or coerced."""
+        _check_keys(data, ("flag", "terms"), "bundle expression")
         shape = FlagShape.from_json(data["flag"])
         terms: dict = {}
-        for term in data["terms"]:
-            factors = [
-                (Slot(f["slot"], strict_int(f["index"])), tuple(map(strict_int, f["weight"])))
-                for f in term["factors"]
-            ]
+        for term in _json_list(data["terms"], "terms"):
+            _check_keys(term, ("mult", "factors"), "term")
+            factors = []
+            for f in _json_list(term["factors"], "factors"):
+                _check_keys(f, ("slot", "index", "weight"), "factor")
+                slot = Slot(f["slot"], strict_int(f["index"]))
+                factors.append((slot, _ints(f["weight"], "a weight")))
             mult = strict_int(term["mult"])
             for mono, m in make_monomial(shape, factors).terms.items():
                 terms[mono] = terms.get(mono, 0) + m * mult
@@ -418,16 +436,9 @@ def _pair_product(key: tuple) -> BundleExpr:
     """``tensor(dual(a), b)`` built from ``key = _pair_key(a, b)``: one
     term of each interval's Littlewood-Richardson product per monomial,
     its multiplicity the terms' times c1 c2, with an all-zero weight
-    dropped as ``_merge_factors`` does."""
+    dropped: the grow step of ``_merge_factors``, started from c1 c2."""
     shape, mult, parts = key
-    products = {(): mult}
-    for span, terms in parts:
-        grown = {}
-        for fs, m in products.items():
-            for w, c in terms:
-                new = fs + ((span, w),) if any(w) else fs
-                grown[new] = grown.get(new, 0) + m * c
-        products = grown
+    products = _grow_factors(mult, parts)
     return BundleExpr(shape, {SchurMonomial(shape, fs): m for fs, m in products.items()})
 
 
@@ -549,13 +560,12 @@ def block_weights(mono: SchurMonomial) -> tuple:
 @lru_cache(maxsize=4096)
 def _flat_factor(shape: FlagShape, span: tuple, w: tuple) -> tuple:
     """The associated graded of Sigma^w on the interval ``span`` for the
-    natural filtration, as (((flat vector, mask), coeff), ...).  The
-    interval (lo, hi) spans blocks lo+1..hi; the flat vector concatenates
-    one weight per block of the shape, zero on every block outside the
-    span, and the mask has bit j set when block j has rank >= 2 and a
-    nonzero weight.  Negative entries are absorbed into a determinant
-    twist, which splits as the same twist on every spanned block.  Both
-    routes read their splits here, so each split is held once."""
+    natural filtration, as ((flat vector, coeff), ...).  The interval
+    (lo, hi) spans blocks lo+1..hi; the flat vector concatenates one weight
+    per block of the shape, zero on every block outside the span.
+    Negative entries are absorbed into a determinant twist, which splits
+    as the same twist on every spanned block.  Both routes read their
+    splits here, so each split is held once."""
     lo, hi = span
     d = shape._bounds
     below, above = (0,) * d[lo], (0,) * (shape.n - d[hi])
@@ -563,8 +573,7 @@ def _flat_factor(shape: FlagShape, span: tuple, w: tuple) -> tuple:
     out = []
     for ws, c in _split_partition(tuple(x + k for x in w), shape.blocks()[lo:hi]):
         ws = [tuple(x - k for x in piece) for piece in ws]
-        mask = sum(1 << (lo + j) for j, u in enumerate(ws) if len(u) > 1 and any(u))
-        out.append(((below + sum(ws, ()) + above, mask), c))
+        out.append((below + sum(ws, ()) + above, c))
     return tuple(out)
 
 
@@ -577,56 +586,32 @@ def _flat_monomial(shape: FlagShape, flat: tuple, factors=()) -> BundleExpr:
     return make_monomial(shape, [*factors, *blocks])
 
 
-def _merge_flat(shape: FlagShape, ws: tuple, vs: tuple, both: int) -> list:
-    """The product of two flat pieces whose rank >= 2 masks meet in
-    ``both``, as (flat vector, mult) pairs: every block of ``both`` is
-    merged by Littlewood-Richardson, every other block added
-    coordinatewise."""
-    out = [(tuple(map(add, ws, vs)), 1)]
-    for j, (_span, lo, hi) in enumerate(shape._cuts):
-        if both >> j & 1:
-            terms = _tensor_terms(ws[lo:hi], vs[lo:hi], hi - lo)
-            merged = []
-            for key, c in out:
-                head, tail = key[:lo], key[hi:]
-                merged += [(head + lam + tail, c * k) for lam, k in terms]
-            out = merged
-    return out
-
-
 def _expand_monomial(mono: SchurMonomial):
     """Graded pieces of a monomial: (flat vector, coeff) pairs, one per
     distinct piece, as the items of a dict that nothing else holds.
 
     The tensor product of the associated graded of every factor, folded
-    in one factor at a time on flat vectors.  Each piece carries a mask of
-    the rank >= 2 blocks where it may be nonzero: a product takes the union
-    of its two masks, which may keep the bit of a block that a merge made
-    zero, at the cost of one merge with the zero weight.  Two pieces whose
-    masks are disjoint multiply by coordinatewise addition, which is
-    Littlewood-Richardson at GL_1 and keeps a block's weight where the
-    other side is zero; only the blocks where both masks are set go
-    through ``_merge_flat``.
+    in one factor at a time on flat vectors.  Two pieces multiply by
+    coordinatewise addition, which is Littlewood-Richardson at GL_1 and
+    keeps a block's weight where the other side is zero; only a block of
+    rank >= 2 where both vectors are nonzero is merged by
+    Littlewood-Richardson.
     """
     shape = mono.shape
-    zero = (0,) * shape.n
-    acc = {zero: 1}
-    masks = {zero: 0}  # flat vector -> mask, beside acc: no key tuples
+    wide = [(lo, hi) for _span, lo, hi in shape._cuts if hi - lo > 1]
+    acc = {(0,) * shape.n: 1}
     for span, w in mono.factors:
         grown: dict = {}
-        grown_masks: dict = {}
         for ws, c in acc.items():
-            wmask = masks[ws]
-            for (vs, vmask), m in _flat_factor(shape, span, w):
-                if wmask & vmask:
-                    for key, k in _merge_flat(shape, ws, vs, wmask & vmask):
-                        grown[key] = grown.get(key, 0) + c * m * k
-                        grown_masks[key] = wmask | vmask
-                else:
-                    key = tuple(map(add, ws, vs))
-                    grown[key] = grown.get(key, 0) + c * m
-                    grown_masks[key] = wmask | vmask
-        acc, masks = grown, grown_masks
+            for vs, m in _flat_factor(shape, span, w):
+                out = [(tuple(map(add, ws, vs)), c * m)]
+                for lo, hi in wide:
+                    if any(ws[lo:hi]) and any(vs[lo:hi]):
+                        terms = _tensor_terms(ws[lo:hi], vs[lo:hi], hi - lo)
+                        out = [(u[:lo] + lam + u[hi:], k * t) for u, k in out for lam, t in terms]
+                for key, k in out:
+                    grown[key] = grown.get(key, 0) + k
+        acc = grown
     return acc.items()
 
 

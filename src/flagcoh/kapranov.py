@@ -20,7 +20,7 @@ from .cohomology import (
 )
 from .flagvar import SUB, BundleExpr, FlagShape, Slot, _subpartitions, make_monomial
 from .schur import CharacterSum, pad
-from .weights import InputError
+from .weights import InputError, _check_keys, _json_list
 
 CONFIRMED = "confirmed"
 REFUTED = "refuted"
@@ -62,8 +62,11 @@ class Collection:
 
     @classmethod
     def from_json(cls, data):
+        """Read a collection; a key other than ``flag`` and ``members``, or
+        ``members`` that is not a JSON list, is an input error."""
+        _check_keys(data, ("flag", "members"), "collection")
         shape = FlagShape.from_json(data["flag"])
-        return cls(shape, [BundleExpr.from_json(m) for m in data["members"]])
+        return cls(shape, [BundleExpr.from_json(m) for m in _json_list(data["members"], "members")])
 
 
 def enumerate_collection(shape: FlagShape) -> Collection:

@@ -44,7 +44,7 @@ from math import comb
 from operator import add, mul, sub
 
 from .kapranov import CONFIRMED, EXIT_CODE, REFUTED
-from .weights import InputError, strict_int
+from .weights import InputError, _check_keys, _ints, _json_list, strict_int
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,7 @@ class TowerSpec:
         _check_keys(data, ("base_dim", "levels"), "tower")
         levels = []
         for lv in _json_list(data["levels"], "levels"):
-            _check_keys(lv, ("bundles", "perms"), "level")
+            _check_keys(lv, ("bundles",), "level", optional=("perms",))
             bundles = tuple(
                 tuple(_ints(md, "a multidegree") for md in _json_list(b, "a bundle"))
                 for b in _json_list(lv["bundles"], "bundles")
@@ -155,24 +155,6 @@ class TowerSpec:
             )
             levels.append(Level(bundles, perms))
         return cls(strict_int(data["base_dim"]), tuple(levels))
-
-
-def _check_keys(obj, keys: tuple, what: str):
-    if not isinstance(obj, dict):
-        raise InputError("a %s must be a JSON object" % what)
-    unknown = sorted(set(obj) - set(keys))
-    if unknown:
-        raise InputError("unknown key %s in a %s" % (", ".join(map(repr, unknown)), what))
-
-
-def _json_list(value, what: str) -> list:
-    if not isinstance(value, list):
-        raise InputError("%s must be a JSON list, got %r" % (what, value))
-    return value
-
-
-def _ints(value, what: str) -> tuple:
-    return tuple(map(strict_int, _json_list(value, what)))
 
 
 def _proj_cohomology(r: int, t: int) -> dict:

@@ -1,6 +1,6 @@
-"""Integer weight combinatorics for GL_n: dual weights, input checks, and
-Borel-Bott-Weil, which resolves a weight into (degree, dominant weight) or
-vanishing.
+"""Integer weight combinatorics for GL_n: dual weights, the strict readers
+of JSON input that every ``from_json`` shares, and Borel-Bott-Weil, which
+resolves a weight into (degree, dominant weight) or vanishing.
 
 ``_bbw_flat`` is the package's one Borel-Bott-Weil: both cohomology
 routes resolve their pieces through it, and ``bbw_resolve`` is it read on
@@ -35,6 +35,33 @@ def strict_int(value) -> int:
     if type(value) is not int:
         raise InputError("expected an integer, got %r" % (value,))
     return value
+
+
+def _check_keys(obj, keys: tuple, what: str, optional: tuple = ()):
+    """Reject an ``obj`` read from JSON that is not an object, that lacks
+    one of ``keys`` or that has a key other than ``keys`` and
+    ``optional``; ``what`` names it in the message."""
+    if not isinstance(obj, dict):
+        raise InputError("a %s must be a JSON object" % what)
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise InputError("missing key %s in a %s" % (", ".join(map(repr, missing)), what))
+    unknown = sorted(set(obj) - set(keys) - set(optional))
+    if unknown:
+        raise InputError("unknown key %s in a %s" % (", ".join(map(repr, unknown)), what))
+
+
+def _json_list(value, what: str) -> list:
+    """``value`` read from JSON, which must be a list: an object is never
+    read as an empty list."""
+    if not isinstance(value, list):
+        raise InputError("%s must be a JSON list, got %r" % (what, value))
+    return value
+
+
+def _ints(value, what: str) -> tuple:
+    """A JSON list of integers as a tuple, each read by ``strict_int``."""
+    return tuple(map(strict_int, _json_list(value, what)))
 
 
 def is_weakly_decreasing(v: Sequence[int]) -> bool:

@@ -137,6 +137,64 @@ def test_toric_rejects_non_integers(tmp_path, capsys):
     assert code == EX_DATAERR
 
 
+def _edit_expr(edit):
+    expr = _cohom_expr()
+    edit(expr)
+    return expr
+
+
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        (_edit_expr(lambda e: e.update(comment="x")), "unknown key 'comment' in a bundle expression"),
+        (_edit_expr(lambda e: e["flag"].update(name="Gr")), "unknown key 'name' in a flag"),
+        (_edit_expr(lambda e: e["terms"][0].update(note=1)), "unknown key 'note' in a term"),
+        (
+            _edit_expr(lambda e: e["terms"][0]["factors"][0].update(mult=3)),
+            "unknown key 'mult' in a factor",
+        ),
+        (_edit_expr(lambda e: e["flag"].update(dims={})), "dims must be a JSON list"),
+        (_edit_expr(lambda e: e.update(terms={})), "terms must be a JSON list"),
+        (_edit_expr(lambda e: e["terms"][0].update(factors={})), "factors must be a JSON list"),
+        (
+            _edit_expr(lambda e: e["terms"][0]["factors"][0].update(weight={})),
+            "a weight must be a JSON list",
+        ),
+        (_edit_expr(lambda e: e.update(flag=[4, [2]])), "a flag must be a JSON object"),
+        (_edit_expr(lambda e: e["terms"][0].update(factors=[[]])), "a factor must be a JSON object"),
+        (
+            _edit_expr(lambda e: e["terms"][0]["factors"][0].pop("weight")),
+            "missing key 'weight' in a factor",
+        ),
+    ],
+)
+def test_cohom_rejects_malformed_expressions(tmp_path, capsys, expr, message):
+    path = tmp_path / "expr.json"
+    path.write_text(json.dumps(expr))
+    code, out, err = run(capsys, "cohom", "--expr", str(path))
+    assert code == EX_DATAERR and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda c: c.update(memebers=[]), "unknown key 'memebers' in a collection"),
+        (lambda c: c.update(members={}), "members must be a JSON list"),
+        (lambda c: c["members"][0].update(name="O"), "unknown key 'name' in a bundle expression"),
+        (lambda c: c.update(flag={"n": 3, "dims": {}}), "dims must be a JSON list"),
+    ],
+)
+def test_check_strong_rejects_malformed_collections(tmp_path, capsys, edit, message):
+    coll = run_json(capsys, "kapranov", "--n", "3", "--dims", "1")[1]
+    edit(coll)
+    path = tmp_path / "coll.json"
+    path.write_text(json.dumps(coll))
+    code, out, err = run(capsys, "check-strong", "--collection", str(path))
+    assert code == EX_DATAERR and out == ""
+    assert message in err
+
+
 @pytest.mark.parametrize(
     "tower, message",
     [
@@ -676,7 +734,18 @@ def test_clear_caches_empties_every_cache(capsys):
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "flagcoh"]
     # every lru_cache, found where the package's modules bind it
     caches = {id(v): v for m in modules for v in vars(m).values() if hasattr(v, "cache_clear")}
-    assert len(caches) >= 11
+    assert sorted(c.__module__ + "." + c.__qualname__ for c in caches.values()) == [
+        "flagcoh.cohomology._monomial_pieces_stepwise",
+        "flagcoh.flagvar._flat_factor",
+        "flagcoh.flagvar._forget_steps",
+        "flagcoh.flagvar._interval_product",
+        "flagcoh.flagvar._split_partition",
+        "flagcoh.flagvar._subpartitions",
+        "flagcoh.schur._lr_raw",
+        "flagcoh.schur._tensor_terms",
+        "flagcoh.schur.schur_dim",
+        "flagcoh.weights._bbw_flat",
+    ]
     assert run(capsys, "check-strong", "--n", "4", "--dims", "1,3")[0] == 0
     assert any(c.cache_info().currsize for c in caches.values())
     flagcoh.clear_caches()

@@ -407,13 +407,22 @@ def test_tuple_fold_fixed_cases():
     # F(1,3,5;6) has the rank-2 blocks W_3/W_1 and W_5/W_3.  A piece of
     # Sub(2) nonzero on the first meets Block(3) only on the second; a
     # piece of Sub(3) nonzero on both is merged with Block(3) on the second.
-    # Quot(1) then meets the first block again, so a product's mask must
-    # keep both sides' blocks, in an addition and in a merge alike
+    # Quot(1) then meets the first block again, so a product must keep the
+    # nonzero blocks of both sides, in an addition and in a merge alike
     f135 = FlagShape(6, (1, 3, 5))
     for sub in [(Slot(SUB, 2), (1, 0, -1)), (Slot(SUB, 3), (1, 0, 0, 0, -1))]:
         e = make_monomial(f135, [sub, (Slot(BLOCK, 3), (1, 0)), (Slot(QUOT, 1), (1, 0, 0, 0, -1))])
         [mono] = e.terms
         _assert_fold_matches_reference(mono)
+    # on F(1,4;5), adj(M) of W_4 times Block(2)'s adj(M) holds O once, so a
+    # merge makes the rank-3 block zero; Quot(1) then meets that block
+    # again, and its piece M there is added to the zero weight
+    adj2 = [(Slot(SUB, 2), (1, 0, 0, -1)), (Slot(BLOCK, 2), (1, 0, -1))]
+    [mono] = make_monomial(F145, adj2).terms
+    assert dict(_block_fold(mono))[(0,), (0, 0, 0), (0,)] == 1
+    [mono] = make_monomial(F145, [*adj2, (Slot(QUOT, 1), (1, 0, 0, 0))]).terms
+    _assert_fold_matches_reference(mono)
+    assert dict(_block_fold(mono))[(0,), (1, 0, 0), (0,)] == 4
 
 
 @settings(max_examples=60, deadline=None)
@@ -636,10 +645,12 @@ def test_pair_product_fixed_cases(monkeypatch):
     # a key with no parts is the trivial bundle
     o = trivial(F1234)
     assert _pair_key(o, o)[2] == () and _pair_product(_pair_key(o, o)) == o
-    # a pair-memo miss resolves the product built from the key, not a tensor
-    expected = engine.ext_groups_best(adj, adj)
+    # a pair-memo miss resolves the product built from the key, not a
+    # tensor, and so does a call without a memo
+    expected = engine.cohomology_stepwise(tensor(dual(adj), adj))
     monkeypatch.setattr(engine, "tensor", None)
     assert engine.ext_groups_best(adj, adj, {}) == expected
+    assert engine.ext_groups_best(adj, adj) == expected
 
 
 def test_pair_key_fixed_cases():
