@@ -169,13 +169,12 @@ def _json_chunks(obj, out: list, newline: str, memo: dict | None = None, write=N
 
 @contextmanager
 def _parsing():
-    """Report a ValueError, KeyError or TypeError raised while reading
-    the user's input as an input error."""
+    """Report a ValueError raised while reading the user's input as an
+    input error.  The readers check keys and JSON types first, so any
+    other exception raised here is an engine fault."""
     try:
         yield
-    except KeyError as exc:
-        raise InputError("missing key %s" % exc) from exc
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise InputError(str(exc)) from exc
 
 
@@ -324,10 +323,14 @@ def _cmd_counterexample(args):
     def lines():
         yield "case %d on %s" % (args.case, report.shape)
         for r in report.readings:
-            yield "reading %s: %s" % (r.label, r.status)
-            yield from ("  " + line for line in _outcome_lines(r.ext_outcome))
+            # the status and certificate rest on the stepwise outcome
+            yield "reading %s" % r.label
+            yield "  one-shot:"
+            yield from ("    " + line for line in _outcome_lines(r.ext_outcome))
+            yield "  stepwise: %s" % r.status
+            yield from ("    " + line for line in _outcome_lines(r.refined))
             if r.certificate:
-                yield "  certificate: %s" % r.certificate
+                yield "    certificate: %s" % r.certificate
         yield "counterexample established: %s" % report.established
 
     _emit(args, report.to_json, lines)

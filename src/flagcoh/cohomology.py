@@ -19,10 +19,13 @@ Two routes are provided for H^*(F, E):
   a time, deferring filtration splits as long as possible.  It splits the
   factor on V/W_{d_1}, the interval (1, s+1), with the same cached
   ``_flat_factor`` as the one-shot route, so each split is held once,
-  and cuts each flat piece into a monomial on the block intervals with
-  ``_flat_monomial``.  It handles one level of the tower per call and
-  caches its pieces per monomial, so a state reached along several
-  branches is computed once.  It often certifies exact vanishing where
+  and cuts each flat piece into monomials on the block intervals with
+  ``_flat_monomial``.  The push onto the base merges the fibre's BBW
+  weight into the relabelled factors with ``flagvar._merge_factors``;
+  both steps pass {SchurMonomial: multiplicity} dicts, and no
+  ``BundleExpr`` is built below the top.  It handles one level of the
+  tower per call and caches its pieces per monomial, so a state reached
+  along several branches is computed once.  It often certifies exact vanishing where
   the one-shot route only yields a bound.
 
 Both routes end in ``weights._bbw_flat``, the package's one
@@ -68,11 +71,11 @@ from .flagvar import (
     _flat_factor,
     _flat_monomial,
     _forget_steps,
+    _merge_factors,
     _pair_key,
     _pair_product,
     block_weights,
     dual,
-    make_monomial,
     minimal_base,
     tensor,
 )
@@ -221,7 +224,7 @@ def _monomial_pieces_stepwise(mono: SchurMonomial) -> tuple:
         terms = [
             (piece, c * m)
             for flat, c in split
-            for piece, m in _flat_monomial(shape, flat, rest).terms.items()
+            for piece, m in _flat_monomial(shape, flat, rest).items()
         ]
         return _lower_pieces(terms, 0, len(split) > 1)
     alpha = factors.pop((0, 1), pad((), sizes[0]))
@@ -233,10 +236,8 @@ def _monomial_pieces_stepwise(mono: SchurMonomial) -> tuple:
     if shape.s == 1:
         return ((degree, weight, 1),), False
     lower, factor = _forget_steps(shape, shape.dims[1:])
-    pushed = make_monomial(
-        lower, [factor(span, w) for span, w in factors.items()] + [((0, 1), weight)]
-    )
-    return _lower_pieces(pushed.terms.items(), degree, False)
+    pushed = [factor(span, w) for span, w in factors.items()] + [((0, 1), weight)]
+    return _lower_pieces(_merge_factors(lower, pushed).items(), degree, False)
 
 
 def cohomology_stepwise(e: BundleExpr) -> CohomologyOutcome:

@@ -22,10 +22,19 @@ consecutive quotient, zero where the piece has no factor.
 cache that both routes read.  The one-shot fold ``_expand_monomial``
 multiplies them by coordinatewise addition; Littlewood-Richardson runs
 only on a block of rank >= 2 where both pieces are nonzero.
-``_flat_monomial`` is the one cut of a flat piece into a monomial on the
+``_flat_monomial`` is the one cut of a flat piece into factors on the
 block intervals (j, j+1), for the stepwise route in ``cohomology`` and
 for ``graded_expansion``.  Block tuples are the form only at the
 boundary: ``block_weights`` and ``cohomology.cohomology_graded``.
+
+A product is what the merge returns.  ``_merge_factors`` and its grow
+step ``_grow_factors`` turn (interval, weight) factors into
+{SchurMonomial: multiplicity}, and are the engine's one step from factor
+tuples to monomials: ``tensor``, ``_pair_product``, ``_flat_monomial``
+and the stepwise route in ``cohomology`` call them directly.
+``make_monomial`` is the builder for input only (``BundleExpr.from_json``,
+the Kapranov enumeration, the counterexample families): it reads each
+place, checks each weight's length and calls ``_merge_factors``.
 """
 
 from __future__ import annotations
@@ -209,10 +218,11 @@ class SchurMonomial:
 
 
 def make_monomial(shape: FlagShape, factors: Iterable) -> "BundleExpr":
-    """Build a bundle expression from raw (place, weight) pairs, a place
-    being a ``Slot`` or an interval (lo, hi), merging the factors on one
-    interval by Littlewood-Richardson at its rank.  Every weight must have
-    that rank as its length."""
+    """Build a bundle expression from raw input (place, weight) pairs, a
+    place being a ``Slot`` or an interval (lo, hi), merging the factors on
+    one interval by Littlewood-Richardson at its rank.  Every weight must
+    have that rank as its length.  The engine's own products come from
+    ``_merge_factors`` directly."""
     d = shape._bounds
     placed = []
     for place, w in factors:
@@ -221,17 +231,16 @@ def make_monomial(shape: FlagShape, factors: Iterable) -> "BundleExpr":
         if len(w) != d[span[1]] - d[span[0]]:
             raise ValueError("weight %r has wrong length for %s" % (w, shape.slot(*span)))
         placed.append((span, w))
-    # a lone weight is checked by SchurMonomial below, merged ones by _tensor_terms
-    return BundleExpr(
-        shape, {SchurMonomial(shape, fs): m for fs, m in _merge_factors(placed).items()}
-    )
+    return BundleExpr(shape, _merge_factors(shape, placed))
 
 
-def _merge_factors(factors) -> dict:
-    """The product of the (interval, weight) ``factors`` as {factor tuple:
-    multiplicity}: the weights on one interval are merged by
-    Littlewood-Richardson at its rank, the intervals ascend, and all-zero
-    weights are dropped.  The weights are not validated."""
+def _merge_factors(shape: FlagShape, factors) -> dict:
+    """The product of the (interval, weight) ``factors`` on ``shape`` as
+    {SchurMonomial: multiplicity}: the weights on one interval are merged
+    by Littlewood-Richardson at its rank, the intervals ascend, and
+    all-zero weights are dropped.  Every interval must be one of the
+    shape's and every weight of its length; a lone weight is checked by
+    ``SchurMonomial``, merged ones by ``_tensor_terms``."""
     by_span: dict = {}
     for span, w in factors:
         by_span.setdefault(span, []).append(w)
@@ -245,15 +254,16 @@ def _merge_factors(factors) -> dict:
                     merged[lam] = merged.get(lam, 0) + c * mult
             pieces = merged
         parts.append((span, pieces.items()))
-    return _grow_factors(1, parts)
+    return _grow_factors(shape, 1, parts)
 
 
-def _grow_factors(mult: int, parts) -> dict:
-    """{factor tuple: multiplicity} from the trivial tuple with multiplicity
-    ``mult``, grown by each (interval, ((weight, mult), ...)) of ``parts``
-    in turn: one tuple per weight, the multiplicities multiplied, an
-    all-zero weight dropped.  Tuples grown in ascending interval order are
-    already canonical."""
+def _grow_factors(shape: FlagShape, mult: int, parts) -> dict:
+    """{SchurMonomial: multiplicity} on ``shape``, grown from the trivial
+    monomial with multiplicity ``mult`` by each (interval, ((weight, mult),
+    ...)) of ``parts`` in turn: one factor per weight, the multiplicities
+    multiplied, an all-zero weight dropped.  Factors grown in ascending
+    interval order are already canonical.  The engine's one step from
+    factor tuples to monomials."""
     products = {(): mult}
     for span, terms in parts:
         grown: dict = {}
@@ -262,7 +272,7 @@ def _grow_factors(mult: int, parts) -> dict:
                 new = fs + ((span, w),) if any(w) else fs
                 grown[new] = grown.get(new, 0) + m * c
         products = grown
-    return products
+    return {SchurMonomial(shape, fs): m for fs, m in products.items()}
 
 
 class BundleExpr:
@@ -386,8 +396,7 @@ def tensor(e1: BundleExpr, e2: BundleExpr) -> BundleExpr:
     terms: dict = {}
     for m1, c1 in e1.terms.items():
         for m2, c2 in e2.terms.items():
-            prod = make_monomial(e1.shape, m1.factors + m2.factors)
-            for mono, c in prod.terms.items():
+            for mono, c in _merge_factors(e1.shape, m1.factors + m2.factors).items():
                 terms[mono] = terms.get(mono, 0) + c * c1 * c2
     return BundleExpr(e1.shape, terms)
 
@@ -436,10 +445,9 @@ def _pair_product(key: tuple) -> BundleExpr:
     """``tensor(dual(a), b)`` built from ``key = _pair_key(a, b)``: one
     term of each interval's Littlewood-Richardson product per monomial,
     its multiplicity the terms' times c1 c2, with an all-zero weight
-    dropped: the grow step of ``_merge_factors``, started from c1 c2."""
+    dropped: ``_grow_factors`` started from c1 c2."""
     shape, mult, parts = key
-    products = _grow_factors(mult, parts)
-    return BundleExpr(shape, {SchurMonomial(shape, fs): m for fs, m in products.items()})
+    return BundleExpr(shape, _grow_factors(shape, mult, parts))
 
 
 def _referenced_dims(mono: SchurMonomial) -> set:
@@ -577,13 +585,13 @@ def _flat_factor(shape: FlagShape, span: tuple, w: tuple) -> tuple:
     return tuple(out)
 
 
-def _flat_monomial(shape: FlagShape, flat: tuple, factors=()) -> BundleExpr:
-    """The graded piece with flat vector ``flat``, tensored with the raw
-    (interval, weight) ``factors``, as a bundle expression: the one cut of
-    a flat piece into factors on the block intervals (j, j+1), leaving out
-    every all-zero block."""
+def _flat_monomial(shape: FlagShape, flat: tuple, factors=()) -> dict:
+    """The graded piece with flat vector ``flat``, tensored with the
+    (interval, weight) ``factors``, as {SchurMonomial: multiplicity}: the
+    one cut of a flat piece into factors on the block intervals (j, j+1),
+    leaving out every all-zero block, merged by ``_merge_factors``."""
     blocks = [(span, w) for span, a, b in shape._cuts if any(w := flat[a:b])]
-    return make_monomial(shape, [*factors, *blocks])
+    return _merge_factors(shape, [*factors, *blocks])
 
 
 def _expand_monomial(mono: SchurMonomial):
@@ -626,6 +634,6 @@ def graded_expansion(e: BundleExpr):
     for mono, m in e.monomials():
         pieces = sorted(_expand_monomial(mono), reverse=True)
         for level, (flat, c) in enumerate(pieces):
-            [gm] = _flat_monomial(e.shape, flat).terms
+            [gm] = _flat_monomial(e.shape, flat)
             out.append((gm, c * m, level))
     return out

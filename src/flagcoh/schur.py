@@ -9,7 +9,6 @@ Sigma^(chi + k*(1^m)) = Sigma^chi (x) det^k.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -237,10 +236,12 @@ def schur_dim(lam: tuple, m: int) -> int:
         raise ValueError("weight must have full length %d" % m)
     if not is_weakly_decreasing(lam):
         raise ValueError("weight must be weakly decreasing")
-    val = Fraction(1)
+    num = den = 1
     for i in range(m):
         for j in range(i + 1, m):
-            val *= Fraction(lam[i] - lam[j] + j - i, j - i)
-    if val.denominator != 1:
+            num *= lam[i] - lam[j] + j - i
+            den *= j - i
+    dim, rem = divmod(num, den)
+    if rem:
         raise RuntimeError("Weyl dimension of %r is not an integer" % (lam,))
-    return int(val)
+    return dim

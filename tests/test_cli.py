@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flagcoh
-from flagcoh import cli, kapranov, twists
+from flagcoh import cli, flagvar, kapranov, twists
 from flagcoh.cli import EX_DATAERR, EX_SOFTWARE, EX_USAGE, main
 from flagcoh.flagvar import BundleExpr, FlagShape
-from flagcoh.kapranov import check_strong_exceptional, enumerate_collection
+from flagcoh.kapranov import Collection, check_strong_exceptional, enumerate_collection
 from flagcoh.schur import CharacterSum
+from flagcoh.toric import TowerSpec
 from flagcoh.twists import WITH_SIGMA, TwistGroup, check_T2
 
 # the package's ``cohomology`` attribute is the function, not the module
@@ -217,6 +218,100 @@ def test_toric_rejects_malformed_towers(tmp_path, capsys, tower, message):
     code, out, err = run(capsys, "toric-check", "--tower", str(path))
     assert code == EX_DATAERR and out == ""
     assert message in err
+
+
+# every value the mutation walker gives a field: JSON scalars of each type,
+# integers around the valid ranks, and lists and objects nested once
+MUTANT_VALUES = (
+    None, True, False, 1.5, "x", "", -1, 0, 1, 2, 7, [], {}, [1], [[1]], [1, 0], {"a": 1}, [None], ["x"]
+)
+
+READERS = {
+    "expression": (
+        BundleExpr,
+        {
+            "flag": {"n": 4, "dims": [1, 3]},
+            "terms": [
+                {
+                    "mult": 2,
+                    "factors": [
+                        {"slot": "sub", "index": 1, "weight": [1]},
+                        {"slot": "quot", "index": 1, "weight": [1, 0, -1]},
+                    ],
+                },
+                {
+                    "mult": 1,
+                    "factors": [
+                        {"slot": "block", "index": 2, "weight": [1, 0]},
+                        {"slot": "block", "index": 2, "weight": [1, 1]},
+                    ],
+                },
+            ],
+        },
+    ),
+    "collection": (Collection, enumerate_collection(FlagShape(3, (1,))).to_json()),
+    "tower": (
+        TowerSpec,
+        {"base_dim": 1, "levels": [{"bundles": [[[0], [1]], [[0], [1]]], "perms": [[1, 0]]}]},
+    ),
+}
+
+
+def _mutants(data):
+    """Every copy of the JSON value ``data`` with one field, at any depth
+    (the whole value included), set to one of ``MUTANT_VALUES``."""
+
+    def paths(value, path):
+        yield path
+        if isinstance(value, dict):
+            children = value.items()
+        else:
+            children = enumerate(value) if isinstance(value, list) else ()
+        for key, child in children:
+            yield from paths(child, path + (key,))
+
+    for path in paths(data, ()):
+        for new in MUTANT_VALUES:
+            if not path:
+                yield new
+                continue
+            mutant = json.loads(json.dumps(data))
+            target = mutant
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = new
+            yield mutant
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_readers_raise_only_value_errors(reader):
+    # a reader rejects bad input with a ValueError (InputError is one), so
+    # the CLI reports only that as an input error; any other exception
+    # raised while reading is an engine fault
+    cls, data = READERS[reader]
+    cls.from_json(data)
+    rejected = 0
+    for mutant in _mutants(data):
+        try:
+            cls.from_json(mutant)
+        except ValueError:
+            rejected += 1
+    assert rejected > 0
+
+
+@pytest.mark.parametrize("fault", [TypeError, KeyError])
+def test_engine_fault_while_reading_is_an_internal_error(tmp_path, capsys, monkeypatch, fault):
+    path = tmp_path / "expr.json"
+    path.write_text(json.dumps(_cohom_expr()))
+
+    def broken(shape, factors):
+        raise fault("engine bug")
+
+    monkeypatch.setattr(flagvar, "_merge_factors", broken)
+    code, out, err = run(capsys, "cohom", "--expr", str(path))
+    assert code == EX_SOFTWARE and out == ""
+    assert "flagcoh: internal error: %s" % fault.__name__ in err
+    assert "input error" not in err
 
 
 def test_internal_errors_exit_70(tmp_path, capsys, monkeypatch):
@@ -466,6 +561,27 @@ def test_counterexample_cli(capsys):
         capsys, "counterexample", "--case", "3", "--n", "3", "--dims", "1,2"
     )
     assert code == 1 and [r["label"] for r in data["readings"]] == ["F=W_1", "F=W_2"]
+
+
+def test_counterexample_text_shows_both_routes(capsys):
+    # case 3 on F(1,2,3,4;5): for F=W_2 the one-shot route only bounds H^1
+    # by two copies of S^(1,1,1,0,0)(V); the stepwise route finds one, and
+    # the verdict and its certificate rest on it
+    code, out, _ = run(capsys, "counterexample", "--case", "3", "--n", "5", "--dims", "1,2,3,4")
+    assert code == 1
+    reading = out[out.index("reading F=W_2\n"):].splitlines()
+    assert reading[1:5] == [
+        "  one-shot:",
+        "    grade: e1bound",
+        "    H^0 = S^(1, 1, 1, 0, 0)(V)  (dim 10)",
+        "    H^1 = 2 x S^(1, 1, 1, 0, 0)(V)  (dim 20)",
+    ]
+    stepwise = reading.index("  stepwise: refuted")
+    assert reading[stepwise + 1 : stepwise + 3] == [
+        "    grade: exact",
+        "    H^1 = S^(1, 1, 1, 0, 0)(V)  (dim 10)",
+    ]
+    assert reading[stepwise + 4].startswith("    certificate: {'kind': 'exact_degree', 'degree': 1")
 
 
 def test_toric_check_cli(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import importlib
+import sys
 from math import comb
 
 import pytest
@@ -22,6 +23,7 @@ from flagcoh.flagvar import (
     BLOCK,
     QUOT,
     SUB,
+    BundleExpr,
     FlagShape,
     SchurMonomial,
     Slot,
@@ -34,7 +36,9 @@ from flagcoh.flagvar import (
     tensor,
     trivial,
 )
+from flagcoh.kapranov import check_strong_exceptional, enumerate_collection
 from flagcoh.schur import CharacterSum, _tensor_terms, pad
+from flagcoh.twists import WITH_SIGMA, TwistGroup, check_T2
 from flagcoh.weights import _bbw_flat, bbw_resolve
 
 # the package's ``cohomology`` attribute is the function, not the module
@@ -204,11 +208,47 @@ def test_flat_factor_pieces():
 def test_flat_monomial_cuts_only_nonzero_blocks():
     # the zero block (0, 1) is left out, so nothing is merged into Sub(1)
     flagcoh.clear_caches()
-    e = _flat_monomial(F123, (0, 2, 1), [((0, 1), (3,))])
+    pieces = _flat_monomial(F123, (0, 2, 1), [((0, 1), (3,))])
     expected = [(Slot(SUB, 1), (3,)), (Slot(BLOCK, 2), (2,)), (Slot(QUOT, 2), (1,))]
-    assert e == make_monomial(F123, expected)
+    assert pieces == make_monomial(F123, expected).terms
     assert _tensor_terms.cache_info().currsize == 0
-    assert _flat_monomial(GR24, (0, 0, 0, 0)) == trivial(GR24)
+    assert _flat_monomial(GR24, (0, 0, 0, 0)) == trivial(GR24).terms
+
+
+def test_engine_builds_products_without_make_monomial(monkeypatch):
+    # make_monomial reads input only: once the inputs are built, every
+    # product inside the engine comes from the merge alone
+    f1234, f134 = FlagShape(4, (1, 2, 3)), FlagShape(4, (1, 3))
+    collection = enumerate_collection(f1234)
+    t = sum(enumerate_collection(f134).members, BundleExpr(f134))
+    e = make_monomial(f1234, [(Slot(SUB, 1), (1,)), (Slot(QUOT, 1), (1, 0, -1))]) + make_monomial(
+        f1234, [(Slot(SUB, 2), (2, 1)), (Slot(BLOCK, 3), (1,))]
+    )
+    assert len(e.terms) == 2
+
+    def results():
+        flagcoh.clear_caches()
+        return (
+            check_strong_exceptional(collection).to_json(),
+            check_T2(t, TwistGroup(WITH_SIGMA)).to_json(),
+            cohomology_stepwise(e).to_json(),
+            tensor(e, e),
+        )
+
+    expected = results()
+
+    def refused(shape, factors):
+        raise AssertionError("make_monomial called inside the engine")
+
+    patched = []
+    for name, module in list(sys.modules.items()):
+        if name == "flagcoh" or name.startswith("flagcoh."):
+            for attr, value in list(vars(module).items()):
+                if value is make_monomial:
+                    monkeypatch.setattr(module, attr, refused)
+                    patched.append(name)
+    assert "flagcoh.flagvar" in patched
+    assert results() == expected
 
 
 def test_non_block_factor_rejected():

@@ -84,11 +84,11 @@ GOLDEN = {
     'toric-grid: toric-check tower=smoke [json]': ('823b74198a9aefddedbf1e7ae3735ecb5992f11570906858f2ee9a6566f5c3db', 0),
     'toric-grid: toric-check tower=smoke [text]': ('b64de174d7773cb0e523bce4544cd3fa1ad3008fbf4f1f1d2507d4e58ae41c0f', 0),
     'counterexample --case 1 --n 4 --dims 2 [json]': ('72803e1592e95b56b6cd7a9596d4400d62538c77c70edd90a2d7fa1aa7de0b87', 1),
-    'counterexample --case 1 --n 4 --dims 2 [text]': ('dc6f94c123d102e662bf42d209048d4d01466c38054ecd6e2b3150f99bfa8a1e', 1),
+    'counterexample --case 1 --n 4 --dims 2 [text]': ('2cd7048d7f646fb66b0cd9ba10d8bc87d757fd62e2aacffd60e9c22c64091126', 1),
     'counterexample --case 2 --n 5 --dims 1,4 [json]': ('675fa932f1fb75cebd86dbfe44f58a4bf9c53b254202e5b39fced6dbb692d919', 1),
-    'counterexample --case 2 --n 5 --dims 1,4 [text]': ('56bb8ad40325cd95d03b17df4250d6e59e03c17a6fa37b1484e2072ebf2dccf4', 1),
+    'counterexample --case 2 --n 5 --dims 1,4 [text]': ('0bedcb9b4de0ea6b2567a11c7bc81fda131735ce0f302a30196d93ee031ed465', 1),
     'counterexample --case 3 --n 4 --dims 1,2,3 [json]': ('d1823062c28c88d8afe0c739b4cc1264bf0a621f7a837c49762aba216bb7f307', 1),
-    'counterexample --case 3 --n 4 --dims 1,2,3 [text]': ('e906d18d7cf74fc8fdf99b86982132fcfeb5fa2f13c4c627b8d9974f54235d05', 1),
+    'counterexample --case 3 --n 4 --dims 1,2,3 [text]': ('19ca258c93debd34676bc0f5babc6b9f1819118c9d9f36147e1cc7e74c726326', 1),
 }
 
 # toric-grid tower variant -> (stdout sha256 of toric-check --format json, exit code)
