@@ -17,25 +17,21 @@ Two routes are provided for H^*(F, E):
 
 * ``cohomology_stepwise`` pushes forward one relative Grassmann bundle at
   a time, deferring filtration splits as long as possible.  It splits the
-  factor on V/W_{d_1}, the interval (1, s+1), with the same cached
-  ``_flat_factor`` as the one-shot route, so each split is held once,
-  and cuts each flat piece into monomials on the block intervals with
-  ``_flat_monomial``.  The push onto the base merges the fibre's BBW
-  weight into the relabelled factors with ``flagvar._merge_factors``;
-  both steps pass {SchurMonomial: multiplicity} dicts, and no
-  ``BundleExpr`` is built below the top.  It handles one level of the
-  tower per call and caches its pieces per monomial, so a state reached
-  along several branches is computed once.  It often certifies exact vanishing where
-  the one-shot route only yields a bound.
+  factor on V/W_{d_1}, the interval (1, s+1), with the same
+  ``_flat_factor`` as the one-shot route, and cuts each flat piece into
+  monomials on the block intervals with ``_flat_monomial``.  The push onto
+  the base merges the fibre's BBW weight into the relabelled factors with
+  ``flagvar._merge_factors``; both steps pass {SchurMonomial:
+  multiplicity} dicts, and no ``BundleExpr`` is built below the top.  It
+  handles one level of the tower per call.  It often certifies exact
+  vanishing where the one-shot route only yields a bound.
 
 Both routes end in ``weights._bbw_flat``, the package's one
 Borel-Bott-Weil, on a flat piece and its block sizes: the one-shot route
 passes the flag's blocks, the stepwise route the two blocks of one
-Grassmann fibre.  It is the one BBW cache, a bounded LRU cache, because
-pair checks resolve the same few thousand pieces many times over.  A
-piece is a flat vector everywhere inside the engine; block tuples are the
-form only at the boundary: ``cohomology_graded`` flattens the weights
-``block_weights`` reads off a block monomial.
+Grassmann fibre.  A piece is a flat vector everywhere inside the engine;
+block tuples are the form only at the boundary: ``cohomology_graded``
+flattens the weights ``block_weights`` reads off a block monomial.
 
 Both routes work on the factors' intervals (lo, hi) as ``flagvar``
 stores them; no slot is spelled inside the engine.
@@ -45,10 +41,17 @@ counterexample readings; ``cohomology_stepwise`` serves every pair check
 through ``ext_groups_best``.  Wherever stepwise is only a bound, its
 bound is at most the one-shot bound, weight by weight, on every pair
 product measured, so pair checks never run the one-shot fold.
-``ext_groups_best`` can keep its outcomes in a memo keyed by the product
-a^v (x) b, so a pair loop resolves each distinct product once.  For a
-pair of single monomials the key (``flagvar._pair_key``) is built
-interval by interval: the shape and, for each interval, the cached
+
+The stepwise route keeps what it computes in a ``_Table`` made for one
+top-level call and dropped when the call returns: the pieces of each
+monomial, so a state reached along several branches or pairs is pushed
+once, the fibre's Borel-Bott-Weil per (flat piece, sizes), the split of
+each factor on V/W_{d_1} per (shape, weight) and the pair outcomes.  The
+one-shot route keeps nothing: its pieces rarely repeat.  A pair loop
+passes one table to ``ext_groups_best`` for all its pairs, whose outcomes
+it keys by the product a^v (x) b, so each distinct product is resolved
+once.  For a pair of single monomials the key (``flagvar._pair_key``) is
+built interval by interval: the shape and, for each interval, the cached
 Littlewood-Richardson product of a's dual weight with b's weight.  No
 monomial is built for such a key, and when the key is new the product is
 built from it, one Littlewood-Richardson term per interval
@@ -61,7 +64,6 @@ Pairs that share an outcome also share its JSON, which
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .flagvar import (
     BundleExpr,
@@ -188,20 +190,38 @@ def cohomology(e: BundleExpr) -> CohomologyOutcome:
 # stepwise pushforward down the tower of relative Grassmann bundles
 
 
-def _lower_pieces(terms, shift: int, filtered: bool) -> tuple:
+class _Table:
+    """What the stepwise route computes during one top-level call:
+    ``pieces`` per monomial, the fibre's Borel-Bott-Weil (``bbw``) per
+    (flat piece, sizes), the ``splits`` of a factor on V/W_{d_1} per
+    (shape, weight) and the ``pairs``' outcomes per product key.  A call
+    that is given no table makes its own, and nothing outlives the call
+    that made it."""
+
+    def __init__(self):
+        self.pieces, self.bbw, self.splits, self.pairs = {}, {}, {}, {}
+
+
+def _memo(memo: dict, key, compute, *args):
+    """``memo[key]``, set to ``compute(*args)`` on a miss."""
+    if key not in memo:
+        memo[key] = compute(*args)
+    return memo[key]
+
+
+def _lower_pieces(terms, shift: int, filtered: bool, table: _Table) -> tuple:
     """Sum the stepwise pieces of the (monomial, mult) pairs ``terms``,
     ``shift`` degrees up; ``filtered`` is or-ed with theirs."""
     acc: dict = {}
     for mono, mult in terms:
-        pieces, below = _monomial_pieces_stepwise(mono)
+        pieces, below = _memo(table.pieces, mono, _monomial_pieces_stepwise, mono, table)
         filtered = filtered or below
         for d, w, c in pieces:
             acc[d + shift, w] = acc.get((d + shift, w), 0) + c * mult
     return tuple(sorted((d, w, c) for (d, w), c in acc.items() if c)), filtered
 
 
-@lru_cache(maxsize=None)
-def _monomial_pieces_stepwise(mono: SchurMonomial) -> tuple:
+def _monomial_pieces_stepwise(mono: SchurMonomial, table: _Table) -> tuple:
     """Stepwise pieces of a monomial, ((degree, weight, mult), ...) plus the
     filtration flag, one level of the tower per call.
 
@@ -210,7 +230,8 @@ def _monomial_pieces_stepwise(mono: SchurMonomial) -> tuple:
     Grassmann bundle Gr(d_1, W_{d_2}) (W_{d_2} = V when s = 1);
     Borel-Bott-Weil on its fibre turns the factors on W_{d_1} and
     W_{d_2}/W_{d_1} into one weight on W_{d_2}, and the rest of the
-    monomial is relabelled onto the base."""
+    monomial is relabelled onto the base.  What the lower levels compute
+    is kept in ``table``."""
     shape = mono.shape
     if shape.s == 0:
         w = mono.factors[0][1] if mono.factors else pad((), shape.n)
@@ -219,17 +240,19 @@ def _monomial_pieces_stepwise(mono: SchurMonomial) -> tuple:
     sizes = shape.blocks()
     q1 = (1, shape.s + 1)
     if shape.s >= 2 and q1 in factors:
-        split = _flat_factor(shape, q1, factors.pop(q1))
+        w = factors.pop(q1)
+        split = _memo(table.splits, (shape, w), _flat_factor, shape, q1, w)
         rest = list(factors.items())
         terms = [
             (piece, c * m)
             for flat, c in split
             for piece, m in _flat_monomial(shape, flat, rest).items()
         ]
-        return _lower_pieces(terms, 0, len(split) > 1)
+        return _lower_pieces(terms, 0, len(split) > 1, table)
     alpha = factors.pop((0, 1), pad((), sizes[0]))
     beta = factors.pop((1, 2), pad((), sizes[1]))
-    res = _bbw_flat(alpha + beta, sizes[:2])
+    key = alpha + beta, sizes[:2]
+    res = _memo(table.bbw, key, _bbw_flat, *key)
     if res is None:
         return (), False
     degree, weight = res
@@ -237,12 +260,14 @@ def _monomial_pieces_stepwise(mono: SchurMonomial) -> tuple:
         return ((degree, weight, 1),), False
     lower, factor = _forget_steps(shape, shape.dims[1:])
     pushed = [factor(span, w) for span, w in factors.items()] + [((0, 1), weight)]
-    return _lower_pieces(_merge_factors(lower, pushed).items(), degree, False)
+    return _lower_pieces(_merge_factors(lower, pushed).items(), degree, False, table)
 
 
-def cohomology_stepwise(e: BundleExpr) -> CohomologyOutcome:
-    """H^*(F, e) by level-by-level relative pushforward."""
-    return _run(e, _monomial_pieces_stepwise)
+def cohomology_stepwise(e: BundleExpr, table: _Table | None = None) -> CohomologyOutcome:
+    """H^*(F, e) by level-by-level relative pushforward, keeping what it
+    computes in ``table``, a fresh one when None."""
+    table = _Table() if table is None else table
+    return _run(e, lambda mono: _memo(table.pieces, mono, _monomial_pieces_stepwise, mono, table))
 
 
 # ---------------------------------------------------------------------------
@@ -254,29 +279,28 @@ def ext_groups(a: BundleExpr, b: BundleExpr) -> CohomologyOutcome:
     return cohomology(tensor(dual(a), b))
 
 
-def ext_groups_best(a: BundleExpr, b: BundleExpr, memo: dict | None = None) -> CohomologyOutcome:
+def ext_groups_best(a: BundleExpr, b: BundleExpr, table: _Table | None = None) -> CohomologyOutcome:
     """Ext^*(a, b) = H^*(F, a^v (x) b) by the stepwise route, exact or an
     E1 bound.
 
-    The product is keyed, and ``memo``, a dict from product keys to
-    outcomes (a fresh one when None), resolves an equal product once.  For
-    single monomials the key (``flagvar._pair_key``) is built without a
-    monomial: the shape, the product of their multiplicities and, interval
-    by interval, the cached Littlewood-Richardson product of a's dual
-    weight with b's, leaving out an interval whose product is the zero
-    weight alone; on a miss the product is built from the key
-    (``flagvar._pair_product``).  A sum or the zero expression is keyed by
-    the product a^v (x) b itself, built once.  A shared outcome must not
-    be mutated."""
-    if memo is None:
-        memo = {}
+    The product is keyed, and the outcome is kept in ``table`` (a fresh
+    one when None) under its key, so a pair loop that passes one table
+    resolves an equal product once.  For single monomials the key
+    (``flagvar._pair_key``) is built without a monomial: the shape, the
+    product of their multiplicities and, interval by interval, the cached
+    Littlewood-Richardson product of a's dual weight with b's, leaving out
+    an interval whose product is the zero weight alone; on a miss the
+    product is built from the key (``flagvar._pair_product``).  A sum or
+    the zero expression is keyed by the product a^v (x) b itself, built
+    once.  A shared outcome must not be mutated."""
+    table = _Table() if table is None else table
     key = _pair_key(a, b)
     if key is None:
         key = tensor(dual(a), b)
-    outcome = memo.get(key)
+    outcome = table.pairs.get(key)
     if outcome is None:
         product = key if isinstance(key, BundleExpr) else _pair_product(key)
-        outcome = memo[key] = cohomology_stepwise(product)
+        outcome = table.pairs[key] = cohomology_stepwise(product, table)
     return outcome
 
 

@@ -18,10 +18,12 @@ it is valid only in the process that made them, so they are not pickled.
 A graded piece of the filtration by the flag has one form inside the
 engine, a flat vector: one n-tuple that concatenates one weight per
 consecutive quotient, zero where the piece has no factor.
-``_flat_factor`` splits one factor into such pieces, in the one split
-cache that both routes read.  The one-shot fold ``_expand_monomial``
-multiplies them by coordinatewise addition; Littlewood-Richardson runs
-only on a block of rank >= 2 where both pieces are nonzero.
+``_flat_factor`` splits one factor into such pieces for both routes and
+keeps nothing: the stepwise route keeps its splits in its per-call table,
+and ``_split_partition`` keeps the branching.  The one-shot fold
+``_expand_monomial`` multiplies them by coordinatewise addition;
+Littlewood-Richardson runs only on a block of rank >= 2 where both pieces
+are nonzero.
 ``_flat_monomial`` is the one cut of a flat piece into factors on the
 block intervals (j, j+1), for the stepwise route in ``cohomology`` and
 for ``graded_expansion``.  Block tuples are the form only at the
@@ -565,15 +567,14 @@ def block_weights(mono: SchurMonomial) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=4096)
 def _flat_factor(shape: FlagShape, span: tuple, w: tuple) -> tuple:
     """The associated graded of Sigma^w on the interval ``span`` for the
     natural filtration, as ((flat vector, coeff), ...).  The interval
     (lo, hi) spans blocks lo+1..hi; the flat vector concatenates one weight
     per block of the shape, zero on every block outside the span.
     Negative entries are absorbed into a determinant twist, which splits
-    as the same twist on every spanned block.  Both routes read their
-    splits here, so each split is held once."""
+    as the same twist on every spanned block.  Both routes split here; the
+    stepwise route keeps its splits in its per-call table."""
     lo, hi = span
     d = shape._bounds
     below, above = (0,) * d[lo], (0,) * (shape.n - d[hi])
@@ -609,9 +610,10 @@ def _expand_monomial(mono: SchurMonomial):
     wide = [(lo, hi) for _span, lo, hi in shape._cuts if hi - lo > 1]
     acc = {(0,) * shape.n: 1}
     for span, w in mono.factors:
+        split = _flat_factor(shape, span, w)
         grown: dict = {}
         for ws, c in acc.items():
-            for vs, m in _flat_factor(shape, span, w):
+            for vs, m in split:
                 out = [(tuple(map(add, ws, vs)), c * m)]
                 for lo, hi in wide:
                     if any(ws[lo:hi]) and any(vs[lo:hi]):

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from .cohomology import (
     EXACT,
     CohomologyOutcome,
+    _Table,
     ext_groups_best,
 )
 from .flagvar import SUB, BundleExpr, FlagShape, Slot, _subpartitions, make_monomial
@@ -204,15 +205,16 @@ class PairReport:
 def _check_pairs(members: list, below: str) -> list:
     """The one loop over ordered pairs: Ext^*(members[i], members[j]) by
     ``ext_groups_best``, classified against ``higher`` for i <= j and
-    against ``below`` for i > j.  Pairs with equal products a^v (x) b
-    share one outcome, resolved once for the life of the call."""
+    against ``below`` for i > j.  The loop's one table lives for the
+    call, so pairs with equal products a^v (x) b share one outcome,
+    resolved once, and pair products share their stepwise pieces."""
     if not members:
         raise InputError("empty collection")
     pairs = []
-    memo: dict = {}
+    table = _Table()
     for i, a in enumerate(members):
         for j, b in enumerate(members):
-            outcome = ext_groups_best(a, b, memo)
+            outcome = ext_groups_best(a, b, table)
             requirement = below if i > j else HIGHER
             status, witness = classify_vanishing(outcome, requirement)
             pairs.append(PairVerdict(i, j, requirement, status, outcome, witness))

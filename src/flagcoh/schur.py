@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .weights import is_weakly_decreasing, strict_int
+from .weights import _check_keys, _ints, _json_list, is_weakly_decreasing, strict_int
 
 
 def _strip_zeros(p: Sequence[int]) -> tuple:
@@ -111,8 +111,9 @@ class CharacterSum:
     @classmethod
     def from_json(cls, data: Iterable[dict], rank: int) -> "CharacterSum":
         out = cls(rank)
-        for entry in data:
-            out.add_term(tuple(map(strict_int, entry["weight"])), strict_int(entry["mult"]))
+        for entry in _json_list(data, "a character"):
+            _check_keys(entry, ("weight", "mult"), "character term")
+            out.add_term(_ints(entry["weight"], "a weight"), strict_int(entry["mult"]))
         return out
 
 

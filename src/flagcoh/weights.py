@@ -5,7 +5,9 @@ resolves a weight into (degree, dominant weight) or vanishing.
 ``_bbw_flat`` is the package's one Borel-Bott-Weil: both cohomology
 routes resolve their pieces through it, and ``bbw_resolve`` is it read on
 blocks of rank 1.  It is pure weight combinatorics, so it lives here and
-``cohomology`` imports it.
+``cohomology`` imports it.  It keeps nothing: the stepwise route keeps
+its fibres' answers in its per-call table, and the one-shot route's
+pieces rarely repeat.
 
 Weights are plain tuples of Python ints, so there is no overflow concern
 and every operation here is pure.
@@ -14,7 +16,6 @@ and every operation here is pure.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from functools import lru_cache
 from typing import Sequence
 
 
@@ -68,11 +69,6 @@ def is_weakly_decreasing(v: Sequence[int]) -> bool:
     return list(v) == sorted(v, reverse=True)
 
 
-# check-strong on F(1,2,3,4;5) resolves about 2,500 distinct pieces and a
-# twist-check --sigma on a small shape at most 1,740, while one-shot cohom
-# of a large weight may resolve thousands that never repeat: the bound
-# holds a pair check's pieces whole and caps the memory of the rest.
-@lru_cache(maxsize=4096)
 def _bbw_flat(weights: tuple, sizes: tuple) -> tuple | None:
     """Borel-Bott-Weil for Sigma^w_1 (x) ... (x) Sigma^w_k of the consecutive
     quotients of a filtration of V with ranks ``sizes``, the w_j

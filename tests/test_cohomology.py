@@ -7,7 +7,6 @@ from bbw_oracle import naive_bbw
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import flagcoh
 from flagcoh.cohomology import (
     E1_BOUND,
     EXACT,
@@ -157,25 +156,8 @@ def test_flat_bbw_fixed_cases():
     ]
     for ws, expected in cases:
         flat = tuple(x for w in ws for x in w)
-        assert _bbw_flat.__wrapped__(flat, sizes) == expected == _bbw_oracle(ws), ws
+        assert _bbw_flat(flat, sizes) == expected == _bbw_oracle(ws), ws
     assert F246.dimension() == 12
-
-
-def test_each_split_is_held_once_whichever_route_asks():
-    # E_8 of the large-weight workload: the stepwise route splits Quot(1),
-    # the interval (1, 3), which the one-shot route split before; it reads
-    # that split from _flat_factor and adds no entry of its own
-    e = make_monomial(F246, [(Slot(QUOT, 1), (8, 4, 3, 0)), (Slot(SUB, 2), (0, 0, -1, -8))])
-    flagcoh.clear_caches()
-    cohomology(e)
-    before = _flat_factor.cache_info()
-    assert before.currsize > 0
-    cohomology_stepwise(e)
-    after = _flat_factor.cache_info()
-    assert after.currsize == before.currsize
-    assert after.hits > before.hits
-    flagcoh.clear_caches()
-    assert _flat_factor.cache_info().currsize == 0
 
 
 def test_flat_factor_pieces():
@@ -207,7 +189,7 @@ def test_flat_factor_pieces():
 
 def test_flat_monomial_cuts_only_nonzero_blocks():
     # the zero block (0, 1) is left out, so nothing is merged into Sub(1)
-    flagcoh.clear_caches()
+    _tensor_terms.cache_clear()
     pieces = _flat_monomial(F123, (0, 2, 1), [((0, 1), (3,))])
     expected = [(Slot(SUB, 1), (3,)), (Slot(BLOCK, 2), (2,)), (Slot(QUOT, 2), (1,))]
     assert pieces == make_monomial(F123, expected).terms
@@ -227,7 +209,8 @@ def test_engine_builds_products_without_make_monomial(monkeypatch):
     assert len(e.terms) == 2
 
     def results():
-        flagcoh.clear_caches()
+        # each call keeps its products in a table of its own, so the
+        # second run builds every product again
         return (
             check_strong_exceptional(collection).to_json(),
             check_T2(t, TwistGroup(WITH_SIGMA)).to_json(),
@@ -406,14 +389,24 @@ def test_euler_only_outcome():
 
 def test_one_memo_never_mixes_shapes():
     # O -> O(1) on P^1 and on P^2 are the same factor tuples, Sigma^(-1)(W_1),
-    # on different shapes; a memo shared by both must keep them apart
-    memo: dict = {}
+    # on different shapes; a table shared by both must keep them apart
+    table = engine._Table()
     for n in (2, 3, 2, 3):
         o, o1 = line_bundle(n, 0), line_bundle(n, 1)
-        outcome = ext_groups_best(o, o1, memo)
+        outcome = ext_groups_best(o, o1, table)
         assert outcome.to_json() == cohomology_stepwise(tensor(dual(o), o1)).to_json()
         assert outcome.rank == n and outcome.dimension(0) == n
-    assert len(memo) == 2
+    assert len(table.pairs) == 2
+    # Quot(1) has rank 3 on F(1,2;4) and on F(1,3;4), over blocks of ranks
+    # (1, 2) and (2, 1): the stepwise route splits the same weight there
+    # into different pieces, so one table must keep the two splits apart
+    for dims in ((1, 2), (1, 3), (1, 2), (1, 3)):
+        shape = FlagShape(4, dims)
+        o = trivial(shape)
+        b = make_monomial(shape, [(Slot(QUOT, 1), (2, 1, 0)), (Slot(QUOT, 2), (-1,) * (4 - dims[1]))])
+        outcome = ext_groups_best(o, b, table)
+        assert outcome.to_json() == cohomology_stepwise(b).to_json()
+    assert len(table.splits) == 2
 
 
 # One-shot outcomes recorded before the fold moved to flat weight vectors;

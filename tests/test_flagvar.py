@@ -515,9 +515,9 @@ def test_split_partition_enumerates_only_kappas_that_occur(monkeypatch, ranks):
 
 
 def _memo_key(a, b):
-    """The key ``ext_groups_best`` files the pair (a, b) under: its memo
-    records the key of each lookup and answers with a hit, so nothing is
-    resolved."""
+    """The key ``ext_groups_best`` files the pair (a, b) under: its table's
+    pair memo records the key of each lookup and answers with a hit, so
+    nothing is resolved."""
     keys = []
 
     class Memo(dict):
@@ -525,7 +525,9 @@ def _memo_key(a, b):
             keys.append(key)
             return "hit"
 
-    assert engine.ext_groups_best(a, b, Memo()) == "hit"
+    table = engine._Table()
+    table.pairs = Memo()
+    assert engine.ext_groups_best(a, b, table) == "hit"
     [key] = keys
     return key
 
@@ -646,10 +648,10 @@ def test_pair_product_fixed_cases(monkeypatch):
     o = trivial(F1234)
     assert _pair_key(o, o)[2] == () and _pair_product(_pair_key(o, o)) == o
     # a pair-memo miss resolves the product built from the key, not a
-    # tensor, and so does a call without a memo
+    # tensor, and so does a call without a table
     expected = engine.cohomology_stepwise(tensor(dual(adj), adj))
     monkeypatch.setattr(engine, "tensor", None)
-    assert engine.ext_groups_best(adj, adj, {}) == expected
+    assert engine.ext_groups_best(adj, adj, engine._Table()) == expected
     assert engine.ext_groups_best(adj, adj) == expected
 
 

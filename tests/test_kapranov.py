@@ -181,9 +181,9 @@ def test_empty_collection_rejected():
 def test_every_pair_check_makes_one_ext_call_per_ordered_pair(monkeypatch, shape):
     calls = []
 
-    def counting(a, b, memo=None):
+    def counting(a, b, table=None):
         calls.append((a, b))
-        return ext_groups_best(a, b, memo)
+        return ext_groups_best(a, b, table)
 
     monkeypatch.setattr(kapranov, "ext_groups_best", counting)
     c = enumerate_collection(shape)
@@ -220,9 +220,9 @@ def test_pair_loop_certifies_each_distinct_product_once(monkeypatch):
     stepwise = engine.cohomology_stepwise
     certified = []
 
-    def counting(e):
+    def counting(e, table=None):
         certified.append(e)
-        return stepwise(e)
+        return stepwise(e, table)
 
     monkeypatch.setattr(engine, "cohomology_stepwise", counting)
     c = enumerate_collection(FlagShape(4, (1, 2, 3)))
@@ -233,7 +233,7 @@ def test_pair_loop_certifies_each_distinct_product_once(monkeypatch):
     report = check_strong_exceptional(c)
     assert len(certified) == len(distinct)
     assert set(certified) == distinct
-    # the memo lives for one call only
+    # the table lives for one call only
     del certified[:]
     again = check_strong_exceptional(c)
     assert len(certified) == len(distinct)
@@ -247,3 +247,25 @@ def test_pair_loop_certifies_each_distinct_product_once(monkeypatch):
     for e, ps in by_product.items():
         fresh = stepwise(e).to_json()
         assert all(p.outcome.to_json() == fresh for p in ps)
+
+
+def test_each_pair_check_pushes_every_monomial_again(monkeypatch):
+    # the stepwise route keeps its pieces, splits and fibres in a table of
+    # the pair loop, which dies with the call: a second check splits and
+    # resolves exactly as much as the first
+    engine = importlib.import_module("flagcoh.cohomology")
+    bbw, split = engine._bbw_flat, engine._flat_factor
+    calls = []
+    monkeypatch.setattr(engine, "_bbw_flat", lambda *a: calls.append("bbw") or bbw(*a))
+    monkeypatch.setattr(engine, "_flat_factor", lambda *a: calls.append("split") or split(*a))
+    # the sigma summands on F(1,3;4) have factors on Quot(1), which split
+    shape = FlagShape(4, (1, 3))
+    t = sum(enumerate_collection(shape).members, BundleExpr(shape))
+    counts, reports = [], []
+    for _ in range(2):
+        del calls[:]
+        reports.append(check_T2(t, TwistGroup(WITH_SIGMA)).to_json())
+        counts.append((calls.count("bbw"), calls.count("split")))
+    assert counts[0] == counts[1]
+    assert min(counts[0]) > 0
+    assert reports[0] == reports[1]

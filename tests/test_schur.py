@@ -12,7 +12,7 @@ from flagcoh.schur import (
     schur_dim,
     tensor_schur,
 )
-from flagcoh.weights import dual_weight
+from flagcoh.weights import InputError, dual_weight
 
 
 def partitions_up_to(size, max_rows=None):
@@ -49,9 +49,17 @@ def test_character_sum_basics():
 def test_character_sum_json_roundtrip():
     cs = CharacterSum(3, {(2, 1, 0): 2, (1, 1, 1): -1})
     assert CharacterSum.from_json(cs.to_json(), 3) == cs
-    for bad in ({"weight": [1, 0, 0], "mult": 1.5}, {"weight": [True, 0, 0], "mult": 1}):
-        with pytest.raises(ValueError):
-            CharacterSum.from_json([bad], 3)
+    for bad in (
+        [{"weight": [1, 0, 0], "mult": 1.5}],
+        [{"weight": [True, 0, 0], "mult": 1}],
+        [{"weight": [1, 0, 0], "mult": 1, "junk": 5}],
+        [{"weight": [1, 0, 0]}],
+        [{"weight": {"0": 1}, "mult": 1}],
+        [[1, 0, 0]],
+        {"weight": [1, 0, 0], "mult": 1},
+    ):
+        with pytest.raises(InputError):
+            CharacterSum.from_json(bad, 3)
 
 
 def test_schur_dim():

@@ -496,3 +496,17 @@ def test_generator_orbits_match_whole_group():
         assert _orbits(tw) == expected, tw
         verdicts.append(expected is not None)
     assert 50 < sum(verdicts) < 350  # both valid and invalid towers occur
+
+
+def test_hirzebruch_top_degree_carries_the_determinant():
+    # on P(O + O(c)) over P^1, R^1 p_* O(t) = Sym^(-t-2)(E^v) (x) det(E)^v
+    # for t <= -2, with det(E)^v = O(-c): H^k(O(a, t)) is the sum of
+    # H^(k-1)(P^1, O(a - c - j c)) over j = 0 .. -t-2
+    for c, tw in ((1, F1), (2, F2), (3, F3)):
+        for a in range(-4, 5):
+            for t in (-2, -3, -4):
+                expected: dict = {}
+                for j in range(-t - 1):
+                    for k, dim in toric._proj_cohomology(1, a - c - j * c).items():
+                        expected[k + 1] = expected.get(k + 1, 0) + dim
+                assert line_bundle_cohomology(tw, (a, t)) == expected, (c, a, t)
