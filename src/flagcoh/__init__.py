@@ -6,8 +6,6 @@ from .cohomology import (
     E1_BOUND,
     EXACT,
     CohomologyOutcome,
-    cohomology,
-    cohomology_graded,
     cohomology_stepwise,
     euler_characteristic,
     ext_groups,
@@ -21,9 +19,7 @@ from .flagvar import (
     FlagShape,
     SchurMonomial,
     Slot,
-    block_weights,
     dual,
-    graded_expansion,
     make_monomial,
     minimal_base,
     sigma_pullback,
@@ -81,12 +77,9 @@ __all__ = [
     "TwistGroup",
     "WITH_SIGMA",
     "bbw_resolve",
-    "block_weights",
     "check_T2",
     "check_grid_collection",
     "check_strong_exceptional",
-    "cohomology",
-    "cohomology_graded",
     "cohomology_stepwise",
     "counterexample_case",
     "dual",
@@ -96,7 +89,6 @@ __all__ = [
     "ext_groups",
     "ext_groups_best",
     "galois_orbit_check",
-    "graded_expansion",
     "hom_quiver",
     "line_bundle_cohomology",
     "lr_coefficients",

@@ -29,9 +29,8 @@ Two routes are provided for H^*(F, E):
 Both routes end in ``weights._bbw_flat``, the package's one
 Borel-Bott-Weil, on a flat piece and its block sizes: the one-shot route
 passes the flag's blocks, the stepwise route the two blocks of one
-Grassmann fibre.  A piece is a flat vector everywhere inside the engine;
-block tuples are the form only at the boundary: ``cohomology_graded``
-flattens the weights ``block_weights`` reads off a block monomial.
+Grassmann fibre.  A graded piece has one form everywhere: its flat
+vector.
 
 Both routes work on the factors' intervals (lo, hi) as ``flagvar``
 stores them; no slot is spelled inside the engine.
@@ -67,7 +66,6 @@ from dataclasses import dataclass, field
 
 from .flagvar import (
     BundleExpr,
-    FlagShape,
     SchurMonomial,
     _expand_monomial,
     _flat_factor,
@@ -76,7 +74,6 @@ from .flagvar import (
     _merge_factors,
     _pair_key,
     _pair_product,
-    block_weights,
     dual,
     minimal_base,
     tensor,
@@ -137,14 +134,6 @@ class CohomologyOutcome:
     @classmethod
     def euler_only(cls, euler: CharacterSum) -> "CohomologyOutcome":
         return cls(rank=euler.rank, grade=EULER_ONLY, by_degree={}, euler=euler)
-
-
-def cohomology_graded(gm: SchurMonomial, shape: FlagShape):
-    """Resolve one monomial on the blocks of ``shape``: ``None`` (vanishes)
-    or (degree, dominant GL(V) weight w) meaning H^degree = Sigma^w(V)."""
-    if gm.shape != shape:
-        raise ValueError("graded monomial does not live on the given shape")
-    return _bbw_flat(sum(block_weights(gm), ()), shape.blocks())
 
 
 def _monomial_pieces_graded(mono: SchurMonomial) -> tuple:

@@ -15,8 +15,8 @@ Everything is immutable and hashable so results can be
 cached aggressively.  Shapes, slots and monomials compute their hash once;
 it is valid only in the process that made them, so they are not pickled.
 
-A graded piece of the filtration by the flag has one form inside the
-engine, a flat vector: one n-tuple that concatenates one weight per
+A graded piece of the filtration by the flag has one form everywhere,
+a flat vector: one n-tuple that concatenates one weight per
 consecutive quotient, zero where the piece has no factor.
 ``_flat_factor`` splits one factor into such pieces for both routes and
 keeps nothing: the stepwise route keeps its splits in its per-call table,
@@ -25,9 +25,7 @@ and ``_split_partition`` keeps the branching.  The one-shot fold
 Littlewood-Richardson runs only on a block of rank >= 2 where both pieces
 are nonzero.
 ``_flat_monomial`` is the one cut of a flat piece into factors on the
-block intervals (j, j+1), for the stepwise route in ``cohomology`` and
-for ``graded_expansion``.  Block tuples are the form only at the
-boundary: ``block_weights`` and ``cohomology.cohomology_graded``.
+block intervals (j, j+1), for the stepwise route in ``cohomology``.
 
 A product is what the merge returns.  ``_merge_factors`` and its grow
 step ``_grow_factors`` turn (interval, weight) factors into
@@ -513,15 +511,16 @@ def _split_partition(p: tuple, ranks: tuple) -> tuple:
             return ()
         return (((pad(p, ranks[0]),), 1),)
     head, last = ranks[:-1], ranks[-1]
+    subs = _subpartitions(p)
     # c^p_{kappa lam} = 0 unless lam is contained in p
     lams: dict = {}
-    for lam in _subpartitions(p):
+    for lam in subs:
         if len(lam) <= last:
             lams.setdefault(sum(lam), []).append(lam)
     total = sum(p)
     rows = sum(head)
     out = {}
-    for kappa in _subpartitions(p):
+    for kappa in subs:
         if len(kappa) > rows or any(k < q for k, q in zip(pad(kappa, len(p)), p[last:])):
             continue
         for lam in lams.get(total - sum(kappa), ()):
@@ -535,7 +534,6 @@ def _split_partition(p: tuple, ranks: tuple) -> tuple:
     return tuple(sorted(out.items()))
 
 
-@lru_cache(maxsize=None)
 def _subpartitions(p: tuple) -> tuple:
     """All partitions contained in p."""
     if not p:
@@ -553,18 +551,6 @@ def _subpartitions(p: tuple) -> tuple:
 
     rec(0, p[0], [])
     return tuple(sorted(out))
-
-
-def block_weights(mono: SchurMonomial) -> tuple:
-    """One weight per consecutive quotient of the flag, zero where ``mono``
-    has no factor.  Every factor must be on a block (j, j+1)."""
-    shape = mono.shape
-    out = [(0,) * b for b in shape.blocks()]
-    for (lo, hi), w in mono.factors:
-        if hi != lo + 1:
-            raise ValueError("%s is not a block of %r" % (shape.slot(lo, hi), shape))
-        out[lo] = w
-    return tuple(out)
 
 
 def _flat_factor(shape: FlagShape, span: tuple, w: tuple) -> tuple:
@@ -623,19 +609,3 @@ def _expand_monomial(mono: SchurMonomial):
                     grown[key] = grown.get(key, 0) + k
         acc = grown
     return acc.items()
-
-
-def graded_expansion(e: BundleExpr):
-    """Expand into block-graded monomials.
-
-    Returns a list of (block monomial, multiplicity, filtration_level)
-    with levels ordered so subbundle-side pieces precede quotient-side
-    pieces (levels restart per monomial of the expression).
-    """
-    out = []
-    for mono, m in e.monomials():
-        pieces = sorted(_expand_monomial(mono), reverse=True)
-        for level, (flat, c) in enumerate(pieces):
-            [gm] = _flat_monomial(e.shape, flat)
-            out.append((gm, c * m, level))
-    return out

@@ -229,7 +229,6 @@ def tensor_schur(a: Sequence[int], b: Sequence[int], rank: int) -> CharacterSum:
     return CharacterSum(rank, dict(_tensor_terms(tuple(a), tuple(b), rank)))
 
 
-@lru_cache(maxsize=None)
 def schur_dim(lam: tuple, m: int) -> int:
     """Dimension of Sigma^lam(k^m) by the Weyl dimension formula."""
     lam = tuple(lam)

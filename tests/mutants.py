@@ -4,17 +4,17 @@ that the named test files must catch.
 Usage: python tests/mutants.py [NAME ...]
 
 Run from anywhere; it needs only the standard library and the test
-dependencies.  The tests, the sources and the benchmark are copied to a
-temporary folder once.  The named test files are first run unmutated and
-must pass there.  Then each mutant in turn replaces its old text (which
-must occur exactly once) with its new text in that copy, runs its test
-files one after another with pytest, stopping at the first failure, and
-puts the old text back.  A mutant is killed when some run fails.  Nothing
-runs in parallel.  The exit code is 0 when every mutant selected is
-killed and 1 otherwise; with NAMEs only those mutants run.  A full run
-takes about a minute, so it is not part of the tier-1 suite;
-``tests/test_mutants.py`` only checks that every old text is still in the
-source exactly once.
+dependencies.  The tests, the sources, the benchmark and the README
+(whose library example a test runs) are copied to a temporary folder
+once.  The named test files are first run unmutated and must pass there.
+Then each mutant in turn replaces its old text (which must occur exactly
+once) with its new text in that copy, runs its test files one after
+another with pytest, stopping at the first failure, and puts the old
+text back.  A mutant is killed when some run fails.  Nothing runs in
+parallel.  The exit code is 0 when every mutant selected is killed and 1
+otherwise; with NAMEs only those mutants run.  A full run takes about a
+minute, so it is not part of the tier-1 suite; ``tests/test_mutants.py``
+only checks that every old text is still in the source exactly once.
 """
 
 from __future__ import annotations
@@ -105,6 +105,13 @@ MUTANTS = (
         "        self.pieces, self.bbw, self.splits, self.pairs = shared",
         ("tests/test_kapranov.py",),
     ),
+    Mutant(
+        "split loses the empty kappa",
+        "src/flagcoh/flagvar.py",
+        "    for kappa in subs:",
+        "    for kappa in subs[1:]:",
+        ("tests/test_flagvar.py",),
+    ),
 )
 
 
@@ -123,7 +130,8 @@ def run(mutants) -> bool:
         copy = Path(tmp)
         for part in ("src", "tests", "perfbench"):
             shutil.copytree(ROOT / part, copy / part, ignore=ignore)
-        shutil.copy(ROOT / "pyproject.toml", copy)
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy(ROOT / name, copy)
         for test in sorted({t for m in mutants for t in m.tests}):
             if not _pytest(copy, test):
                 print("unmutated %s fails: fix it first" % test)

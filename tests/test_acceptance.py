@@ -6,7 +6,6 @@ All equalities are exact integer equalities.
 """
 
 import functools
-import importlib
 import itertools
 import math
 import random
@@ -16,6 +15,7 @@ import pytest
 from localization import character_value, localized_euler
 from test_weights import dot_action
 
+import flagcoh.cohomology as engine
 from flagcoh.cohomology import (
     EXACT,
     cohomology,
@@ -48,9 +48,6 @@ from flagcoh.twists import (
     counterexample_case,
 )
 from flagcoh.weights import bbw_resolve
-
-# the package's ``cohomology`` attribute is the function, not the module
-engine = importlib.import_module("flagcoh.cohomology")
 
 
 def acceptance(num, description):

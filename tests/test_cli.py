@@ -1,4 +1,3 @@
-import importlib
 import json
 import os
 import subprocess
@@ -10,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flagcoh
+import flagcoh.cohomology as engine
 from flagcoh import cli, flagvar, kapranov, twists
 from flagcoh.cli import EX_DATAERR, EX_SOFTWARE, EX_USAGE, main
 from flagcoh.flagvar import BundleExpr, FlagShape
@@ -17,9 +17,6 @@ from flagcoh.kapranov import Collection, check_strong_exceptional, enumerate_col
 from flagcoh.schur import CharacterSum
 from flagcoh.toric import TowerSpec
 from flagcoh.twists import WITH_SIGMA, TwistGroup, check_T2
-
-# the package's ``cohomology`` attribute is the function, not the module
-engine = importlib.import_module("flagcoh.cohomology")
 
 
 def run(capsys, *argv):
@@ -856,15 +853,30 @@ def test_module_caches_are_the_partition_combinatorics(capsys):
         "flagcoh.flagvar._forget_steps",
         "flagcoh.flagvar._interval_product",
         "flagcoh.flagvar._split_partition",
-        "flagcoh.flagvar._subpartitions",
         "flagcoh.schur._lr_raw",
         "flagcoh.schur._tensor_terms",
-        "flagcoh.schur.schur_dim",
     ]
     assert all(c.cache_parameters()["maxsize"] is None for c in caches.values())
     assert run(capsys, "check-strong", "--n", "4", "--dims", "1,3")[0] == 0
     assert any(c.cache_info().currsize for c in caches.values())
     assert not hasattr(flagcoh, "clear_caches")
+
+
+def test_cohomology_names_the_engine_module():
+    import flagcoh.cohomology as m
+    from flagcoh.cohomology import cohomology
+
+    assert m is sys.modules["flagcoh.cohomology"] and m.__name__ == "flagcoh.cohomology"
+    assert m.cohomology is cohomology and cohomology.__module__ == m.__name__
+    removed = {"cohomology", "block_weights", "cohomology_graded", "graded_expansion"}
+    assert not removed & set(flagcoh.__all__)
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library example\n", 1)[1]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(example, "README.md", "exec"), {})
 
 
 def test_python_m_flagcoh_runs_the_cli(tmp_path):

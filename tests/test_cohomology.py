@@ -1,4 +1,3 @@
-import importlib
 import sys
 from math import comb
 
@@ -7,12 +6,12 @@ from bbw_oracle import naive_bbw
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flagcoh.cohomology as engine
 from flagcoh.cohomology import (
     E1_BOUND,
     EXACT,
     CohomologyOutcome,
     cohomology,
-    cohomology_graded,
     cohomology_stepwise,
     euler_characteristic,
     ext_groups,
@@ -28,7 +27,6 @@ from flagcoh.flagvar import (
     Slot,
     _flat_factor,
     _flat_monomial,
-    block_weights,
     dual,
     make_monomial,
     sigma_pullback,
@@ -39,9 +37,6 @@ from flagcoh.kapranov import check_strong_exceptional, enumerate_collection
 from flagcoh.schur import CharacterSum, _tensor_terms, pad
 from flagcoh.twists import WITH_SIGMA, TwistGroup, check_T2
 from flagcoh.weights import _bbw_flat, bbw_resolve
-
-# the package's ``cohomology`` attribute is the function, not the module
-engine = importlib.import_module("flagcoh.cohomology")
 
 F123 = FlagShape(3, (1, 2))
 GR24 = FlagShape(4, (2,))
@@ -86,20 +81,15 @@ def _block_monomial(shape, weights):
 
 
 def test_cohomology_graded_examples():
-    gm = _block_monomial(GR24, ((0, 0), (0, 0)))
-    assert cohomology_graded(gm, GR24) == (0, (0, 0, 0, 0))
+    # a graded piece is its flat vector, resolved on the flag's block sizes
+    assert _bbw_flat((0, 0, 0, 0), GR24.blocks()) == (0, (0, 0, 0, 0))
     # Case-1 monomial: Sigma^(2)(W_2) (x) Sigma^(1,1)... via chi = (0,-2,0,-1)
-    gm = _block_monomial(GR24, ((2, 0), (1, 0)))
-    deg, w = cohomology_graded(gm, GR24)
+    deg, w = _bbw_flat((2, 0, 1, 0), GR24.blocks())
     assert (deg, w) == (1, (1, 1, 1, 0))
     # det(V) filtration piece: H^0 = Lambda^3(V)
-    gm = _block_monomial(F123, ((1,), (1,), (1,)))
-    assert cohomology_graded(gm, F123) == (0, (1, 1, 1))
+    assert _bbw_flat((1, 1, 1), F123.blocks()) == (0, (1, 1, 1))
     # its dual: H^0 = Lambda^3(V)^v
-    gm = _block_monomial(F123, ((-1,), (-1,), (-1,)))
-    assert cohomology_graded(gm, F123) == (0, (-1, -1, -1))
-    with pytest.raises(ValueError):
-        cohomology_graded(gm, GR24)
+    assert _bbw_flat((-1, -1, -1), F123.blocks()) == (0, (-1, -1, -1))
 
 
 # every shape has a block of rank >= 2, where skipping the reversal of a
@@ -138,7 +128,8 @@ def test_flat_bbw_matches_bbw_resolve(data):
     expected = _bbw_oracle(ws)
     flat = tuple(x for w in ws for x in w)
     assert _bbw_flat(flat, shape.blocks()) == expected
-    assert cohomology_graded(_block_monomial(shape, ws), shape) == expected
+    # the flat vector is the one cut of the block monomial with those weights
+    assert _flat_monomial(shape, flat) == {_block_monomial(shape, ws): 1}
 
 
 def test_flat_bbw_fixed_cases():
@@ -234,16 +225,6 @@ def test_engine_builds_products_without_make_monomial(monkeypatch):
     assert results() == expected
 
 
-def test_non_block_factor_rejected():
-    # Sub(2) on F(1,2,3;4) spans two blocks, so it is not a graded piece
-    f1234 = FlagShape(4, (1, 2, 3))
-    [gm] = make_monomial(f1234, [(Slot(SUB, 2), (1, 0))]).terms
-    with pytest.raises(ValueError):
-        block_weights(gm)
-    with pytest.raises(ValueError):
-        cohomology_graded(gm, f1234)
-
-
 def test_canonical_bundle_serre():
     # K on Gr(2,4) = det(W)^2 (x) det(Q)^-2: only H^4 = k
     k = make_monomial(
@@ -290,11 +271,12 @@ def test_endomorphisms_trivial():
 
 
 def test_pushforward_grassmann_examples():
-    # one relative Grassmann pushforward is cohomology_graded on Gr(2,3)
+    # one relative Grassmann pushforward is Borel-Bott-Weil on the flat
+    # piece of Gr(2,3)
     gr23 = FlagShape(3, (2,))
 
     def push(alpha, beta):
-        return cohomology_graded(_block_monomial(gr23, (alpha, beta)), gr23)
+        return _bbw_flat(alpha + beta, gr23.blocks())
 
     assert push((0, 0), (0,)) == (0, (0, 0, 0))
     # W_(n-2) pushed down one step at n=3: chi = (0,-1,0) + rho has a repeat

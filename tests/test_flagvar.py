@@ -1,4 +1,3 @@
-import importlib
 from functools import reduce
 from itertools import combinations
 
@@ -7,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from localization import _span
 
+import flagcoh.cohomology as engine
 from flagcoh import flagvar
 from flagcoh.flagvar import (
     BLOCK,
@@ -17,13 +17,12 @@ from flagcoh.flagvar import (
     SchurMonomial,
     Slot,
     _expand_monomial,
+    _flat_monomial,
     _pair_key,
     _pair_product,
     _split_partition,
     _subpartitions,
-    block_weights,
     dual,
-    graded_expansion,
     make_monomial,
     minimal_base,
     sigma_pullback,
@@ -31,9 +30,6 @@ from flagcoh.flagvar import (
     trivial,
 )
 from flagcoh.schur import _lr_raw, _strip_zeros, pad
-
-# the package's ``cohomology`` attribute is the function, not the module
-engine = importlib.import_module("flagcoh.cohomology")
 
 F123 = FlagShape(3, (1, 2))
 GR24 = FlagShape(4, (2,))
@@ -261,29 +257,39 @@ def test_minimal_base():
         assert mono.spelled() == [(image, (3,))]
 
 
+def _graded_pieces(e):
+    """The one-shot graded pieces of ``e``, monomial by monomial, as
+    (flat vector, block monomial, multiplicity): each piece of
+    ``_expand_monomial`` is cut by ``_flat_monomial`` into exactly one
+    monomial on the blocks."""
+    out = []
+    for mono, m in e.monomials():
+        for flat, c in _expand_monomial(mono):
+            [(gm, k)] = _flat_monomial(e.shape, flat).items()
+            assert k == 1
+            out.append((flat, gm, c * m))
+    return out
+
+
 def test_graded_expansion_examples():
     w1 = make_monomial(F123, [(Slot(SUB, 1), (1,))])
-    [(gm, mult, level)] = graded_expansion(w1)
-    assert block_weights(gm) == ((1,), (0,), (0,)) and mult == 1 and level == 0
+    [(flat, _gm, mult)] = _graded_pieces(w1)
+    assert flat == (1, 0, 0) and mult == 1
 
     q1 = make_monomial(F123, [(Slot(QUOT, 1), (1, 0))])
-    pieces = graded_expansion(q1)
+    pieces = _graded_pieces(q1)
     assert len(pieces) == 2
-    weights = {block_weights(gm) for gm, _, _ in pieces}
-    assert weights == {((0,), (1,), (0,)), ((0,), (0,), (1,))}
-    assert all(m == 1 for _, m, _ in pieces)
-    # sub-side piece (Block 2) precedes the quotient-side piece (Block 3)
-    levels = {block_weights(gm): lv for gm, _, lv in pieces}
-    assert levels[((0,), (1,), (0,))] < levels[((0,), (0,), (1,))]
+    assert {flat for flat, _, _ in pieces} == {(0, 1, 0), (0, 0, 1)}
+    assert all(m == 1 for _, _, m in pieces)
 
 
 def test_graded_expansion_identity_on_graded():
     e = make_monomial(
         F123, [(Slot(SUB, 1), (2,)), (Slot(BLOCK, 2), (-1,)), (Slot(QUOT, 2), (1,))]
     )
-    pieces = graded_expansion(e)
+    pieces = _graded_pieces(e)
     assert len(pieces) == 1
-    assert block_weights(pieces[0][0]) == ((2,), (-1,), (1,))
+    assert pieces[0][0] == (2, -1, 1)
 
 
 def test_graded_expansion_rank_preserved():
@@ -293,7 +299,7 @@ def test_graded_expansion_rank_preserved():
         make_monomial(FlagShape(5, (2, 3)), [(Slot(QUOT, 1), (2, 1, 0))]),
     ]
     for e in exprs:
-        total = sum(gm.rank() * m for gm, m, _ in graded_expansion(e))
+        total = sum(gm.rank() * m for _, gm, m in _graded_pieces(e))
         assert total == e.rank()
 
 
@@ -338,7 +344,7 @@ def test_dual_rank_and_involution_random(data):
     e = make_monomial(shape, factors)
     assert dual(dual(e)) == e
     assert dual(e).rank() == e.rank()
-    total = sum(gm.rank() * m for gm, m, _ in graded_expansion(e))
+    total = sum(gm.rank() * m for _, gm, m in _graded_pieces(e))
     assert total == e.rank()
 
 
@@ -358,11 +364,11 @@ def _reference_graded_factor(shape, span, w):
 
 def _reference_expansion(mono):
     """The one-shot fold on validated monomials: ``tensor`` over the graded
-    factors, one factor at a time; as {block weights: coeff}."""
+    factors, one factor at a time; as {block monomial: coeff}."""
     shape = mono.shape
     factors = [_reference_graded_factor(shape, span, w) for span, w in mono.factors]
     graded = reduce(tensor, factors) if factors else trivial(shape)
-    return {block_weights(gm): c for gm, c in graded.terms.items()}
+    return graded.terms
 
 
 # blocks of rank <= 2 have Littlewood-Richardson coefficients 0 or 1, so
@@ -371,22 +377,11 @@ F145 = FlagShape(5, (1, 4))
 FOLD_SHAPES = [F1234, FlagShape(5, (1, 3)), FlagShape(6, (2, 4)), F145]
 
 
-def _block_fold(mono):
-    """``_expand_monomial``'s pieces with each flat vector cut back into
-    one weight per block of the shape."""
-    sizes = mono.shape.blocks()
-    bounds = [sum(sizes[:j]) for j in range(len(sizes) + 1)]
-    out = []
-    for flat, c in _expand_monomial(mono):
-        assert type(flat) is tuple and len(flat) == sum(sizes)
-        out.append((tuple(flat[a:b] for a, b in zip(bounds, bounds[1:])), c))
-    return tuple(out)
-
-
 def _assert_fold_matches_reference(mono):
-    fold = _block_fold(mono)
+    fold = _graded_pieces(BundleExpr(mono.shape, {mono: 1}))
+    assert all(type(flat) is tuple and len(flat) == mono.shape.n for flat, _, _ in fold)
     expected = _reference_expansion(mono)
-    assert dict(fold) == expected
+    assert {gm: c for _, gm, c in fold} == expected
     assert len(fold) == len(expected)  # one pair per distinct piece
     _pieces, filtered = engine._monomial_pieces_graded(mono)
     assert filtered == (len(expected) > 1)
@@ -396,14 +391,14 @@ def test_tuple_fold_fixed_cases():
     for shape in FOLD_SHAPES:
         [mono] = trivial(shape).terms
         _assert_fold_matches_reference(mono)
-        assert _block_fold(mono) == ((tuple((0,) * b for b in shape.blocks()), 1),)
+        assert tuple(_expand_monomial(mono)) == (((0,) * shape.n, 1),)
     # W_4's adjoint grades to L (x) M^v, L^v (x) M, adj(M) and O on
     # W_1 = L, M = W_4/W_1; times adj(M), adj(M) (x) adj(M) holds adj(M)
     # twice and O (x) adj(M) once
     e = make_monomial(F145, [(Slot(BLOCK, 2), (1, 0, -1)), (Slot(SUB, 2), (1, 0, 0, -1))])
     [mono] = e.terms
     _assert_fold_matches_reference(mono)
-    assert dict(_block_fold(mono))[(0,), (1, 0, -1), (0,)] == 3
+    assert dict(_expand_monomial(mono))[0, 1, 0, -1, 0] == 3
     # F(1,3,5;6) has the rank-2 blocks W_3/W_1 and W_5/W_3.  A piece of
     # Sub(2) nonzero on the first meets Block(3) only on the second; a
     # piece of Sub(3) nonzero on both is merged with Block(3) on the second.
@@ -419,10 +414,10 @@ def test_tuple_fold_fixed_cases():
     # again, and its piece M there is added to the zero weight
     adj2 = [(Slot(SUB, 2), (1, 0, 0, -1)), (Slot(BLOCK, 2), (1, 0, -1))]
     [mono] = make_monomial(F145, adj2).terms
-    assert dict(_block_fold(mono))[(0,), (0, 0, 0), (0,)] == 1
+    assert dict(_expand_monomial(mono))[0, 0, 0, 0, 0] == 1
     [mono] = make_monomial(F145, [*adj2, (Slot(QUOT, 1), (1, 0, 0, 0))]).terms
     _assert_fold_matches_reference(mono)
-    assert dict(_block_fold(mono))[(0,), (1, 0, 0), (0,)] == 4
+    assert dict(_expand_monomial(mono))[0, 1, 0, 0, 0] == 4
 
 
 @settings(max_examples=60, deadline=None)

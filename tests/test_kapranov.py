@@ -1,10 +1,10 @@
 import dataclasses
-import importlib
 import itertools
 import math
 
 import pytest
 
+import flagcoh.cohomology as engine
 from flagcoh import kapranov
 from flagcoh.cohomology import EXACT, ext_groups_best
 from flagcoh.flagvar import BundleExpr, FlagShape, dual, tensor
@@ -216,7 +216,6 @@ def test_every_pair_check_makes_one_ext_call_per_ordered_pair(monkeypatch, shape
 
 
 def test_pair_loop_certifies_each_distinct_product_once(monkeypatch):
-    engine = importlib.import_module("flagcoh.cohomology")
     stepwise = engine.cohomology_stepwise
     certified = []
 
@@ -253,7 +252,6 @@ def test_each_pair_check_pushes_every_monomial_again(monkeypatch):
     # the stepwise route keeps its pieces, splits and fibres in a table of
     # the pair loop, which dies with the call: a second check splits and
     # resolves exactly as much as the first
-    engine = importlib.import_module("flagcoh.cohomology")
     bbw, split = engine._bbw_flat, engine._flat_factor
     calls = []
     monkeypatch.setattr(engine, "_bbw_flat", lambda *a: calls.append("bbw") or bbw(*a))
