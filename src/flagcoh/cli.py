@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii
 
@@ -54,7 +55,7 @@ class _Parser(argparse.ArgumentParser):
 FLUSH_CHUNKS = 8192
 
 
-def _emit(args, payload, lines, shared: dict | None = None):
+def _emit(args, payload, lines):
     """Write ``payload()`` as JSON or the lines of ``lines()`` to stdout,
     as ``args.format`` asks; the other rendering is never built.  Either
     is written in batches of about ``FLUSH_CHUNKS`` chunks or lines while
@@ -64,22 +65,17 @@ def _emit(args, payload, lines, shared: dict | None = None):
     The JSON is the text of ``json.dumps(payload(), sort_keys=True,
     indent=2)``, written by ``_json_chunks``: ``json.dumps`` uses its C
     encoder only when ``indent`` is None, so an indented payload of
-    megabytes would otherwise go through the pure-Python encoder.
-    ``shared`` is the dict ``payload`` fills with the hom and outcome JSON
-    values of each outcome object (``PairVerdict.to_json``); those that
-    two or more pairs use are rendered once per indent, and their text is
-    reused."""
+    megabytes would otherwise go through the pure-Python encoder.  The
+    memo comes from the payload itself: a non-empty ``hom`` or ``outcome``
+    value that two or more entries of its ``pairs`` hold, by identity
+    (``PairVerdict.to_json``), is rendered once per indent, and its text
+    is reused."""
     write = sys.stdout.write
     out: list = []
     if args.format == "json":
         obj = payload()
-        memo = {
-            id(v): {}
-            for hom, outcome, pairs in (shared or {}).values()
-            if pairs > 1
-            for v in (hom, outcome)
-            if v
-        }
+        held = Counter(id(v) for p in obj.get("pairs", ()) for v in (p["hom"], p["outcome"]) if v)
+        memo = {key: {} for key, pairs in held.items() if pairs > 1}
         _json_chunks(obj, out, "\n", memo, write)
         out.append("\n")
     else:
@@ -282,7 +278,6 @@ def _cmd_check_strong(args):
     else:
         c = enumerate_collection(_shape(args))
     report = check_strong_exceptional(c)
-    shared: dict = {}
 
     def lines():
         yield "overall: %s" % report.overall
@@ -291,7 +286,7 @@ def _cmd_check_strong(args):
                 witness = p.witness or ""
                 yield "  pair (%d, %d) [%s]: %s %s" % (p.i, p.j, p.requirement, p.status, witness)
 
-    _emit(args, lambda: report.to_json(shared), lines, shared)
+    _emit(args, report.to_json, lines)
     return report.exit_code
 
 
@@ -305,7 +300,6 @@ def _cmd_twist_check(args):
     if t.shape != shape:
         raise InputError("expression shape does not match --n/--dims")
     report = check_T2(t, group)
-    shared: dict = {}
 
     def lines():
         yield "group: %s" % group.kind
@@ -313,7 +307,7 @@ def _cmd_twist_check(args):
         for cert in report.certificates():
             yield "  witness pair (%d, %d): %s" % (cert["i"], cert["j"], cert["witness"])
 
-    _emit(args, lambda: report.to_json(shared), lines, shared)
+    _emit(args, report.to_json, lines)
     return report.exit_code
 
 

@@ -56,8 +56,8 @@ monomial is built for such a key, and when the key is new the product is
 built from it, one Littlewood-Richardson term per interval
 (``flagvar._pair_product``), without a ``tensor``.  Any other pair is
 keyed by the product itself.
-Pairs that share an outcome also share its JSON, which
-``PairVerdict.to_json`` builds once and the CLI writes once per indent.
+An outcome builds its JSON once, so pairs that share an outcome share its
+JSON, and the CLI writes each shared value once per indent.
 """
 
 from __future__ import annotations
@@ -92,12 +92,16 @@ class CohomologyOutcome:
 
     ``euler`` is always the exact alternating sum; ``by_degree`` is the
     true cohomology when ``grade`` is exact and an upper bound otherwise.
+    Pairs of a check with equal products share one outcome, and ``to_json``
+    builds its JSON on the first call and returns that same dict on every
+    later one, so neither the outcome nor its JSON may be mutated.
     """
 
     rank: int
     grade: str
     by_degree: dict = field(default_factory=dict)
     euler: CharacterSum = None
+    _json: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.euler is None:
@@ -119,17 +123,16 @@ class CohomologyOutcome:
     def dimension(self, degree: int) -> int:
         return self.character(degree).dimension()
 
-    def is_zero(self) -> bool:
-        return not any(self.by_degree.values())
-
     def to_json(self):
-        return {
-            "grade": self.grade,
-            "by_degree": {
-                str(t): cs.to_json() for t, cs in sorted(self.by_degree.items()) if cs
-            },
-            "euler": self.euler.to_json(),
-        }
+        if self._json is None:
+            self._json = {
+                "grade": self.grade,
+                "by_degree": {
+                    str(t): cs.to_json() for t, cs in sorted(self.by_degree.items()) if cs
+                },
+                "euler": self.euler.to_json(),
+            }
+        return self._json
 
     @classmethod
     def euler_only(cls, euler: CharacterSum) -> "CohomologyOutcome":
@@ -281,7 +284,7 @@ def ext_groups_best(a: BundleExpr, b: BundleExpr, table: _Table | None = None) -
     an interval whose product is the zero weight alone; on a miss the
     product is built from the key (``flagvar._pair_product``).  A sum or
     the zero expression is keyed by the product a^v (x) b itself, built
-    once.  A shared outcome must not be mutated."""
+    once."""
     table = _Table() if table is None else table
     key = _pair_key(a, b)
     if key is None:

@@ -33,6 +33,9 @@ TOTAL = "total"  # Ext^k must vanish for every k
 _STATUS_RANK = {CONFIRMED: 0, INCONCLUSIVE: 1, REFUTED: 2}
 EXIT_CODE = {CONFIRMED: 0, REFUTED: 1, INCONCLUSIVE: 2}
 
+# the hom of every pair without degree 0; like an outcome's JSON, never mutated
+_NO_HOM: list = []
+
 
 def worst_status(pairs) -> str:
     """The verdict on a set of pair verdicts: refuted > inconclusive > confirmed."""
@@ -148,26 +151,17 @@ class PairVerdict:
     def hom_character(self) -> CharacterSum:
         return self.outcome.character(0)
 
-    def to_json(self, shared: dict | None = None):
-        """The pair as JSON.  ``shared`` maps id(outcome) to [hom, outcome,
-        pairs]: the JSON values built for that outcome object and the
-        number of pairs using them.  Pass one dict for all pairs of a
-        report, so that pairs sharing an outcome share these values and
-        each is built once.  ``hom`` is the outcome's degree-0 list itself."""
-        if shared is None:
-            shared = {}
-        entry = shared.get(id(self.outcome))
-        if entry is None:
-            outcome = self.outcome.to_json()
-            entry = shared[id(self.outcome)] = [outcome["by_degree"].get("0", []), outcome, 0]
-        entry[2] += 1
-        hom, outcome, _pairs = entry
+    def to_json(self):
+        """The pair as JSON.  ``outcome`` is the outcome's own JSON, so pairs
+        that share an outcome object share it, and ``hom`` is its degree-0
+        list, or one empty list shared by every pair without degree 0."""
+        outcome = self.outcome.to_json()
         return {
             "i": self.i,
             "j": self.j,
             "requirement": self.requirement,
             "status": self.status,
-            "hom": hom,
+            "hom": outcome["by_degree"].get("0", _NO_HOM),
             "outcome": outcome,
             "witness": self.witness,
         }
@@ -187,18 +181,12 @@ class PairReport:
     def exit_code(self) -> int:
         return EXIT_CODE[self.overall]
 
-    def refutations(self):
-        return [p for p in self.pairs if p.status == REFUTED]
-
-    def to_json(self, shared: dict | None = None):
-        """The report as JSON; ``shared`` is passed to every
-        ``PairVerdict.to_json``, and a fresh one is used when it is None."""
-        shared = {} if shared is None else shared
+    def to_json(self):
         return {
             "flag": self.shape.to_json(),
             "members": [m.to_json() for m in self.members],
             "overall": self.overall,
-            "pairs": [p.to_json(shared) for p in self.pairs],
+            "pairs": [p.to_json() for p in self.pairs],
         }
 
 

@@ -94,11 +94,6 @@ class CharacterSum:
             out.add_term(w, m)
         return out
 
-    def scale(self, c: int) -> "CharacterSum":
-        if c == 0:
-            return CharacterSum(self.rank)
-        return CharacterSum(self.rank, {w: c * m for w, m in self._terms.items()})
-
     def dimension(self) -> int:
         return sum(m * schur_dim(w, self.rank) for w, m in self._terms.items())
 

@@ -112,6 +112,13 @@ MUTANTS = (
         "    for kappa in subs[1:]:",
         ("tests/test_flagvar.py",),
     ),
+    Mutant(
+        "outcome JSON rebuilt on every call",
+        "src/flagcoh/cohomology.py",
+        "        if self._json is None:",
+        "        if True:",
+        ("tests/test_cohomology.py",),
+    ),
 )
 
 

@@ -730,11 +730,10 @@ def test_pairs_sharing_an_outcome_render_identically():
     for k, p in enumerate(report.pairs):
         pairs.setdefault(id(p.outcome), []).append(k)
     ks = next(ks for ks in pairs.values() if len(ks) > 1 and report.pairs[ks[0]].hom_character)
-    shared: dict = {}
-    data = report.to_json(shared)
+    data = report.to_json()
     p1, p2 = (data["pairs"][k] for k in ks[:2])
-    assert p1["outcome"] is p2["outcome"] and p1["hom"] is p2["hom"]
-    assert shared[id(report.pairs[ks[0]].outcome)][2] == len(ks)
+    assert all(data["pairs"][k]["outcome"] is p1["outcome"] for k in ks)
+    assert all(data["pairs"][k]["hom"] is p1["hom"] for k in ks)
     memo = {id(p1["outcome"]): {}, id(p1["hom"]): {}}
     texts = []
     for pj in (p1, p2):
@@ -744,6 +743,59 @@ def test_pairs_sharing_an_outcome_render_identically():
     # the outcome was rendered at one indent, the hom at two
     assert list(memo[id(p1["outcome"])]) == ["\n  "]
     assert sorted(memo[id(p1["hom"])]) == ["\n  ", "\n      "]
+
+
+def test_an_outcome_object_is_one_json_value(monkeypatch):
+    # fresh reports, whose outcomes have not built their JSON yet
+    reports = [report for _argv, report in _pair_reports()]
+    built = []
+    to_json = CharacterSum.to_json
+    monkeypatch.setattr(CharacterSum, "to_json", lambda cs: built.append(cs) or to_json(cs))
+    for report in reports:
+        data = report.to_json()
+        assert report.to_json() == data
+        outcomes = {id(p.outcome): p.outcome for p in report.pairs}
+        assert len(outcomes) < len(report.pairs)
+        values: dict = {}
+        for p, pj in zip(report.pairs, data["pairs"]):
+            outcome, hom = values.setdefault(id(p.outcome), (pj["outcome"], pj["hom"]))
+            assert pj["outcome"] is outcome is p.outcome.to_json() and pj["hom"] is hom
+        # pairs without degree 0 hold one empty list, whatever their outcome
+        assert len({id(pj["hom"]) for pj in data["pairs"] if not pj["hom"]}) == 1
+    # each character of each distinct outcome is written once, not per pair
+    # nor per call
+    characters = [
+        cs
+        for report in reports
+        for o in {id(p.outcome): p.outcome for p in report.pairs}.values()
+        for cs in (*(cs for cs in o.by_degree.values() if cs), o.euler)
+    ]
+    assert sorted(map(id, built)) == sorted(map(id, characters))
+
+
+def test_emit_memo_is_what_pairs_share(capsys, monkeypatch):
+    # the writer's memo holds exactly the outcome dicts that two or more
+    # pairs hold and their non-empty degree-0 lists, and renders each
+    memos = []
+    json_chunks = cli._json_chunks
+
+    def recording(obj, out, newline, memo=None, write=None):
+        if newline == "\n":  # the payload, not a value inside it
+            held: dict = {}
+            for pj in obj["pairs"]:
+                held.setdefault(id(pj["outcome"]), []).append(pj["outcome"])
+            repeated = [os[0] for os in held.values() if len(os) > 1]
+            homs = {id(o["by_degree"]["0"]) for o in repeated if "0" in o["by_degree"]}
+            memos.append((memo, {id(o) for o in repeated} | homs))
+        return json_chunks(obj, out, newline, memo, write)
+
+    monkeypatch.setattr(cli, "_json_chunks", recording)
+    for argv, _report in _pair_reports():
+        run(capsys, *argv, "--format", "json")
+    assert len(memos) == 2
+    for memo, expected in memos:
+        assert expected and set(memo) == expected
+        assert all(memo.values())
 
 
 class _Writes:

@@ -301,9 +301,9 @@ def test_one_shot_bound_and_stepwise_refinement():
     assert not one_shot.euler
     refined = cohomology_stepwise(e)
     assert refined.grade == EXACT
-    assert refined.is_zero()
+    assert not refined.degrees()
     best = ext_groups_best(w2, w1)
-    assert best.grade == EXACT and best.is_zero()
+    assert best.grade == EXACT and not best.degrees()
 
 
 def test_stepwise_agrees_on_exact_cases():
@@ -367,6 +367,17 @@ def test_euler_only_outcome():
     out = CohomologyOutcome.euler_only(euler)
     assert out.grade == "euler_only"
     assert out.euler == euler and not out.by_degree
+
+
+def test_outcome_builds_its_json_once():
+    w1 = make_monomial(F123, [(Slot(SUB, 1), (1,))])
+    w2 = make_monomial(F123, [(Slot(SUB, 2), (1, 0))])
+    o = cohomology(tensor(dual(w2), w1))
+    fresh = CohomologyOutcome(o.rank, o.grade, dict(o.by_degree))
+    data = o.to_json()
+    assert o.to_json() is data and data["by_degree"]
+    # the kept JSON is no field: it leaves equality and repr alone
+    assert o == fresh and repr(o) == repr(fresh) and data == fresh.to_json()
 
 
 def test_one_memo_never_mixes_shapes():

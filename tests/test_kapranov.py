@@ -97,7 +97,7 @@ def test_wrong_order_refutes():
     c = enumerate_collection(FlagShape(2, (1,)))
     report = check_strong_exceptional(list(reversed(c.members)))
     assert report.overall == REFUTED
-    bad = report.refutations()
+    bad = [p for p in report.pairs if p.status == REFUTED]
     assert bad and all(p.witness is not None for p in bad)
 
 
