@@ -8,7 +8,6 @@ from .cohomology import (
     CohomologyOutcome,
     cohomology_stepwise,
     euler_characteristic,
-    ext_groups,
     ext_groups_best,
 )
 from .flagvar import (
@@ -34,7 +33,7 @@ from .kapranov import (
     enumerate_collection,
     hom_quiver,
 )
-from .schur import CharacterSum, lr_coefficients, schur_dim, tensor_schur
+from .schur import CharacterSum, schur_dim, tensor_schur
 from .toric import (
     TowerSpec,
     check_grid_collection,
@@ -86,12 +85,10 @@ __all__ = [
     "dual_weight",
     "enumerate_collection",
     "euler_characteristic",
-    "ext_groups",
     "ext_groups_best",
     "galois_orbit_check",
     "hom_quiver",
     "line_bundle_cohomology",
-    "lr_coefficients",
     "make_monomial",
     "minimal_base",
     "orbit_sum",

@@ -19,7 +19,6 @@ from .cohomology import (
     CohomologyOutcome,
     cohomology,
     cohomology_stepwise,
-    ext_groups,
     ext_groups_best,
 )
 from .flagvar import BundleExpr, FlagShape
@@ -102,15 +101,17 @@ def _json_chunks(obj, out: list, newline: str, memo: dict | None = None, write=N
     indent=2)``; ``newline`` is a newline and the indent of ``obj``'s
     line.  Only dict (with str keys), list, tuple, str, int, bool and None
     are written; anything else raises TypeError, so the text never differs
-    from ``json.dumps``.  A leaf inside a dict or list is written in its
-    container's loop, without a call of its own.  ``memo`` maps the id of
-    a container that occurs more than once to its texts by indent: such a
-    container is rendered once per indent and its text appended again.
-    Any other container costs one id lookup while ``memo`` is non-empty,
-    none while it is empty.  With ``write``, after each item of a list
-    ``out`` is written and cleared once it holds ``FLUSH_CHUNKS`` chunks;
-    a memoized container is rendered into a list of its own, never
-    written part-way."""
+    from ``json.dumps``.  That includes a dict key that is not a str,
+    which ``json.dumps`` would turn into one: every ``to_json`` writes
+    str keys, such as a degree as ``str(degree)``.  A leaf inside a dict
+    or list is written in its container's loop, without a call of its
+    own.  ``memo`` maps the id of a container that occurs more than once
+    to its texts by indent: such a container is rendered once per indent
+    and its text appended again.  Any other container costs one id lookup
+    while ``memo`` is non-empty, none while it is empty.  With ``write``,
+    after each item of a list ``out`` is written and cleared once it holds
+    ``FLUSH_CHUNKS`` chunks; a memoized container is rendered into a list
+    of its own, never written part-way."""
     kind = type(obj)
     leaf = _LEAF_TEXT.get(kind)
     if leaf is not None:
@@ -257,7 +258,7 @@ def _cmd_ext(args):
     b = _load(args.expr[1], BundleExpr)
     if a.shape != b.shape:
         raise InputError("source and target live on different flag shapes")
-    outcome = ext_groups_best(a, b) if args.best else ext_groups(a, b)
+    outcome = ext_groups_best(a, b)
     _emit(args, outcome.to_json, lambda: _outcome_lines(outcome))
     return 0
 
@@ -386,7 +387,6 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--expr", action="append", default=[], help="give twice: source then target"
     )
-    p.add_argument("--best", action="store_true", help="stepwise route")
 
     p = add("kapranov", _cmd_kapranov, "enumerate the exceptional collection")
     p.add_argument("--n", type=int, required=True)

@@ -35,11 +35,12 @@ vector.
 Both routes work on the factors' intervals (lo, hi) as ``flagvar``
 stores them; no slot is spelled inside the engine.
 
-``cohomology`` serves ``cohom``, ``ext``, ``--euler-only`` and the
-counterexample readings; ``cohomology_stepwise`` serves every pair check
+``cohomology`` serves ``cohom``, ``--euler-only`` and the counterexample
+readings; ``cohomology_stepwise`` serves ``ext`` and every pair check
 through ``ext_groups_best``.  Wherever stepwise is only a bound, its
 bound is at most the one-shot bound, weight by weight, on every pair
-product measured, so pair checks never run the one-shot fold.
+product measured, so neither ``ext`` nor a pair check runs the one-shot
+fold.
 
 The stepwise route keeps what it computes in a ``_Table`` made for one
 top-level call and dropped when the call returns: the pieces of each
@@ -210,7 +211,7 @@ def _lower_pieces(terms, shift: int, filtered: bool, table: _Table) -> tuple:
         filtered = filtered or below
         for d, w, c in pieces:
             acc[d + shift, w] = acc.get((d + shift, w), 0) + c * mult
-    return tuple(sorted((d, w, c) for (d, w), c in acc.items() if c)), filtered
+    return tuple((d, w, c) for (d, w), c in acc.items() if c), filtered
 
 
 def _monomial_pieces_stepwise(mono: SchurMonomial, table: _Table) -> tuple:
@@ -264,11 +265,6 @@ def cohomology_stepwise(e: BundleExpr, table: _Table | None = None) -> Cohomolog
 
 # ---------------------------------------------------------------------------
 # derived functors of Hom
-
-
-def ext_groups(a: BundleExpr, b: BundleExpr) -> CohomologyOutcome:
-    """Ext^*(a, b) = H^*(F, a^v (x) b) for locally free a, b, one-shot."""
-    return cohomology(tensor(dual(a), b))
 
 
 def ext_groups_best(a: BundleExpr, b: BundleExpr, table: _Table | None = None) -> CohomologyOutcome:

@@ -22,10 +22,6 @@ def _strip_zeros(p: Sequence[int]) -> tuple:
     return tuple(out)
 
 
-def _is_partition(p: Sequence[int]) -> bool:
-    return all(x >= 0 for x in p) and is_weakly_decreasing(p)
-
-
 def pad(p: Sequence[int], m: int) -> tuple:
     if len(p) > m:
         raise ValueError("weight longer than rank")
@@ -178,20 +174,6 @@ def _lr_raw(mu: tuple, nu: tuple, bound: tuple) -> tuple:
 
     rec_letters(0, mu, ())
     return tuple(sorted(results.items()))
-
-
-def lr_coefficients(mu: Sequence[int], nu: Sequence[int], rank: int) -> CharacterSum:
-    """Littlewood-Richardson decomposition of Sigma^mu (x) Sigma^nu at GL_rank.
-
-    Partitions with more than ``rank`` parts are never enumerated.
-    """
-    mu_t = _strip_zeros(mu)
-    nu_t = _strip_zeros(nu)
-    if not (_is_partition(mu) and _is_partition(nu)):
-        raise ValueError("lr_coefficients requires partitions")
-    if len(mu_t) > rank or len(nu_t) > rank:
-        raise ValueError("partition length exceeds rank")
-    return tensor_schur(pad(mu_t, rank), pad(nu_t, rank), rank)
 
 
 @lru_cache(maxsize=None)

@@ -294,7 +294,10 @@ class GridReport:
             "tower": self.tower.to_json(),
             "grid": [list(d) for d in self.grid],
             "status": self.status,
-            "failures": self.failures,
+            "failures": [
+                dict(f, cohomology={str(d): dim for d, dim in f["cohomology"].items()})
+                for f in self.failures
+            ],
         }
 
 

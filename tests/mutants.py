@@ -119,6 +119,20 @@ MUTANTS = (
         "        if True:",
         ("tests/test_cohomology.py",),
     ),
+    Mutant(
+        "ext takes the one-shot route",
+        "src/flagcoh/cli.py",
+        "    outcome = ext_groups_best(a, b)\n",
+        "    from .flagvar import dual, tensor\n\n    outcome = cohomology(tensor(dual(a), b))\n",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "grid failure degrees stay ints",
+        "src/flagcoh/toric.py",
+        "cohomology={str(d): dim for d, dim",
+        "cohomology={d: dim for d, dim",
+        ("tests/test_cli.py",),
+    ),
 )
 
 

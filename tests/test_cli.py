@@ -15,7 +15,7 @@ from flagcoh.cli import EX_DATAERR, EX_SOFTWARE, EX_USAGE, main
 from flagcoh.flagvar import BundleExpr, FlagShape
 from flagcoh.kapranov import Collection, check_strong_exceptional, enumerate_collection
 from flagcoh.schur import CharacterSum
-from flagcoh.toric import TowerSpec
+from flagcoh.toric import TowerSpec, check_grid_collection
 from flagcoh.twists import WITH_SIGMA, TwistGroup, check_T2
 
 
@@ -502,10 +502,18 @@ def test_ext_stepwise_refinement(tmp_path, capsys):
     b = _write_member(
         tmp_path, "b.json", 3, [1, 2], [{"slot": "sub", "index": 1, "weight": [1]}]
     )
+    a_expr, b_expr = (BundleExpr.from_json(json.loads(Path(f).read_text())) for f in (a, b))
+    assert engine.cohomology(flagvar.tensor(flagvar.dual(a_expr), b_expr)).grade == "e1bound"
     code, data = run_json(capsys, "ext", "--expr", a, "--expr", b)
-    assert code == 0 and data["grade"] == "e1bound"
-    code, data = run_json(capsys, "ext", "--expr", a, "--expr", b, "--best")
     assert code == 0 and data["grade"] == "exact" and data["by_degree"] == {}
+    # ext prints the outcome the pair checks report for (a, b) and (b, a)
+    report = check_strong_exceptional([a_expr, b_expr])
+    assert data == report.pairs[1].outcome.to_json()
+    code, data = run_json(capsys, "ext", "--expr", b, "--expr", a)
+    assert code == 0 and data == report.pairs[2].outcome.to_json()
+    # there is one route, so no option selects it
+    code, out, err = run(capsys, "ext", "--expr", a, "--expr", b, "--best")
+    assert code == EX_USAGE and out == "" and "unrecognized arguments: --best" in err
 
 
 def test_ext_requires_two_exprs(tmp_path, capsys):
@@ -595,6 +603,22 @@ def test_toric_check_cli(tmp_path, capsys):
     assert code == 0
     assert data["status"] == "confirmed"
     assert data["orbits"]["orbit_closed"] is True
+
+
+def test_refuted_grid_writes_json(tmp_path, capsys, monkeypatch):
+    # the reversed grid of F_1 has backward Homs; each failure's cohomology
+    # is keyed by degree, and the JSON writer takes only str keys
+    data = {"base_dim": 1, "levels": [{"bundles": [[[0], [1]]], "perms": [[0]]}]}
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps(data))
+    lex_grid = TowerSpec.grid
+    monkeypatch.setattr(TowerSpec, "grid", lambda self: list(reversed(lex_grid(self))))
+    report = check_grid_collection(TowerSpec.from_json(data))
+    assert report.failures
+    code, out, _ = run(capsys, "toric-check", "--tower", str(path), "--skip-orbits", "--format", "json")
+    assert code == 1 and out == json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
+    code, _, _ = run(capsys, "toric-check", "--tower", str(path), "--skip-orbits")
+    assert code == 1
 
 
 def test_json_determinism(capsys):

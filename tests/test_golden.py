@@ -31,7 +31,6 @@ PINS = {
     "kapranov F(1,3;4)": ["kapranov", "--n", "4", "--dims", "1,3"],
     "cohom --euler-only k=6": ["cohom", "--expr", "{expr_k6.json}", "--euler-only"],
     "ext quot -> sub k=6": ["ext", "--expr", "{quot.json}", "--expr", "{sub.json}"],
-    "ext --best quot -> sub k=6": ["ext", "--expr", "{quot.json}", "--expr", "{sub.json}", "--best"],
     "check-strong --collection F(1,3;4)": ["check-strong", "--collection", "{collection.json}"],
     "check-strong --collection F(1,3;4) + a two-term member": [
         "check-strong", "--collection", "{collection_sum.json}"
@@ -53,10 +52,8 @@ PIN_GOLDEN = {
     'kapranov F(1,3;4) [text]': ('c78648a312545e3d670a27d4ab146a1204d85febbbe4055b9ee4a28bd34fc6da', 0),
     'cohom --euler-only k=6 [json]': ('97c7a13400faff4fbd30fd18bcd565fc9cf50608aee7ee6bae783d6f27728797', 0),
     'cohom --euler-only k=6 [text]': ('b728bc34255bbbf0ca5378a8a943a6c50befe7f8d15a07b4b7a26b80725a8220', 0),
-    'ext quot -> sub k=6 [json]': ('027e20e3f692d2a97d4c47766dedf713418a622186e6d25e24b7dc456efdd934', 0),
-    'ext quot -> sub k=6 [text]': ('a09b4ce5a7cdcb3ce8039bef42bffe506f510e2fd104ed1a51ce0cda38e151e5', 0),
-    'ext --best quot -> sub k=6 [json]': ('3453af49ce9c269d7c0f6aa968107203ecdce352acb15774c6c053e68f435a7b', 0),
-    'ext --best quot -> sub k=6 [text]': ('9ba0daf77b95ba69a4cf53d38205414e578bb13c2cc5eb23c571ebfd5e8c6df0', 0),
+    'ext quot -> sub k=6 [json]': ('3453af49ce9c269d7c0f6aa968107203ecdce352acb15774c6c053e68f435a7b', 0),
+    'ext quot -> sub k=6 [text]': ('9ba0daf77b95ba69a4cf53d38205414e578bb13c2cc5eb23c571ebfd5e8c6df0', 0),
     'check-strong --collection F(1,3;4) [json]': ('0f98fb17c7464443cc51287e1ce4c8b64530a0ff3d9e72017c7b728f1bcacf9a', 0),
     'check-strong --collection F(1,3;4) [text]': ('f8da5bef827b21c1b93c5c84d07091f11022ed3762efef034b961f88e12f2f18', 0),
     'check-strong --collection F(1,3;4) + a two-term member [json]': ('605a451e996082e0b0678fee4340b55b73c7164dc13d9b7ed3e07a724b2a5d6f', 1),

@@ -10,7 +10,13 @@ from pathlib import Path
 import pytest
 from localization import character_value, localized_euler
 
-from flagcoh.cohomology import E1_BOUND, EXACT, cohomology, cohomology_stepwise
+from flagcoh.cohomology import (
+    E1_BOUND,
+    EXACT,
+    cohomology,
+    cohomology_stepwise,
+    ext_groups_best,
+)
 from flagcoh.flagvar import (
     BLOCK,
     QUOT,
@@ -73,30 +79,45 @@ def _dominates(bound, exact):
 
 def test_routes_against_localization_oracle():
     rng = random.Random(20261018)
-    seen = {"both exact": 0, "one-shot only": 0, "stepwise only": 0, "neither exact": 0}
+    seen = Counter()
     for _ in range(150):
         shape = rng.choice(SHAPES)
         expr = _random_expr(rng, shape)
-        one_shot, stepwise = cohomology(expr), cohomology_stepwise(expr)
-        for point in POINTS:
-            expected = localized_euler(expr.to_json(), point)
-            assert character_value(one_shot.euler.items(), point[: shape.n]) == expected, expr
-            assert character_value(stepwise.euler.items(), point[: shape.n]) == expected, expr
-        if one_shot.grade == stepwise.grade == EXACT:
-            seen["both exact"] += 1
-            assert one_shot.by_degree == stepwise.by_degree, expr
-        elif one_shot.grade == EXACT:
-            seen["one-shot only"] += 1
-            assert _dominates(stepwise, one_shot), expr
-        elif stepwise.grade == EXACT:
-            seen["stepwise only"] += 1
-            assert _dominates(one_shot, stepwise), expr
-        else:
-            # pair checks keep the stepwise bound: it is never the looser one
-            seen["neither exact"] += 1
-            assert _dominates(one_shot, stepwise), expr
-    # no seeded expression has an exact one-shot answer that stepwise misses
+        _assert_routes_agree(expr, cohomology(expr), cohomology_stepwise(expr), seen)
     assert seen["both exact"] and seen["stepwise only"] and seen["neither exact"], seen
+
+
+def test_ext_pairs_against_localization_oracle():
+    # ext and every pair check answer Ext^*(a, b) with ext_groups_best; the
+    # one-shot fold of the same product is the reference route
+    rng = random.Random(20261020)
+    seen = Counter()
+    for _ in range(60):
+        shape = rng.choice(SHAPES)
+        a, b = _random_expr(rng, shape), _random_expr(rng, shape)
+        product = tensor(dual(a), b)
+        _assert_routes_agree(product, cohomology(product), ext_groups_best(a, b), seen)
+    assert seen["both exact"] and seen["stepwise only"] and seen["neither exact"], seen
+
+
+def _assert_routes_agree(expr, one_shot, stepwise, seen):
+    """Both routes' Euler characters are equal and are the oracle's;
+    stepwise is exact, with the same groups, wherever the one-shot route
+    is, and its bound is never the looser one.  ``seen`` counts which
+    routes were exact."""
+    assert one_shot.euler == stepwise.euler, expr
+    n = expr.shape.n
+    for point in POINTS:
+        expected = localized_euler(expr.to_json(), point)
+        assert character_value(one_shot.euler.items(), point[:n]) == expected, expr
+        assert character_value(stepwise.euler.items(), point[:n]) == expected, expr
+    if one_shot.grade == EXACT:
+        assert stepwise.grade == EXACT, ("one-shot only", expr)
+        assert one_shot.by_degree == stepwise.by_degree, expr
+        seen["both exact"] += 1
+    else:
+        assert _dominates(one_shot, stepwise), expr
+        seen["stepwise only" if stepwise.grade == EXACT else "neither exact"] += 1
 
 
 def _products(members):
