@@ -44,7 +44,6 @@ from .twists import (
     INNER_ONLY,
     WITH_SIGMA,
     DescentReport,
-    TwistGroup,
     check_T2,
     counterexample_case,
     orbit_sum,
@@ -73,7 +72,6 @@ __all__ = [
     "SchurMonomial",
     "Slot",
     "TowerSpec",
-    "TwistGroup",
     "WITH_SIGMA",
     "bbw_resolve",
     "check_T2",

@@ -2,16 +2,19 @@
 
 Exit codes: 0 = success / Confirmed, 1 = Refuted (a mathematically
 meaningful negative), 2 = Inconclusive, 64 = usage error, 65 = malformed
-input data, 70 = internal error (an engine fault, never a verdict).
+input data or an input file that cannot be read, 70 = internal error (an
+engine fault, never a verdict), 74 = the report could not be written,
+as when the reader of stdout has gone.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from json.encoder import encode_basestring_ascii
 
 from .cohomology import (
@@ -24,23 +27,23 @@ from .cohomology import (
 from .flagvar import BundleExpr, FlagShape
 from .kapranov import (
     CONFIRMED,
+    INCONCLUSIVE,
+    REFUTED,
     Collection,
     check_strong_exceptional,
     enumerate_collection,
 )
 from .toric import TowerSpec, check_grid_collection, galois_orbit_check
-from .twists import (
-    INNER_ONLY,
-    WITH_SIGMA,
-    TwistGroup,
-    check_T2,
-    counterexample_case,
-)
+from .twists import check_T2, counterexample_case
 from .weights import InputError, bbw_resolve, dual_weight
 
+# the library's checks return a report with a status; only the command
+# line reads flags and turns a status into an exit code
+EXIT_CODE = {CONFIRMED: 0, REFUTED: 1, INCONCLUSIVE: 2}
 EX_USAGE = 64
 EX_DATAERR = 65
 EX_SOFTWARE = 70
+EX_IOERR = 74
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,6 +87,7 @@ def _emit(args, payload, lines):
                 write("".join(out))
                 out.clear()
     write("".join(out))
+    sys.stdout.flush()  # so that a closed stdout fails here, not at exit
 
 
 # the text of a JSON leaf, looked up by its exact type, so that a bool is
@@ -166,12 +170,13 @@ def _json_chunks(obj, out: list, newline: str, memo: dict | None = None, write=N
 
 @contextmanager
 def _parsing():
-    """Report a ValueError raised while reading the user's input as an
-    input error.  The readers check keys and JSON types first, so any
-    other exception raised here is an engine fault."""
+    """Report a ValueError raised while reading the user's input, or an
+    OSError while opening or reading an input file, as an input error.
+    The readers check keys and JSON types first, so any other exception
+    raised here is an engine fault."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise InputError(str(exc)) from exc
 
 
@@ -191,7 +196,7 @@ def _shape(args) -> FlagShape:
 
 def _load(path: str, cls):
     """Read an object of ``cls`` from a JSON file through ``cls.from_json``."""
-    with open(path) as fh, _parsing():
+    with _parsing(), open(path) as fh:
         return cls.from_json(json.load(fh))
 
 
@@ -281,35 +286,34 @@ def _cmd_check_strong(args):
     report = check_strong_exceptional(c)
 
     def lines():
-        yield "overall: %s" % report.overall
+        yield "overall: %s" % report.status
         for p in report.pairs:
             if p.status != CONFIRMED:
                 witness = p.witness or ""
                 yield "  pair (%d, %d) [%s]: %s %s" % (p.i, p.j, p.requirement, p.status, witness)
 
     _emit(args, report.to_json, lines)
-    return report.exit_code
+    return EXIT_CODE[report.status]
 
 
 def _cmd_twist_check(args):
     shape = _shape(args)
-    group = TwistGroup(WITH_SIGMA if args.sigma else INNER_ONLY)
     if args.expr:
         t = _load(args.expr, BundleExpr)
     else:
         t = sum(enumerate_collection(shape).members, BundleExpr(shape))
     if t.shape != shape:
         raise InputError("expression shape does not match --n/--dims")
-    report = check_T2(t, group)
+    report = check_T2(t, sigma=args.sigma)
 
     def lines():
-        yield "group: %s" % group.kind
+        yield "group: %s" % report.group
         yield "T2 status: %s" % report.status
         for cert in report.certificates():
             yield "  witness pair (%d, %d): %s" % (cert["i"], cert["j"], cert["witness"])
 
     _emit(args, report.to_json, lines)
-    return report.exit_code
+    return EXIT_CODE[report.status]
 
 
 def _cmd_counterexample(args):
@@ -329,7 +333,7 @@ def _cmd_counterexample(args):
         yield "counterexample established: %s" % report.established
 
     _emit(args, report.to_json, lines)
-    return report.exit_code
+    return EXIT_CODE[report.status]
 
 
 def _cmd_toric_check(args):
@@ -348,7 +352,7 @@ def _cmd_toric_check(args):
             yield "orbit classes: %d" % len(orbits["orbit_classes"])
 
     _emit(args, payload, lines)
-    return report.exit_code
+    return EXIT_CODE[report.status]
 
 
 def _check_flags(args):
@@ -427,9 +431,15 @@ def main(argv=None) -> int:
     except InputError as exc:
         print("flagcoh: input error: %s" % exc, file=sys.stderr)
         return EX_DATAERR
-    except OSError as exc:
-        print("flagcoh: %s" % exc, file=sys.stderr)
-        return EX_DATAERR
+    except OSError as exc:  # writing the report failed; input files raise InputError
+        # point stdout at the null device, so that the flush at exit cannot
+        # fail again (the Python docs' SIGPIPE recipe); a stdout captured in
+        # process has no descriptor and is left as it is
+        with suppress(OSError), open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):  # a reader that has gone needs no word
+            print("flagcoh: %s" % exc, file=sys.stderr)
+        return EX_IOERR
     except Exception as exc:  # an engine fault; exit 1 would read as "refuted"
         sys.excepthook(type(exc), exc, exc.__traceback__)  # the traceback, to stderr
         print("flagcoh: internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)

@@ -31,7 +31,6 @@ HIGHER = "higher"  # Ext^k must vanish for k > 0
 TOTAL = "total"  # Ext^k must vanish for every k
 
 _STATUS_RANK = {CONFIRMED: 0, INCONCLUSIVE: 1, REFUTED: 2}
-EXIT_CODE = {CONFIRMED: 0, REFUTED: 1, INCONCLUSIVE: 2}
 
 # the hom of every pair without degree 0; like an outcome's JSON, never mutated
 _NO_HOM: list = []
@@ -174,18 +173,14 @@ class PairReport:
     pairs: list = field(default_factory=list)
 
     @property
-    def overall(self) -> str:
+    def status(self) -> str:
         return worst_status(self.pairs)
-
-    @property
-    def exit_code(self) -> int:
-        return EXIT_CODE[self.overall]
 
     def to_json(self):
         return {
             "flag": self.shape.to_json(),
             "members": [m.to_json() for m in self.members],
-            "overall": self.overall,
+            "overall": self.status,
             "pairs": [p.to_json() for p in self.pairs],
         }
 
@@ -196,8 +191,6 @@ def _check_pairs(members: list, below: str) -> list:
     against ``below`` for i > j.  The loop's one table lives for the
     call, so pairs with equal products a^v (x) b share one outcome,
     resolved once, and pair products share their stepwise pieces."""
-    if not members:
-        raise InputError("empty collection")
     pairs = []
     table = _Table()
     for i, a in enumerate(members):
@@ -209,16 +202,15 @@ def _check_pairs(members: list, below: str) -> list:
     return pairs
 
 
-def check_strong_exceptional(c) -> PairReport:
+def check_strong_exceptional(c: Collection) -> PairReport:
     """Check the strong exceptional conditions on an ordered collection.
 
     For i < j: Ext^k(E_i, E_j) = 0 for k > 0.  For i > j: Ext^k(E_i, E_j)
     = 0 for every k.  On the diagonal: higher self-Exts vanish and
-    Hom(E_i, E_i) = k.  ``c`` is a Collection or a list of members.
+    Hom(E_i, E_i) = k.  An empty collection is an input error.
     """
-    if not isinstance(c, Collection):
-        members = list(c)
-        c = Collection(members[0].shape if members else None, members)
+    if not c.members:
+        raise InputError("empty collection")
     pairs = _check_pairs(c.members, TOTAL)
     for p in pairs[:: len(c) + 1]:  # the diagonal
         if p.status == CONFIRMED:
@@ -238,7 +230,7 @@ def _classify_simple(outcome: CohomologyOutcome):
     return INCONCLUSIVE, None
 
 
-def hom_quiver(c) -> dict:
+def hom_quiver(c: Collection) -> dict:
     """Degree-0 Hom characters and dimensions between all ordered pairs,
     read off the pairs of ``check_strong_exceptional``."""
     report = check_strong_exceptional(c)

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from math import comb
 from operator import add, mul, sub
 
-from .kapranov import CONFIRMED, EXIT_CODE, REFUTED
+from .kapranov import CONFIRMED, REFUTED
 from .weights import InputError, _check_keys, _ints, _json_list, strict_int
 
 
@@ -284,10 +284,6 @@ class GridReport:
     grid: list
     status: str = CONFIRMED
     failures: list = field(default_factory=list)
-
-    @property
-    def exit_code(self) -> int:
-        return EXIT_CODE[self.status]
 
     def to_json(self):
         return {

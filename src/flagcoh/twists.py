@@ -2,10 +2,13 @@
 
 A twisted form of a flag variety is governed by whether its Galois
 cocycle uses only inner automorphisms or also the duality automorphism
-sigma (available exactly on symmetric shapes).  A candidate tilting
-bundle is pushed through the orbit sum T |-> (+)_g g*T, and descent
-condition (T2) -- no higher self-extensions of the orbit sum -- is
-checked pairwise over the orbit's monomial summands.
+sigma (available exactly on symmetric shapes); ``check_T2`` and
+``orbit_sum`` take that choice as the bool ``sigma``.  A candidate
+tilting bundle is pushed through the orbit sum T |-> (+)_g g*T, and
+descent condition (T2) -- no higher self-extensions of the orbit sum --
+is checked pairwise over the orbit's monomial summands.  Each report
+carries a ``status`` from the verdict lattice of ``kapranov``; only the
+command line maps a status to an exit code.
 
 ``counterexample_case`` packages the three families of (F, G) pairs for
 which Ext^{>0}(sigma*F, G) is nonzero, refuting (T2) for the outer form.
@@ -29,7 +32,6 @@ from .flagvar import (
     tensor,
 )
 from .kapranov import (
-    EXIT_CODE,
     HIGHER,
     INCONCLUSIVE,
     REFUTED,
@@ -44,38 +46,25 @@ INNER_ONLY = "inner_only"
 WITH_SIGMA = "with_sigma"
 
 
-@dataclass(frozen=True)
-class TwistGroup:
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in (INNER_ONLY, WITH_SIGMA):
-            raise ValueError("unknown twist group kind %r" % self.kind)
-
-    def check_shape(self, shape: FlagShape):
-        if self.kind == WITH_SIGMA and not shape.is_symmetric():
-            raise InputError(
-                "the duality twist exists only on symmetric shapes "
-                "(d_i + d_(s-i+1) = n)"
-            )
+def _orbit(t: BundleExpr, sigma: bool) -> list:
+    """The Galois orbit of t: [t] for inner forms, [t, sigma*t] with the
+    duality twist, which exists only on symmetric shapes."""
+    if sigma and not t.shape.is_symmetric():
+        raise InputError(
+            "the duality twist exists only on symmetric shapes (d_i + d_(s-i+1) = n)"
+        )
+    return [t, sigma_pullback(t)] if sigma else [t]
 
 
-def orbit(t: BundleExpr, g: TwistGroup) -> list:
-    """The Galois orbit of t: [t] for inner forms, [t, sigma*t] otherwise."""
-    g.check_shape(t.shape)
-    if g.kind == INNER_ONLY:
-        return [t]
-    return [t, sigma_pullback(t)]
-
-
-def orbit_sum(t: BundleExpr, g: TwistGroup) -> BundleExpr:
-    """The sum of the Galois orbit of t: t, or t + sigma*t."""
-    return sum(orbit(t, g), BundleExpr(t.shape))
+def orbit_sum(t: BundleExpr, *, sigma: bool = False) -> BundleExpr:
+    """The sum of the Galois orbit of t: t, or t + sigma*t with the duality
+    twist."""
+    return sum(_orbit(t, sigma), BundleExpr(t.shape))
 
 
 @dataclass
 class DescentReport:
-    group: TwistGroup
+    group: str  # INNER_ONLY or WITH_SIGMA
     shape: FlagShape
     orbit_members: list
     summands: list  # single-monomial BundleExprs, pairwise checked
@@ -84,10 +73,6 @@ class DescentReport:
     @property
     def status(self) -> str:
         return worst_status(self.pairs)
-
-    @property
-    def exit_code(self) -> int:
-        return EXIT_CODE[self.status]
 
     def certificates(self):
         return [
@@ -98,7 +83,7 @@ class DescentReport:
 
     def to_json(self):
         return {
-            "group": self.group.kind,
+            "group": self.group,
             "flag": self.shape.to_json(),
             "orbit": [m.to_json() for m in self.orbit_members],
             "summands": [s.to_json() for s in self.summands],
@@ -108,16 +93,21 @@ class DescentReport:
         }
 
 
-def check_T2(t: BundleExpr, g: TwistGroup) -> DescentReport:
-    """Descent condition (T2): the orbit sum has no higher self-extensions.
+def check_T2(t: BundleExpr, *, sigma: bool = False) -> DescentReport:
+    """Descent condition (T2): the orbit sum has no higher self-extensions,
+    under the inner Galois action or, with ``sigma``, under the one
+    twisted by the duality.
 
     Equivalent to Ext^k(a, b) = 0 for k > 0 over all ordered pairs (a, b)
     of monomial summands of the orbit sum; degree-0 Homs are unrestricted.
     """
-    members = orbit(t, g)
+    members = _orbit(t, sigma)
     monos = dict.fromkeys(mono for m in members for mono, _m in m.monomials())
+    if not monos:
+        raise InputError("the candidate bundle is zero, so its orbit sum has no summands")
     summands = [BundleExpr(t.shape, {mono: 1}) for mono in monos]
-    return DescentReport(g, t.shape, members, summands, _check_pairs(summands, HIGHER))
+    group = WITH_SIGMA if sigma else INNER_ONLY
+    return DescentReport(group, t.shape, members, summands, _check_pairs(summands, HIGHER))
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +153,8 @@ class CounterexampleReport:
         return any(r.status == REFUTED for r in self.readings)
 
     @property
-    def exit_code(self) -> int:
-        return EXIT_CODE[REFUTED if self.established else INCONCLUSIVE]
+    def status(self) -> str:
+        return REFUTED if self.established else INCONCLUSIVE
 
     def to_json(self):
         return {

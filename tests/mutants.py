@@ -1,15 +1,17 @@
 """Mutation harness: each mutant is one deliberate fault in ``src/flagcoh``
-that the named test files must catch.
+that the named tests must catch.
 
 Usage: python tests/mutants.py [NAME ...]
 
 Run from anywhere; it needs only the standard library and the test
 dependencies.  The tests, the sources, the benchmark and the README
 (whose library example a test runs) are copied to a temporary folder
-once.  The named test files are first run unmutated and must pass there.
-Then each mutant in turn replaces its old text (which must occur exactly
-once) with its new text in that copy, runs its test files one after
-another with pytest, stopping at the first failure, and puts the old
+once.  A named test is a test file, or one test in it as pytest names
+it (``file::test``) where that test alone must catch the mutant.  The
+named tests are first run unmutated and must pass there.  Then each
+mutant in turn replaces its old text (which must occur exactly once)
+with its new text in that copy, runs its tests one after another with
+pytest, stopping at the first failure, and puts the old
 text back.  A mutant is killed when some run fails.  Nothing runs in
 parallel.  The exit code is 0 when every mutant selected is killed and 1
 otherwise; with NAMEs only those mutants run.  A full run takes about a
@@ -36,7 +38,7 @@ class Mutant(NamedTuple):
     file: str  # relative to the repository root
     old: str
     new: str
-    tests: tuple  # test files, relative to the repository root; one must fail
+    tests: tuple  # test files (or file::test), relative to the repository root; one must fail
 
 
 MUTANTS = (
@@ -132,6 +134,34 @@ MUTANTS = (
         "cohomology={str(d): dim for d, dim",
         "cohomology={d: dim for d, dim",
         ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "twist-check drops --sigma",
+        "src/flagcoh/cli.py",
+        "report = check_T2(t, sigma=args.sigma)",
+        "report = check_T2(t)",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "counterexample status ignores established",
+        "src/flagcoh/twists.py",
+        "return REFUTED if self.established else INCONCLUSIVE",
+        "return REFUTED",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "closed stdout reported as input error",
+        "src/flagcoh/cli.py",
+        "        return EX_IOERR\n",
+        "        return EX_DATAERR\n",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "sigma_pullback keeps the weights",
+        "src/flagcoh/flagvar.py",
+        "lambda span, w: (image[span], dual_weight(w))",
+        "lambda span, w: (image[span], w)",
+        ("tests/test_cohomology.py::test_sigma_preserves_outcomes",),
     ),
 )
 

@@ -42,9 +42,6 @@ from flagcoh.kapranov import (
 from flagcoh.schur import CharacterSum, pad, schur_dim, tensor_schur
 from flagcoh.toric import TowerSpec, check_grid_collection, galois_orbit_check
 from flagcoh.twists import (
-    INNER_ONLY,
-    WITH_SIGMA,
-    TwistGroup,
     check_T2,
     counterexample_case,
 )
@@ -155,10 +152,10 @@ def test_acceptance_03_kapranov_counts():
 def test_acceptance_04_strong_exceptional():
     for n in (2, 3, 4):
         report = check_strong_exceptional(enumerate_collection(FlagShape(n, (1,))))
-        assert report.overall == CONFIRMED
+        assert report.status == CONFIRMED
     for shape in (FlagShape(4, (2,)), FlagShape(5, (2,))):
         report = check_strong_exceptional(enumerate_collection(shape))
-        assert report.overall == CONFIRMED
+        assert report.status == CONFIRMED
         assert all(p.outcome.grade == EXACT for p in report.pairs)
     report = check_strong_exceptional(enumerate_collection(FlagShape(3, (1, 2))))
     assert not [p for p in report.pairs if p.status == REFUTED]
@@ -215,14 +212,14 @@ def test_acceptance_07_case3():
 @acceptance(8, "inner forms: (T2) confirmed on Gr(2,4) and F(1,2;3)")
 def test_acceptance_08_inner_confirmed():
     for shape in (FlagShape(4, (2,)), FlagShape(3, (1, 2))):
-        report = check_T2(_kapranov_sum(shape), TwistGroup(INNER_ONLY))
+        report = check_T2(_kapranov_sum(shape))
         assert report.status == CONFIRMED
 
 
 @acceptance(9, "outer forms: (T2) refuted on Gr(2,4) and F(1,2;3)")
 def test_acceptance_09_outer_refuted():
     for shape in (FlagShape(4, (2,)), FlagShape(3, (1, 2))):
-        report = check_T2(_kapranov_sum(shape), TwistGroup(WITH_SIGMA))
+        report = check_T2(_kapranov_sum(shape), sigma=True)
         assert report.status == REFUTED
         assert report.certificates()
 

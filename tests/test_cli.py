@@ -16,7 +16,7 @@ from flagcoh.flagvar import BundleExpr, FlagShape
 from flagcoh.kapranov import Collection, check_strong_exceptional, enumerate_collection
 from flagcoh.schur import CharacterSum
 from flagcoh.toric import TowerSpec, check_grid_collection
-from flagcoh.twists import WITH_SIGMA, TwistGroup, check_T2
+from flagcoh.twists import check_T2
 
 
 def run(capsys, *argv):
@@ -480,9 +480,12 @@ def test_unpreserved_toric_permutation_is_an_input_error(tmp_path, capsys):
     assert code == EX_DATAERR and "does not preserve" in err
 
 
-def test_cohom_missing_file(capsys):
-    code, _, err = run(capsys, "cohom", "--expr", "/no/such/file.json")
-    assert code == EX_DATAERR
+def test_cohom_missing_file(capsys, tmp_path):
+    # an input file that cannot be opened or read is malformed input
+    for path, reason in (("/no/such/file.json", "No such file"), (tmp_path, "Is a directory")):
+        code, out, err = run(capsys, "cohom", "--expr", str(path))
+        assert code == EX_DATAERR and out == ""
+        assert err.startswith("flagcoh: input error: [Errno ") and reason in err
 
 
 def _write_member(tmp_path, name, n, dims, factors):
@@ -507,7 +510,7 @@ def test_ext_stepwise_refinement(tmp_path, capsys):
     code, data = run_json(capsys, "ext", "--expr", a, "--expr", b)
     assert code == 0 and data["grade"] == "exact" and data["by_degree"] == {}
     # ext prints the outcome the pair checks report for (a, b) and (b, a)
-    report = check_strong_exceptional([a_expr, b_expr])
+    report = check_strong_exceptional(Collection(a_expr.shape, [a_expr, b_expr]))
     assert data == report.pairs[1].outcome.to_json()
     code, data = run_json(capsys, "ext", "--expr", b, "--expr", a)
     assert code == 0 and data == report.pairs[2].outcome.to_json()
@@ -554,7 +557,7 @@ def test_twist_check_exit_codes(capsys):
     assert code == EX_DATAERR
 
 
-def test_counterexample_cli(capsys):
+def test_counterexample_cli(capsys, monkeypatch):
     code, data = run_json(capsys, "counterexample", "--case", "1", "--n", "4", "--dims", "2")
     assert code == 1
     assert data["established"] is True
@@ -566,6 +569,11 @@ def test_counterexample_cli(capsys):
         capsys, "counterexample", "--case", "3", "--n", "3", "--dims", "1,2"
     )
     assert code == 1 and [r["label"] for r in data["readings"]] == ["F=W_1", "F=W_2"]
+    # a family none of whose readings refutes is not established: exit 2
+    undecided = (kapranov.INCONCLUSIVE, None)
+    monkeypatch.setattr(twists, "classify_vanishing", lambda outcome, requirement: undecided)
+    code, data = run_json(capsys, *COUNTEREXAMPLE_1)
+    assert code == 2 and data["established"] is False
 
 
 def test_counterexample_text_shows_both_routes(capsys):
@@ -648,7 +656,9 @@ def test_empty_pair_checks_are_input_errors(capsys, tmp_path):
     path.write_text(json.dumps({"flag": {"n": 3, "dims": [1]}, "terms": []}))
     code, out, err = run(capsys, "twist-check", "--n", "3", "--dims", "1", "--expr", str(path))
     assert code == EX_DATAERR and out == ""
-    assert "flagcoh: input error: empty collection" in err
+    # the user gave a bundle, not a collection: the message names the bundle
+    assert "flagcoh: input error: the candidate bundle is zero" in err
+    assert "collection" not in err
 
 
 def test_missing_key_is_named(capsys, tmp_path):
@@ -722,7 +732,7 @@ def _pair_reports():
     """(argv, in-process report) for a strong check and a sigma (T2) check."""
     f123, f13 = FlagShape(4, (1, 2, 3)), FlagShape(4, (1, 3))
     strong = check_strong_exceptional(enumerate_collection(f123))
-    t2 = check_T2(sum(enumerate_collection(f13).members, BundleExpr(f13)), TwistGroup(WITH_SIGMA))
+    t2 = check_T2(sum(enumerate_collection(f13).members, BundleExpr(f13)), sigma=True)
     return [
         (["check-strong", "--n", "4", "--dims", "1,2,3"], strong),
         (["twist-check", "--n", "4", "--dims", "1,3", "--sigma"], t2),
@@ -744,7 +754,7 @@ def test_shared_outcomes_print_as_json_dumps(capsys, argv, report):
             hom_at_two_indents += 1
     assert hom_at_two_indents
     code, out, _err = run(capsys, *argv, "--format", "json")
-    assert code == report.exit_code
+    assert code == cli.EXIT_CODE[report.status]
     assert out == json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
@@ -831,6 +841,9 @@ class _Writes:
     def write(self, text):
         self.writes.append(text)
 
+    def flush(self):
+        pass
+
     def text(self) -> str:
         return "".join(self.writes)
 
@@ -868,7 +881,7 @@ def test_streamed_report_is_byte_identical(monkeypatch, argv, report):
     # a lowered flush size makes a small job write many times; the text is
     # still json.dumps's, and the text format the unbatched one
     code, out = _streamed(monkeypatch, argv + ["--format", "json"], flush=16)
-    assert code == report.exit_code and len(out.writes) > 10
+    assert code == cli.EXIT_CODE[report.status] and len(out.writes) > 10
     text = out.text()
     assert text == json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
     # pairs sharing an outcome are written on both sides of a flush
@@ -955,10 +968,17 @@ def test_readme_library_example_runs():
     exec(compile(example, "README.md", "exec"), {})
 
 
-def test_python_m_flagcoh_runs_the_cli(tmp_path):
+def _env_with_src() -> dict:
+    """This process's environment, with the checkout's ``src`` first on the
+    import path of a child ``python -m flagcoh``."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_python_m_flagcoh_runs_the_cli(tmp_path):
+    env = _env_with_src()
     argv = ["bbw", "--n", "4", "--weight", "0,-2,0,-1", "--format", "json"]
     proc = subprocess.run(
         [sys.executable, "-m", "flagcoh", *argv],
@@ -970,3 +990,53 @@ def test_python_m_flagcoh_runs_the_cli(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["cohomology_weight"] == [1, 1, 1, 0]
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-strong", "--n", "3", "--dims", "1"],
+        ["check-strong", "--n", "5", "--dims", "1,2,3,4", "--format", "json"],
+    ],
+)
+def test_closed_stdout_is_an_io_error(tmp_path, argv, unbuffered):
+    # the reader of stdout has gone, as with `| head`: the report cannot be
+    # written, which is no input error, no engine fault and no traceback,
+    # and the interpreter's flush at exit must not complain either; a
+    # buffered stdout fails at the last flush, an unbuffered one at a write
+    env = _env_with_src()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "flagcoh", *argv],
+        cwd=tmp_path,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == cli.EX_IOERR and err == b""
+
+
+@pytest.mark.parametrize(
+    "exc, err",
+    [
+        (BrokenPipeError(32, "Broken pipe"), ""),
+        (OSError(28, "No space left on device"), "flagcoh: [Errno 28] No space left on device\n"),
+    ],
+)
+def test_unwritable_stdout_in_process(capsys, monkeypatch, exc, err):
+    # a stdout captured in process has no file descriptor to point at the
+    # null device; the report still exits 74, and only a reader that has
+    # gone goes without a message
+    def flush():
+        raise exc
+
+    with monkeypatch.context() as m:
+        m.setattr(sys.stdout, "flush", flush)
+        code = main(["bbw", "--n", "2", "--weight", "1,0"])
+    assert code == cli.EX_IOERR and capsys.readouterr().err == err

@@ -34,8 +34,8 @@ from flagcoh.flagvar import (
 )
 from flagcoh.kapranov import check_strong_exceptional, enumerate_collection
 from flagcoh.schur import CharacterSum, _tensor_terms, pad
-from flagcoh.twists import WITH_SIGMA, TwistGroup, check_T2
-from flagcoh.weights import _bbw_flat, bbw_resolve
+from flagcoh.twists import check_T2
+from flagcoh.weights import _bbw_flat, bbw_resolve, dual_weight
 
 F123 = FlagShape(3, (1, 2))
 GR24 = FlagShape(4, (2,))
@@ -203,7 +203,7 @@ def test_engine_builds_products_without_make_monomial(monkeypatch):
         # second run builds every product again
         return (
             check_strong_exceptional(collection).to_json(),
-            check_T2(t, TwistGroup(WITH_SIGMA)).to_json(),
+            check_T2(t, sigma=True).to_json(),
             cohomology_stepwise(e).to_json(),
             tensor(e, e),
         )
@@ -352,13 +352,53 @@ def test_minimal_base_invariance(monkeypatch):
     assert full.euler == reduced.euler
 
 
+def _dual(cs: CharacterSum) -> CharacterSum:
+    return CharacterSum(cs.rank, {dual_weight(w): m for w, m in cs.items()})
+
+
+def _assert_mirror_law(plain, twisted):
+    """sigma^* dualizes every weight: chi(sigma*a, sigma*b) is the dual of
+    chi(a, b), and where both outcomes are exact so is every group."""
+    assert twisted.euler == _dual(plain.euler)
+    if plain.grade == twisted.grade == EXACT:
+        dualized = {d: _dual(cs) for d, cs in plain.by_degree.items() if cs}
+        assert {d: cs for d, cs in twisted.by_degree.items() if cs} == dualized
+
+
 def test_sigma_preserves_outcomes():
     a = make_monomial(F123, [(Slot(SUB, 2), (1, 0))])
     b = make_monomial(F123, [(Slot(SUB, 1), (1,)), (Slot(SUB, 2), (1, 1))])
-    plain = ext_groups_best(a, b)
-    twisted = ext_groups_best(sigma_pullback(a), sigma_pullback(b))
-    assert plain.by_degree == twisted.by_degree
-    assert plain.grade == twisted.grade
+    w1 = make_monomial(F123, [(Slot(SUB, 1), (1,))])
+    # case 1 on Gr(2,4): Ext^1(sigma*F, G) is Lambda^3, not self-dual
+    f = make_monomial(GR24, [(Slot(SUB, 1), (1, 0))])
+    g = make_monomial(GR24, [(Slot(SUB, 1), (2, 0))])
+    for x, y, degrees in ((a, b, []), (w1, trivial(F123), [0]), (sigma_pullback(f), g, [1])):
+        plain = ext_groups_best(x, y)
+        twisted = ext_groups_best(sigma_pullback(x), sigma_pullback(y))
+        assert plain.grade == twisted.grade == EXACT
+        assert plain.degrees() == twisted.degrees() == degrees
+        _assert_mirror_law(plain, twisted)
+        if degrees:  # a nonzero group that is not self-dual: equality would fail
+            assert plain.by_degree != twisted.by_degree
+
+
+@pytest.mark.parametrize("shape", [F123, FlagShape(4, (1, 3)), GR24])
+def test_sigma_mirrors_every_t2_pair(shape):
+    # the summands of a sigma (T2) check are closed under sigma^*, and the
+    # pair of their mirrors reads the mirror law of the pair
+    t = sum(enumerate_collection(shape).members, BundleExpr(shape))
+    report = check_T2(t, sigma=True)
+    n = len(report.summands)
+    index = {s: k for k, s in enumerate(report.summands)}
+    mirror = [index.get(sigma_pullback(s)) for s in report.summands]
+    assert set(mirror) == set(range(n))
+    exact = 0
+    for p in report.pairs:
+        twisted = report.pairs[mirror[p.i] * n + mirror[p.j]]
+        assert (twisted.i, twisted.j) == (mirror[p.i], mirror[p.j])
+        _assert_mirror_law(p.outcome, twisted.outcome)
+        exact += p.outcome.grade == twisted.outcome.grade == EXACT and bool(p.outcome.degrees())
+    assert exact
 
 
 def test_euler_only_outcome():

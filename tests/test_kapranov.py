@@ -6,6 +6,7 @@ import pytest
 
 import flagcoh.cohomology as engine
 from flagcoh import kapranov
+from flagcoh.cli import EXIT_CODE
 from flagcoh.cohomology import EXACT, ext_groups_best
 from flagcoh.flagvar import BundleExpr, FlagShape, dual, tensor
 from flagcoh.kapranov import (
@@ -19,7 +20,7 @@ from flagcoh.kapranov import (
     enumerate_collection,
     hom_quiver,
 )
-from flagcoh.twists import INNER_ONLY, WITH_SIGMA, TwistGroup, check_T2
+from flagcoh.twists import check_T2
 from flagcoh.weights import InputError
 
 
@@ -83,20 +84,20 @@ def test_collection_is_frozen():
 def test_strong_exceptional_projective_spaces():
     for n in (2, 3, 4):
         report = check_strong_exceptional(enumerate_collection(FlagShape(n, (1,))))
-        assert report.overall == CONFIRMED
-        assert report.exit_code == 0
+        assert report.status == CONFIRMED
+        assert EXIT_CODE[report.status] == 0
 
 
 def test_strong_exceptional_gr24():
     report = check_strong_exceptional(enumerate_collection(FlagShape(4, (2,))))
-    assert report.overall == CONFIRMED
+    assert report.status == CONFIRMED
     assert all(p.outcome.grade == EXACT for p in report.pairs)
 
 
 def test_wrong_order_refutes():
     c = enumerate_collection(FlagShape(2, (1,)))
-    report = check_strong_exceptional(list(reversed(c.members)))
-    assert report.overall == REFUTED
+    report = check_strong_exceptional(Collection(c.shape, list(reversed(c.members))))
+    assert report.status == REFUTED
     bad = [p for p in report.pairs if p.status == REFUTED]
     assert bad and all(p.witness is not None for p in bad)
 
@@ -104,8 +105,8 @@ def test_wrong_order_refutes():
 def test_order_reversal_property():
     for shape in (FlagShape(3, (1,)), FlagShape(4, (2,)), FlagShape(3, (1, 2))):
         c = enumerate_collection(shape)
-        report = check_strong_exceptional(list(reversed(c.members)))
-        assert report.overall == REFUTED
+        report = check_strong_exceptional(Collection(c.shape, list(reversed(c.members))))
+        assert report.status == REFUTED
 
 
 def test_hom_quiver_p1():
@@ -153,26 +154,30 @@ def test_classify_vanishing_requires_valid_requirement():
 
 
 def test_collection_members_live_on_its_shape():
-    members = enumerate_collection(FlagShape(4, (2,))).members
+    gr24 = FlagShape(4, (2,))
+    members = enumerate_collection(gr24).members
     with pytest.raises(InputError, match="member shape mismatch"):
         check_strong_exceptional(Collection(FlagShape(3, (1,)), members))
     with pytest.raises(InputError, match="member shape mismatch"):
-        check_strong_exceptional(members + enumerate_collection(FlagShape(3, (1,))).members)
-    # the same members on their own shape, and as a plain list
-    assert check_strong_exceptional(Collection(FlagShape(4, (2,)), members)).overall == CONFIRMED
-    assert check_strong_exceptional(members).overall == CONFIRMED
+        mixed = members + enumerate_collection(FlagShape(3, (1,))).members
+        check_strong_exceptional(Collection(gr24, mixed))
+    # the same members on their own shape, as a tuple and as a list
+    assert check_strong_exceptional(Collection(gr24, members)).status == CONFIRMED
+    assert check_strong_exceptional(Collection(gr24, list(members))).status == CONFIRMED
 
 
 def test_empty_collection_rejected():
     shape = FlagShape(3, (1,))
-    with pytest.raises(InputError):
-        check_strong_exceptional([])
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="empty collection"):
+        check_strong_exceptional(Collection(FlagShape(4, (2,)), []))
+    with pytest.raises(InputError, match="empty collection"):
         check_strong_exceptional(Collection(shape, []))
-    with pytest.raises(InputError):
-        hom_quiver([])
-    with pytest.raises(InputError):
-        check_T2(BundleExpr(shape), TwistGroup(INNER_ONLY))
+    with pytest.raises(InputError, match="empty collection"):
+        hom_quiver(Collection(shape, []))
+    # a zero candidate bundle is no collection: (T2) says what is missing
+    for sigma in (False, True):
+        with pytest.raises(InputError, match="the candidate bundle is zero"):
+            check_T2(BundleExpr(FlagShape(3, (1, 2))), sigma=sigma)
 
 
 
@@ -207,9 +212,9 @@ def test_every_pair_check_makes_one_ext_call_per_ordered_pair(monkeypatch, shape
         assert p.hom_character == ext_groups_best(c.members[p.i], c.members[p.j]).character(0)
 
     t = sum(c.members, BundleExpr(shape))
-    for kind in (INNER_ONLY, WITH_SIGMA):
+    for sigma in (False, True):
         del calls[:]
-        t2 = check_T2(t, TwistGroup(kind))
+        t2 = check_T2(t, sigma=sigma)
         assert len(t2.summands) >= n
         assert len(calls) == len(t2.summands) ** 2
         assert all(p.requirement == HIGHER for p in t2.pairs)
@@ -262,7 +267,7 @@ def test_each_pair_check_pushes_every_monomial_again(monkeypatch):
     counts, reports = [], []
     for _ in range(2):
         del calls[:]
-        reports.append(check_T2(t, TwistGroup(WITH_SIGMA)).to_json())
+        reports.append(check_T2(t, sigma=True).to_json())
         counts.append((calls.count("bbw"), calls.count("split")))
     assert counts[0] == counts[1]
     assert min(counts[0]) > 0

@@ -6,6 +6,7 @@ import pytest
 from test_golden import _workloads
 
 from flagcoh import toric
+from flagcoh.cli import EXIT_CODE
 from flagcoh.toric import (
     CONFIRMED,
     REFUTED,
@@ -156,7 +157,7 @@ def test_grid_collections_confirmed():
     for tw in (P2, F1, F2, P1xP1, P1xP1_OVER_BASE, P1CUBE):
         report = check_grid_collection(tw)
         assert report.status == CONFIRMED, report.failures
-        assert report.exit_code == 0
+        assert EXIT_CODE[report.status] == 0
 
 
 def test_two_level_tower_confirmed():
@@ -201,7 +202,7 @@ def test_shuffled_grid_refutes(monkeypatch):
     for tw in (P2, F1):
         bad = check_grid_collection(tw)
         assert bad.grid == list(reversed(lex_grid(tw)))
-        assert bad.status == REFUTED and bad.exit_code == 1
+        assert bad.status == REFUTED and EXIT_CODE[bad.status] == 1
         assert bad.failures and bad.failures == _reference_failures(tw, bad.grid), tw
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from flagcoh.cli import EXIT_CODE
 from flagcoh.cohomology import E1_BOUND, EXACT
 from flagcoh.flagvar import (
     BundleExpr,
@@ -11,14 +12,12 @@ from flagcoh.flagvar import (
 from flagcoh.kapranov import CONFIRMED, HIGHER, REFUTED, enumerate_collection
 from flagcoh.schur import CharacterSum
 from flagcoh.twists import (
-    INNER_ONLY,
     WITH_SIGMA,
-    TwistGroup,
     check_T2,
     counterexample_case,
-    orbit,
     orbit_sum,
 )
+from flagcoh.weights import InputError
 
 F123 = FlagShape(3, (1, 2))
 GR24 = FlagShape(4, (2,))
@@ -33,42 +32,42 @@ def kapranov_sum(shape):
 
 
 def test_twist_group_validation():
-    with pytest.raises(ValueError):
-        TwistGroup("outer")
     asym = make_monomial(FlagShape(4, (1,)), [(Slot(SUB, 1), (1,))])
-    with pytest.raises(ValueError):
-        orbit_sum(asym, TwistGroup(WITH_SIGMA))
+    with pytest.raises(InputError, match="only on symmetric shapes"):
+        orbit_sum(asym, sigma=True)
+    with pytest.raises(InputError, match="only on symmetric shapes"):
+        check_T2(asym, sigma=True)
     # inner forms exist on any shape
-    assert orbit_sum(asym, TwistGroup(INNER_ONLY)) == asym
+    assert orbit_sum(asym) == asym
 
 
 def test_orbit_sum():
     w1 = make_monomial(F123, [(Slot(SUB, 1), (1,))])
-    assert orbit_sum(w1, TwistGroup(INNER_ONLY)) == w1
-    with_sigma = orbit_sum(w1, TwistGroup(WITH_SIGMA))
+    assert orbit_sum(w1) == w1
+    with_sigma = orbit_sum(w1, sigma=True)
     assert with_sigma == w1 + sigma_pullback(w1)
     # orbit of an orbit sum doubles it
-    doubled = orbit_sum(with_sigma, TwistGroup(WITH_SIGMA))
+    doubled = orbit_sum(with_sigma, sigma=True)
     assert doubled == with_sigma + with_sigma
 
 
 def test_check_t2_inner_confirmed():
     for shape in (GR24, F123):
-        report = check_T2(kapranov_sum(shape), TwistGroup(INNER_ONLY))
+        report = check_T2(kapranov_sum(shape))
         assert report.status == CONFIRMED
-        assert report.exit_code == 0
+        assert EXIT_CODE[report.status] == 0
 
 
 def test_check_t2_sigma_refuted():
     for shape in (GR24, F123):
-        report = check_T2(kapranov_sum(shape), TwistGroup(WITH_SIGMA))
+        report = check_T2(kapranov_sum(shape), sigma=True)
         assert report.status == REFUTED
-        assert report.exit_code == 1
+        assert EXIT_CODE[report.status] == 1
         assert report.certificates()
 
 
 def test_t2_gr24_witness_is_case1():
-    report = check_T2(kapranov_sum(GR24), TwistGroup(WITH_SIGMA))
+    report = check_T2(kapranov_sum(GR24), sigma=True)
     lam3 = [{"weight": [1, 1, 1, 0], "mult": 1}]
     assert any(
         c["witness"]["kind"] == "exact_degree"
@@ -79,7 +78,7 @@ def test_t2_gr24_witness_is_case1():
 
 
 def test_descent_report_json():
-    report = check_T2(kapranov_sum(GR24), TwistGroup(WITH_SIGMA))
+    report = check_T2(kapranov_sum(GR24), sigma=True)
     data = report.to_json()
     assert data["status"] == "refuted"
     assert data["group"] == WITH_SIGMA
@@ -89,7 +88,7 @@ def test_descent_report_json():
 
 def test_case1_gr24():
     report = counterexample_case(1, GR24)
-    assert report.established and report.exit_code == 1
+    assert report.established and EXIT_CODE[report.status] == 1
     (r,) = report.readings
     assert r.status == REFUTED
     assert r.ext_outcome.grade == EXACT
@@ -119,7 +118,7 @@ def test_case2_f13():
 
 def test_case3_both_readings():
     report = counterexample_case(3, F123)
-    assert report.established and report.exit_code == 1
+    assert report.established and EXIT_CODE[report.status] == 1
     by_label = {r.label: r for r in report.readings}
     assert set(by_label) == {"F=W_1", "F=W_2"}
 
@@ -171,7 +170,7 @@ def test_inner_t2_matches_pairwise_higher_check():
     from flagcoh.kapranov import classify_vanishing
 
     c = enumerate_collection(GR24)
-    report = check_T2(kapranov_sum(GR24), TwistGroup(INNER_ONLY))
+    report = check_T2(kapranov_sum(GR24))
     # the summand set is exactly the collection, and each pair verdict
     # coincides with the higher-Ext part of the strong-exceptionality check
     assert set(report.summands) == set(c.members)
