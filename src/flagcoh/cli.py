@@ -4,7 +4,10 @@ Exit codes: 0 = success / Confirmed, 1 = Refuted (a mathematically
 meaningful negative), 2 = Inconclusive, 64 = usage error, 65 = malformed
 input data or an input file that cannot be read, 70 = internal error (an
 engine fault, never a verdict), 74 = the report could not be written,
-as when the reader of stdout has gone.
+as when the reader of stdout has gone.  No exit code in {0, 1, 2} comes
+from any path but a finished report: an error's message is written to
+stderr once, and a stderr that cannot be written leaves the error's own
+code in place.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from contextlib import contextmanager, suppress
 from json.encoder import encode_basestring_ascii
 
 from .cohomology import (
-    EULER_ONLY,
     CohomologyOutcome,
     cohomology,
     cohomology_stepwise,
@@ -46,11 +48,13 @@ EX_SOFTWARE = 70
 EX_IOERR = 74
 
 
+class _UsageError(Exception):
+    """A usage error, carrying argparse's usage text and message."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print("%s: error: %s" % (self.prog, message), file=sys.stderr)
-        raise SystemExit(EX_USAGE)
+        raise _UsageError("%s%s: error: %s" % (self.format_usage(), self.prog, message))
 
 
 # the pending chunks (or text lines) at which the report is written out
@@ -213,7 +217,7 @@ def _outcome_lines(outcome: CohomologyOutcome):
     for t in outcome.degrees():
         cs = outcome.character(t)
         yield "H^%d = %s  (dim %d)" % (t, _character_text(cs), cs.dimension())
-    if not outcome.degrees() and outcome.grade != EULER_ONLY:
+    if not outcome.degrees():
         yield "all cohomology vanishes (within the reported grade)"
     yield "euler = %s" % _character_text(outcome.euler)
 
@@ -247,8 +251,12 @@ def _cmd_bbw(args):
 def _cmd_cohom(args):
     expr = _load(args.expr, BundleExpr)
     if args.euler_only:
-        outcome = CohomologyOutcome.euler_only(cohomology(expr).euler)
-    elif args.stepwise:
+        euler = cohomology(expr).euler
+        view = {"grade": "euler_only", "by_degree": {}, "euler": euler.to_json()}
+        lines = ["grade: euler_only", "euler = %s" % _character_text(euler)]
+        _emit(args, lambda: view, lambda: lines)
+        return 0
+    if args.stepwise:
         outcome = cohomology_stepwise(expr)
     else:
         outcome = cohomology(expr)
@@ -419,31 +427,41 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _to_null(stream):
+    """Point ``stream``'s descriptor at the null device, so that the flush
+    at exit cannot fail again (the Python docs' SIGPIPE recipe); a stream
+    captured in process has no descriptor and is left as it is."""
+    with suppress(OSError), open(os.devnull, "w") as null:
+        os.dup2(null.fileno(), stream.fileno())
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         _check_flags(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EX_USAGE
-    try:
-        return args.func(args)
+        code, text = args.func(args), None  # text: for stderr, written once below
+    except SystemExit as exc:  # --help, written to stdout
+        code, text = exc.code, None
+    except _UsageError as exc:
+        code, text = EX_USAGE, str(exc)
     except InputError as exc:
-        print("flagcoh: input error: %s" % exc, file=sys.stderr)
-        return EX_DATAERR
+        code, text = EX_DATAERR, "flagcoh: input error: %s" % exc
     except OSError as exc:  # writing the report failed; input files raise InputError
-        # point stdout at the null device, so that the flush at exit cannot
-        # fail again (the Python docs' SIGPIPE recipe); a stdout captured in
-        # process has no descriptor and is left as it is
-        with suppress(OSError), open(os.devnull, "w") as null:
-            os.dup2(null.fileno(), sys.stdout.fileno())
-        if not isinstance(exc, BrokenPipeError):  # a reader that has gone needs no word
-            print("flagcoh: %s" % exc, file=sys.stderr)
-        return EX_IOERR
+        _to_null(sys.stdout)
+        # a reader that has gone needs no word
+        code, text = EX_IOERR, None if isinstance(exc, BrokenPipeError) else "flagcoh: %s" % exc
     except Exception as exc:  # an engine fault; exit 1 would read as "refuted"
-        sys.excepthook(type(exc), exc, exc.__traceback__)  # the traceback, to stderr
-        print("flagcoh: internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
-        return EX_SOFTWARE
+        import traceback  # here, so that a run without a fault does not load it
+
+        code, text = EX_SOFTWARE, "".join(traceback.format_exception(exc))
+        text += "flagcoh: internal error: %s: %s" % (type(exc).__name__, exc)
+    if text is not None:
+        try:
+            sys.stderr.write(text + "\n")
+            sys.stderr.flush()
+        except OSError:  # a closed stderr leaves the code as it is
+            _to_null(sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

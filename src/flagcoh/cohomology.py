@@ -57,8 +57,11 @@ monomial is built for such a key, and when the key is new the product is
 built from it, one Littlewood-Richardson term per interval
 (``flagvar._pair_product``), without a ``tensor``.  Any other pair is
 keyed by the product itself.
-An outcome builds its JSON once, so pairs that share an outcome share its
-JSON, and the CLI writes each shared value once per indent.
+An outcome is graded ``EXACT`` or ``E1_BOUND``, never anything else.
+Each of its character sums is built once, from pieces summed in a plain
+dict, and has no mutator.  It builds its JSON once, so pairs that share
+an outcome share its JSON, and the CLI writes each shared value once per
+indent.
 """
 
 from __future__ import annotations
@@ -84,12 +87,12 @@ from .weights import _bbw_flat
 
 EXACT = "exact"
 E1_BOUND = "e1bound"
-EULER_ONLY = "euler_only"
 
 
 @dataclass
 class CohomologyOutcome:
-    """Per-degree character sums with a certainty grade.
+    """Per-degree character sums with a certainty grade, ``EXACT`` or
+    ``E1_BOUND``; any other grade raises ValueError.
 
     ``euler`` is always the exact alternating sum; ``by_degree`` is the
     true cohomology when ``grade`` is exact and an upper bound otherwise.
@@ -105,15 +108,17 @@ class CohomologyOutcome:
     _json: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.grade not in (EXACT, E1_BOUND):
+            raise ValueError("grade %r is neither %r nor %r" % (self.grade, EXACT, E1_BOUND))
         if self.euler is None:
             self.euler = self._alternating_sum()
 
     def _alternating_sum(self) -> CharacterSum:
-        out = CharacterSum(self.rank)
+        terms: dict = {}
         for t, cs in self.by_degree.items():
             for w, m in cs.items():
-                out.add_term(w, (-1) ** t * m)
-        return out
+                terms[w] = terms.get(w, 0) + (-1) ** t * m
+        return CharacterSum(self.rank, terms)
 
     def degrees(self):
         return sorted(t for t, cs in self.by_degree.items() if cs)
@@ -135,10 +140,6 @@ class CohomologyOutcome:
             }
         return self._json
 
-    @classmethod
-    def euler_only(cls, euler: CharacterSum) -> "CohomologyOutcome":
-        return cls(rank=euler.rank, grade=EULER_ONLY, by_degree={}, euler=euler)
-
 
 def _monomial_pieces_graded(mono: SchurMonomial) -> tuple:
     """One-shot pieces of a monomial: ((degree, weight, mult), ...) plus a
@@ -154,13 +155,14 @@ def _monomial_pieces_graded(mono: SchurMonomial) -> tuple:
 
 
 def _run(e: BundleExpr, route) -> CohomologyOutcome:
-    """Sum a per-monomial route's pieces over ``e`` on its minimal base.
-    The answer is exact unless some monomial needed a filtration and has
-    pieces in adjacent degrees, where a spectral sequence differential
-    might cancel them."""
+    """Sum a per-monomial route's pieces over ``e`` on its minimal base,
+    into one plain dict per degree, and build each degree's CharacterSum
+    once.  The answer is exact unless some monomial needed a filtration
+    and has pieces in adjacent degrees, where a spectral sequence
+    differential might cancel them."""
     _shape, e = minimal_base(e)
     rank = e.shape.n
-    by_degree: dict[int, CharacterSum] = {}
+    terms: dict[int, dict] = {}
     exact = True
     for mono, mult in e.terms.items():
         pieces, filtered = route(mono)
@@ -168,9 +170,9 @@ def _run(e: BundleExpr, route) -> CohomologyOutcome:
         if filtered and any(d + 1 in degrees for d in degrees):
             exact = False
         for d, w, c in pieces:
-            by_degree.setdefault(d, CharacterSum(rank))
-            by_degree[d].add_term(w, c * mult)
-    by_degree = {d: cs for d, cs in by_degree.items() if cs}
+            acc = terms.setdefault(d, {})
+            acc[w] = acc.get(w, 0) + c * mult
+    by_degree = {d: cs for d, acc in terms.items() if (cs := CharacterSum(rank, acc))}
     return CohomologyOutcome(rank=rank, grade=EXACT if exact else E1_BOUND, by_degree=by_degree)
 
 

@@ -5,14 +5,17 @@ horizontal-strip chains with the lattice-word condition, so every
 coefficient is an exact nonnegative integer.  Weights with negative
 entries are handled through the determinant shift
 Sigma^(chi + k*(1^m)) = Sigma^chi (x) det^k.
+
+A ``CharacterSum`` is built once, from a mapping {weight: multiplicity},
+and has no mutator, so a sum shared by many answers cannot change.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Mapping, Sequence
 
-from .weights import _check_keys, _ints, _json_list, is_weakly_decreasing, strict_int
+from .weights import is_weakly_decreasing
 
 
 def _strip_zeros(p: Sequence[int]) -> tuple:
@@ -29,33 +32,30 @@ def pad(p: Sequence[int], m: int) -> tuple:
 
 
 class CharacterSum:
-    """A finite integer combination of dominant GL_m weights.
+    """A finite integer combination of dominant GL_m weights, built once
+    from a mapping {weight: multiplicity}.
 
-    Keys are full-length (rank m) weakly decreasing tuples; zero
-    multiplicities are never stored.  Negative multiplicities are allowed
-    (virtual characters / Euler characteristics).
+    Keys are full-length (rank m) weakly decreasing tuples; equal weights
+    are summed and zero multiplicities are never stored.  Negative
+    multiplicities are allowed (virtual characters / Euler
+    characteristics).  A sum has no mutator, so values that share one
+    cannot change it.
     """
 
     __slots__ = ("rank", "_terms")
 
-    def __init__(self, rank: int, terms: dict | None = None):
+    def __init__(self, rank: int, terms: Mapping | None = None):
         self.rank = rank
-        self._terms = {}
-        if terms:
-            for w, m in terms.items():
-                self.add_term(w, m)
-
-    def add_term(self, weight: Sequence[int], mult: int):
-        w = tuple(weight)
-        if len(w) != self.rank:
-            raise ValueError("weight %r does not have rank %d" % (w, self.rank))
-        if not is_weakly_decreasing(w):
-            raise ValueError("weight %r is not weakly decreasing" % (w,))
-        m = self._terms.get(w, 0) + mult
-        if m:
-            self._terms[w] = m
-        else:
-            self._terms.pop(w, None)
+        self._terms = kept = {}
+        for weight, mult in (terms or {}).items():
+            w = tuple(weight)
+            if len(w) != rank:
+                raise ValueError("weight %r does not have rank %d" % (w, rank))
+            if not is_weakly_decreasing(w):
+                raise ValueError("weight %r is not weakly decreasing" % (w,))
+            m = kept.pop(w, 0) + mult
+            if m:
+                kept[w] = m
 
     def items(self):
         return sorted(self._terms.items(), key=lambda kv: kv[0], reverse=True)
@@ -85,10 +85,10 @@ class CharacterSum:
     def __add__(self, other: "CharacterSum") -> "CharacterSum":
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        out = CharacterSum(self.rank, dict(self._terms))
+        merged = dict(self._terms)
         for w, m in other._terms.items():
-            out.add_term(w, m)
-        return out
+            merged[w] = merged.get(w, 0) + m
+        return CharacterSum(self.rank, merged)
 
     def dimension(self) -> int:
         return sum(m * schur_dim(w, self.rank) for w, m in self._terms.items())
@@ -98,14 +98,6 @@ class CharacterSum:
 
     def to_json(self) -> list:
         return [{"weight": list(w), "mult": m} for w, m in self.items()]
-
-    @classmethod
-    def from_json(cls, data: Iterable[dict], rank: int) -> "CharacterSum":
-        out = cls(rank)
-        for entry in _json_list(data, "a character"):
-            _check_keys(entry, ("weight", "mult"), "character term")
-            out.add_term(_ints(entry["weight"], "a weight"), strict_int(entry["mult"]))
-        return out
 
 
 @lru_cache(maxsize=None)
@@ -201,8 +193,8 @@ def _tensor_terms(a: tuple, b: tuple, rank: int) -> tuple:
 
 
 def tensor_schur(a: Sequence[int], b: Sequence[int], rank: int) -> CharacterSum:
-    """``_tensor_terms`` as a fresh CharacterSum, so no caller can alter
-    the cache."""
+    """Sigma^a (x) Sigma^b at GL_rank as a CharacterSum: ``_tensor_terms``,
+    whose cached tuple the sum copies."""
     return CharacterSum(rank, dict(_tensor_terms(tuple(a), tuple(b), rank)))
 
 

@@ -282,8 +282,12 @@ def line_bundle_cohomology(tower: TowerSpec, d) -> dict:
 class GridReport:
     tower: TowerSpec
     grid: list
-    status: str = CONFIRMED
     failures: list = field(default_factory=list)
+
+    @property
+    def status(self) -> str:
+        # every answer is exact, so a failure refutes and none confirms
+        return REFUTED if self.failures else CONFIRMED
 
     def to_json(self):
         return {
@@ -331,7 +335,6 @@ def check_grid_collection(tower: TowerSpec) -> GridReport:
                 coh = memo[code_b - code_a] = table.top(tuple(map(sub, grid[j], a)))
             # coh is in increasing degree, so coh[-1][0] is its top degree
             if coh and (i > j or coh[-1][0] > 0):
-                report.status = REFUTED
                 report.failures.append(
                     {
                         "i": i,

@@ -75,14 +75,14 @@ MUTANTS = (
         "src/flagcoh/toric.py",
         "twist = tuple(-sum(s[c] for s in bundle) for c in range(len(bundle[0])))",
         "twist = (0,) * len(bundle[0])",
-        ("tests/test_toric.py",),
+        ("tests/test_toric.py::test_hirzebruch_euler_matches_riemann_roch",),
     ),
     Mutant(
         "readers accept unknown keys",
         "src/flagcoh/weights.py",
         "unknown = sorted(set(obj) - set(keys) - set(optional))",
         "unknown = []",
-        ("tests/test_schur.py",),
+        ("tests/test_cli.py",),
     ),
     Mutant(
         "no Euler comparison in twists._reading",
@@ -152,8 +152,8 @@ MUTANTS = (
     Mutant(
         "closed stdout reported as input error",
         "src/flagcoh/cli.py",
-        "        return EX_IOERR\n",
-        "        return EX_DATAERR\n",
+        "code, text = EX_IOERR, None",
+        "code, text = EX_DATAERR, None",
         ("tests/test_cli.py",),
     ),
     Mutant(
@@ -162,6 +162,27 @@ MUTANTS = (
         "lambda span, w: (image[span], dual_weight(w))",
         "lambda span, w: (image[span], w)",
         ("tests/test_cohomology.py::test_sigma_preserves_outcomes",),
+    ),
+    Mutant(
+        "outcome accepts any grade",
+        "src/flagcoh/cohomology.py",
+        "if self.grade not in (EXACT, E1_BOUND):",
+        "if False:",
+        ("tests/test_cohomology.py::test_euler_only_outcome",),
+    ),
+    Mutant(
+        "character sum keeps the last term",
+        "src/flagcoh/cohomology.py",
+        "acc[w] = acc.get(w, 0) + c * mult",
+        "acc[w] = c * mult",
+        ("tests/test_cohomology.py",),
+    ),
+    Mutant(
+        "stderr write unsuppressed",
+        "src/flagcoh/cli.py",
+        "        except OSError:  # a closed stderr leaves the code as it is\n",
+        "        except ValueError:  # a closed stderr leaves the code as it is\n",
+        ("tests/test_cli.py::test_closed_stderr_keeps_the_exit_code",),
     ),
 )
 

@@ -833,7 +833,8 @@ def test_emit_memo_is_what_pairs_share(capsys, monkeypatch):
 
 
 class _Writes:
-    """A stdout that records each write, to see where the report was cut."""
+    """A stdout or stderr that records each write, to see where the report
+    was cut or how often a message was written."""
 
     def __init__(self):
         self.writes: list = []
@@ -1040,3 +1041,62 @@ def test_unwritable_stdout_in_process(capsys, monkeypatch, exc, err):
         m.setattr(sys.stdout, "flush", flush)
         code = main(["bbw", "--n", "2", "--weight", "1,0"])
     assert code == cli.EX_IOERR and capsys.readouterr().err == err
+
+
+# a child that runs the command line with one engine function made to fail
+_PLANTED_FAULT = """
+import sys
+import flagcoh.cohomology as engine
+from flagcoh.cli import main
+
+def broken(*args):
+    raise AssertionError("planted fault")
+
+engine._monomial_pieces_stepwise = broken
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["cohom", "--expr", "missing.json"], EX_DATAERR),
+        (["bbw", "--n", "3", "--weight", "0,1"], EX_DATAERR),
+        (["check-strong", "--n", "3"], EX_USAGE),
+        (["-c", _PLANTED_FAULT, "check-strong", "--n", "3", "--dims", "1"], EX_SOFTWARE),
+        (["twist-check", "--n", "4", "--dims", "2"], 0),
+    ],
+)
+def test_closed_stderr_keeps_the_exit_code(tmp_path, argv, code):
+    # a message that cannot be written must not turn an error into exit 1,
+    # which reads as "refuted": only a finished report exits 0, 1 or 2
+    prefix = [] if argv[0] == "-c" else ["-m", "flagcoh"]
+    proc = subprocess.Popen(
+        [sys.executable, *prefix, *argv],
+        cwd=tmp_path,
+        env=_env_with_src(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stderr.close()
+    out = proc.stdout.read()
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == code
+    assert (out != b"") == (code == 0)
+
+
+def test_internal_error_is_one_write(monkeypatch):
+    # the traceback and the one-line summary go to stderr in one write
+    err = _Writes()
+    monkeypatch.setattr(sys, "stderr", err)
+
+    def broken(*args):
+        raise AssertionError("planted fault")
+
+    monkeypatch.setattr(engine, "_monomial_pieces_stepwise", broken)
+    assert main(["check-strong", "--n", "3", "--dims", "1"]) == EX_SOFTWARE
+    [text] = err.writes
+    assert text.startswith("Traceback (most recent call last):\n")
+    assert text.endswith(
+        "AssertionError: planted fault\nflagcoh: internal error: AssertionError: planted fault\n"
+    )

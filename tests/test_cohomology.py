@@ -402,10 +402,16 @@ def test_sigma_mirrors_every_t2_pair(shape):
 
 
 def test_euler_only_outcome():
-    euler = euler_characteristic(trivial(GR24))
-    out = CohomologyOutcome.euler_only(euler)
-    assert out.grade == "euler_only"
-    assert out.euler == euler and not out.by_degree
+    # an outcome is exact or a bound: an empty by_degree beside a bare
+    # Euler character would read as "vanishes", so no other grade exists
+    euler = CharacterSum(2, {(1, 0): -3})
+    for grade in ("euler_only", "", None, "EXACT"):
+        with pytest.raises(ValueError, match="is neither 'exact' nor 'e1bound'"):
+            CohomologyOutcome(2, grade, {}, euler)
+    assert not hasattr(CohomologyOutcome, "euler_only")
+    assert not hasattr(engine, "EULER_ONLY")
+    for grade in (EXACT, E1_BOUND):
+        assert CohomologyOutcome(2, grade, {1: CharacterSum(2, {(1, 0): 3})}).euler == euler
 
 
 def test_outcome_builds_its_json_once():

@@ -11,7 +11,7 @@ from flagcoh.schur import (
     schur_dim,
     tensor_schur,
 )
-from flagcoh.weights import InputError, dual_weight
+from flagcoh.weights import dual_weight
 
 
 def partitions_up_to(size, max_rows=None):
@@ -33,32 +33,19 @@ def partitions_up_to(size, max_rows=None):
 
 
 def test_character_sum_basics():
-    cs = CharacterSum(2)
-    cs.add_term((1, 0), 2)
-    cs.add_term((1, 0), -2)
-    assert not cs and len(cs) == 0
-    cs.add_term((2, 1), 3)
-    assert cs[(2, 1)] == 3 and cs[(1, 0)] == 0
-    with pytest.raises(ValueError):
-        cs.add_term((0, 1), 1)
-    with pytest.raises(ValueError):
-        cs.add_term((1,), 1)
-
-
-def test_character_sum_json_roundtrip():
-    cs = CharacterSum(3, {(2, 1, 0): 2, (1, 1, 1): -1})
-    assert CharacterSum.from_json(cs.to_json(), 3) == cs
-    for bad in (
-        [{"weight": [1, 0, 0], "mult": 1.5}],
-        [{"weight": [True, 0, 0], "mult": 1}],
-        [{"weight": [1, 0, 0], "mult": 1, "junk": 5}],
-        [{"weight": [1, 0, 0]}],
-        [{"weight": {"0": 1}, "mult": 1}],
-        [[1, 0, 0]],
-        {"weight": [1, 0, 0], "mult": 1},
-    ):
-        with pytest.raises(InputError):
-            CharacterSum.from_json(bad, 3)
+    # a sum takes its terms at construction and has no mutator
+    assert not CharacterSum(2) and len(CharacterSum(2, {(1, 0): 0})) == 0
+    assert not CharacterSum(2, {(1, 0): 2}) + CharacterSum(2, {(1, 0): -2})
+    cs = CharacterSum(2, {(2, 1): 3, (1, 0): 0})
+    assert cs[(2, 1)] == 3 and cs[(1, 0)] == 0 and len(cs) == 1
+    assert (cs + CharacterSum(2, {(2, 1): 2}))[(2, 1)] == 5 and cs[(2, 1)] == 3
+    with pytest.raises(ValueError, match=r"weight \(0, 1\) is not weakly decreasing"):
+        CharacterSum(2, {(0, 1): 1})
+    with pytest.raises(ValueError, match=r"weight \(1,\) does not have rank 2"):
+        CharacterSum(2, {(1,): 1})
+    with pytest.raises(ValueError, match="rank mismatch"):
+        cs + CharacterSum(3)
+    assert not hasattr(cs, "add_term")
 
 
 def test_schur_dim():
@@ -113,18 +100,15 @@ def test_tensor_schur_det_shift():
 
 
 def test_tensor_schur_returns_a_fresh_sum():
-    # the product is cached; changing one result must not change the next
+    # the product is cached; a sum built from one result leaves the next alone
     first = tensor_schur((1, 0), (1, 0), 2)
-    first.add_term((2, 0), -1)
+    assert dict((first + CharacterSum(2, {(2, 0): -1})).items()) == {(1, 1): 1}
     assert dict(tensor_schur((1, 0), (1, 0), 2).items()) == {(2, 0): 1, (1, 1): 1}
 
 
 def dual_sum(s: CharacterSum) -> CharacterSum:
     """Termwise dual: every key becomes its reversed negation."""
-    out = CharacterSum(s.rank)
-    for w, m in s.items():
-        out.add_term(dual_weight(w), m)
-    return out
+    return CharacterSum(s.rank, {dual_weight(w): m for w, m in s.items()})
 
 
 def test_dual_sum():

@@ -10,6 +10,7 @@ from flagcoh.cli import EXIT_CODE
 from flagcoh.toric import (
     CONFIRMED,
     REFUTED,
+    GridReport,
     TowerSpec,
     check_grid_collection,
     galois_orbit_check,
@@ -146,6 +147,42 @@ def test_euler_multiplicativity():
             assert chi == (a + 1) * (b + 1)
 
 
+def _hirzebruch(a):
+    """F_a = P(O + O(a)) over P^1; a multidegree is (x, y) for x F + y xi."""
+    return tower({"base_dim": 1, "levels": [{"bundles": [[[0], [a]]], "perms": []}]})
+
+
+def _riemann_roch_euler(a, x, y):
+    """chi(F_a, O(x F + y xi)) by Riemann-Roch, written out without the engine.
+
+    F is the class of a fibre and xi that of O_{P(E)}(1), E = O + O(a), in
+    the quotient convention of the module docstring (p_* O(1) = E):
+    * F^2 = 0, as two fibres are disjoint;
+    * xi.F = 1, as xi restricts to O(1) on a fibre P^1;
+    * xi^2 = a: Grothendieck's relation xi^2 - c_1(E) xi + c_2(E) = 0 with
+      c_1(E) = a F and c_2(E) = 0 gives xi^2 = a xi.F;
+    * K = -2 xi + (a - 2) F: the relative canonical class of P(E) over P^1
+      is -2 xi + c_1(E), and K of P^1 pulls back to -2 F.
+    For D = x F + y xi this gives D^2 = 2xy + a y^2 and
+    D.K = -2x - (a + 2) y.  F_a is rational, so chi(O) = 1, and Riemann-Roch
+    on a surface, chi(O(D)) = chi(O) + D.(D - K) / 2, reads
+        chi = 1 + (2xy + a y^2 + 2x + a y + 2y) / 2,
+    where a y^2 + a y = a y (y + 1) is even, so the division is exact.
+    """
+    return 1 + (2 * x * y + a * y * y + 2 * x + a * y + 2 * y) // 2
+
+
+def test_hirzebruch_euler_matches_riemann_roch():
+    # an oracle from outside the pushforward convention: every line bundle
+    # of F_0 .. F_4 in a box of twists, all three degrees at once
+    for a in range(5):
+        fa = _hirzebruch(a)
+        for x, y in itertools.product(range(-6, 7), repeat=2):
+            coh = line_bundle_cohomology(fa, (x, y))
+            chi = sum((-1) ** d * m for d, m in coh.items())
+            assert chi == _riemann_roch_euler(a, x, y), (a, x, y, coh)
+
+
 def test_grid_sizes():
     assert len(P2.grid()) == 3
     assert len(F1.grid()) == 4
@@ -224,6 +261,17 @@ def test_higher_ext_refutes(monkeypatch):
     report = check_grid_collection(F2)
     assert report.failures == _reference_failures(F2, report.grid)
     assert report.failures[0] == {"i": 0, "j": 1, "difference": [-2, 1], "cohomology": {1: 1}}
+
+
+def test_grid_report_status_follows_failures():
+    # the status is derived from the failures, never set beside them
+    assert GridReport(P2, P2.grid()).status == CONFIRMED
+    failure = {"i": 1, "j": 0, "difference": [1], "cohomology": {0: 3}}
+    report = GridReport(P2, P2.grid(), [failure])
+    assert report.status == REFUTED and report.to_json()["status"] == REFUTED
+    assert EXIT_CODE[report.status] == 1
+    with pytest.raises(TypeError):
+        GridReport(P2, P2.grid(), status=CONFIRMED)
 
 
 def test_orbit_swap():
