@@ -7,7 +7,6 @@ from .cohomology import (
     EXACT,
     CohomologyOutcome,
     cohomology_stepwise,
-    euler_characteristic,
     ext_groups_best,
 )
 from .flagvar import (
@@ -23,7 +22,6 @@ from .flagvar import (
     minimal_base,
     sigma_pullback,
     tensor,
-    trivial,
 )
 from .kapranov import (
     Collection,
@@ -31,7 +29,6 @@ from .kapranov import (
     PairVerdict,
     check_strong_exceptional,
     enumerate_collection,
-    hom_quiver,
 )
 from .schur import CharacterSum, schur_dim, tensor_schur
 from .toric import (
@@ -46,7 +43,6 @@ from .twists import (
     DescentReport,
     check_T2,
     counterexample_case,
-    orbit_sum,
 )
 from .weights import InputError, bbw_resolve, dual_weight
 
@@ -82,17 +78,13 @@ __all__ = [
     "dual",
     "dual_weight",
     "enumerate_collection",
-    "euler_characteristic",
     "ext_groups_best",
     "galois_orbit_check",
-    "hom_quiver",
     "line_bundle_cohomology",
     "make_monomial",
     "minimal_base",
-    "orbit_sum",
     "schur_dim",
     "sigma_pullback",
     "tensor",
     "tensor_schur",
-    "trivial",
 ]

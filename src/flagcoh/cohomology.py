@@ -57,16 +57,18 @@ monomial is built for such a key, and when the key is new the product is
 built from it, one Littlewood-Richardson term per interval
 (``flagvar._pair_product``), without a ``tensor``.  Any other pair is
 keyed by the product itself.
-An outcome is graded ``EXACT`` or ``E1_BOUND``, never anything else.
-Each of its character sums is built once, from pieces summed in a plain
-dict, and has no mutator.  It builds its JSON once, so pairs that share
-an outcome share its JSON, and the CLI writes each shared value once per
-indent.
+An outcome is graded ``EXACT`` or ``E1_BOUND``, never anything else,
+and is immutable once built.  Each of its character sums is built once,
+from pieces summed in a plain dict, and has no mutator.  It builds its
+JSON once, so pairs that share an outcome share its JSON, and the CLI
+writes each shared value once per indent.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .flagvar import (
     BundleExpr,
@@ -89,29 +91,33 @@ EXACT = "exact"
 E1_BOUND = "e1bound"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CohomologyOutcome:
     """Per-degree character sums with a certainty grade, ``EXACT`` or
     ``E1_BOUND``; any other grade raises ValueError.
 
     ``euler`` is always the exact alternating sum; ``by_degree`` is the
     true cohomology when ``grade`` is exact and an upper bound otherwise.
-    Pairs of a check with equal products share one outcome, and ``to_json``
-    builds its JSON on the first call and returns that same dict on every
-    later one, so neither the outcome nor its JSON may be mutated.
+    Pairs of a check with equal products share one outcome, so it is
+    immutable: the dataclass is frozen, ``by_degree`` is a read-only view
+    of the outcome's own copy of the mapping it was given, and its
+    character sums have no mutator.  ``to_json`` builds its JSON on the
+    first call and returns that same dict on every later one, so that
+    JSON must not be mutated either.
     """
 
     rank: int
     grade: str
-    by_degree: dict = field(default_factory=dict)
+    by_degree: Mapping = field(default_factory=dict)
     euler: CharacterSum = None
     _json: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.grade not in (EXACT, E1_BOUND):
             raise ValueError("grade %r is neither %r nor %r" % (self.grade, EXACT, E1_BOUND))
+        object.__setattr__(self, "by_degree", MappingProxyType(dict(self.by_degree)))
         if self.euler is None:
-            self.euler = self._alternating_sum()
+            object.__setattr__(self, "euler", self._alternating_sum())
 
     def _alternating_sum(self) -> CharacterSum:
         terms: dict = {}
@@ -131,13 +137,9 @@ class CohomologyOutcome:
 
     def to_json(self):
         if self._json is None:
-            self._json = {
-                "grade": self.grade,
-                "by_degree": {
-                    str(t): cs.to_json() for t, cs in sorted(self.by_degree.items()) if cs
-                },
-                "euler": self.euler.to_json(),
-            }
+            by_degree = {str(t): cs.to_json() for t, cs in sorted(self.by_degree.items()) if cs}
+            data = {"grade": self.grade, "by_degree": by_degree, "euler": self.euler.to_json()}
+            object.__setattr__(self, "_json", data)
         return self._json
 
 
@@ -293,7 +295,3 @@ def ext_groups_best(a: BundleExpr, b: BundleExpr, table: _Table | None = None) -
         outcome = table.pairs[key] = cohomology_stepwise(product, table)
     return outcome
 
-
-def euler_characteristic(e: BundleExpr) -> CharacterSum:
-    """The virtual character sum_t (-1)^t H^t; exact for every grade."""
-    return cohomology(e).euler

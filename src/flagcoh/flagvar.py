@@ -360,10 +360,6 @@ class BundleExpr:
         return cls(shape, terms)
 
 
-def trivial(shape: FlagShape) -> BundleExpr:
-    return BundleExpr(shape, {SchurMonomial(shape, ()): 1})
-
-
 def _relabel(e: BundleExpr, shape: FlagShape, factor) -> BundleExpr:
     """Map every factor (interval, w) of every monomial of ``e`` through
     ``factor`` to a factor on ``shape``, summing equal monomials."""

@@ -146,10 +146,6 @@ class PairVerdict:
     outcome: CohomologyOutcome
     witness: dict | None = None
 
-    @property
-    def hom_character(self) -> CharacterSum:
-        return self.outcome.character(0)
-
     def to_json(self):
         """The pair as JSON.  ``outcome`` is the outcome's own JSON, so pairs
         that share an outcome object share it, and ``hom`` is its degree-0
@@ -229,16 +225,3 @@ def _classify_simple(outcome: CohomologyOutcome):
         return REFUTED, {"kind": "hom_not_simple", "hom": bound0.to_json()}
     return INCONCLUSIVE, None
 
-
-def hom_quiver(c: Collection) -> dict:
-    """Degree-0 Hom characters and dimensions between all ordered pairs,
-    read off the pairs of ``check_strong_exceptional``."""
-    report = check_strong_exceptional(c)
-    n = len(report.members)
-    homs = [p.hom_character for p in report.pairs]
-    rows = [homs[i : i + n] for i in range(0, n * n, n)]
-    return {
-        "flag": report.shape.to_json(),
-        "dims": [[cs.dimension() for cs in row] for row in rows],
-        "characters": [[cs.to_json() for cs in row] for row in rows],
-    }

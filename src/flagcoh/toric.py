@@ -32,8 +32,10 @@ builds one table and resolves each distinct difference once.
 
 The Galois group permutes the factors within each level.  It is given by
 per-level generators, written as permutations of the Picard coordinates,
-and never enumerated: ``galois_orbit_check`` validates the generators and
-takes each orbit as the closure of a grid point under them.
+and never enumerated: ``TowerSpec`` rejects generators that do not preserve
+the level structure when the tower is built, before any grid work, and
+``galois_orbit_check`` takes each orbit as the closure of a grid point
+under them.
 """
 
 from __future__ import annotations
@@ -97,6 +99,7 @@ class TowerSpec:
                 if sorted(perm) != list(range(level.m)):
                     raise ValueError("bad permutation %r at level %d" % (perm, li))
             below += level.m
+        _validate_generators(self, _generators(self))
 
     @property
     def base_picard(self) -> int:
@@ -361,12 +364,13 @@ def _generators(tower: TowerSpec) -> list:
 
 
 def _validate_generators(tower: TowerSpec, gens: list):
-    """Each generator g must map every level's bundle list to itself:
-    bundle k, with its lower coordinates moved by g, must equal bundle
-    g(k) as a multiset of summands.  A generator moves one level, so this
-    says that the bundles of that level agree along the permutation and
-    that every higher bundle is invariant under the coordinate move; both
-    are closed under composition, so every group element passes too."""
+    """Run by ``TowerSpec``'s constructor.  Each generator g must map every
+    level's bundle list to itself: bundle k, with its lower coordinates
+    moved by g, must equal bundle g(k) as a multiset of summands.  A
+    generator moves one level, so this says that the bundles of that level
+    agree along the permutation and that every higher bundle is invariant
+    under the coordinate move; both are closed under composition, so every
+    group element passes too."""
     for g in gens:
         lo = tower.base_picard
         for level in tower.levels:
@@ -382,12 +386,12 @@ def galois_orbit_check(tower: TowerSpec) -> dict:
     orbit of a grid point is its closure under the level generators.
 
     Closure needs no test: every coordinate of one level ranges over the
-    same [-r, 0], and an element only permutes coordinates within a level,
-    so once ``_validate_generators`` passes every orbit stays in the grid.
+    same [-r, 0], an element only permutes coordinates within a level, and
+    the ``TowerSpec`` constructor has already rejected generators that do
+    not preserve the level structure, so every orbit stays in the grid.
     ``orbit_closed`` is reported as that constant.
     """
     gens = _generators(tower)
-    _validate_generators(tower, gens)
     seen = set()
     classes = []
     for d in tower.grid():

@@ -2,13 +2,14 @@
 
 A twisted form of a flag variety is governed by whether its Galois
 cocycle uses only inner automorphisms or also the duality automorphism
-sigma (available exactly on symmetric shapes); ``check_T2`` and
-``orbit_sum`` take that choice as the bool ``sigma``.  A candidate
-tilting bundle is pushed through the orbit sum T |-> (+)_g g*T, and
-descent condition (T2) -- no higher self-extensions of the orbit sum --
-is checked pairwise over the orbit's monomial summands.  Each report
-carries a ``status`` from the verdict lattice of ``kapranov``; only the
-command line maps a status to an exit code.
+sigma (available exactly on symmetric shapes); ``check_T2`` takes that
+choice as the bool ``sigma``.  A candidate tilting bundle T is pushed
+through the orbit sum T |-> (+)_g g*T, which is T for inner forms and
+T + sigma*T with the duality twist, and descent condition (T2) -- no
+higher self-extensions of the orbit sum -- is checked pairwise over the
+orbit's monomial summands.  Each report carries a ``status`` from the
+verdict lattice of ``kapranov``; only the command line maps a status to
+an exit code.
 
 ``counterexample_case`` packages the three families of (F, G) pairs for
 which Ext^{>0}(sigma*F, G) is nonzero, refuting (T2) for the outer form.
@@ -44,22 +45,6 @@ from .weights import InputError
 
 INNER_ONLY = "inner_only"
 WITH_SIGMA = "with_sigma"
-
-
-def _orbit(t: BundleExpr, sigma: bool) -> list:
-    """The Galois orbit of t: [t] for inner forms, [t, sigma*t] with the
-    duality twist, which exists only on symmetric shapes."""
-    if sigma and not t.shape.is_symmetric():
-        raise InputError(
-            "the duality twist exists only on symmetric shapes (d_i + d_(s-i+1) = n)"
-        )
-    return [t, sigma_pullback(t)] if sigma else [t]
-
-
-def orbit_sum(t: BundleExpr, *, sigma: bool = False) -> BundleExpr:
-    """The sum of the Galois orbit of t: t, or t + sigma*t with the duality
-    twist."""
-    return sum(_orbit(t, sigma), BundleExpr(t.shape))
 
 
 @dataclass
@@ -101,7 +86,11 @@ def check_T2(t: BundleExpr, *, sigma: bool = False) -> DescentReport:
     Equivalent to Ext^k(a, b) = 0 for k > 0 over all ordered pairs (a, b)
     of monomial summands of the orbit sum; degree-0 Homs are unrestricted.
     """
-    members = _orbit(t, sigma)
+    if sigma and not t.shape.is_symmetric():
+        raise InputError(
+            "the duality twist exists only on symmetric shapes (d_i + d_(s-i+1) = n)"
+        )
+    members = [t, sigma_pullback(t)] if sigma else [t]
     monos = dict.fromkeys(mono for m in members for mono, _m in m.monomials())
     if not monos:
         raise InputError("the candidate bundle is zero, so its orbit sum has no summands")

@@ -184,6 +184,27 @@ MUTANTS = (
         "        except ValueError:  # a closed stderr leaves the code as it is\n",
         ("tests/test_cli.py::test_closed_stderr_keeps_the_exit_code",),
     ),
+    Mutant(
+        "tower generators not validated",
+        "src/flagcoh/toric.py",
+        "        _validate_generators(self, _generators(self))\n",
+        "",
+        ("tests/test_cli.py::test_tower_with_a_bad_permutation_is_an_input_error",),
+    ),
+    Mutant(
+        "outcome by_degree writable",
+        "src/flagcoh/cohomology.py",
+        'object.__setattr__(self, "by_degree", MappingProxyType(dict(self.by_degree)))',
+        'object.__setattr__(self, "by_degree", dict(self.by_degree))',
+        ("tests/test_cohomology.py::test_shared_outcome_is_immutable",),
+    ),
+    Mutant(
+        "dual convention in toric",
+        "src/flagcoh/toric.py",
+        "sign, shift, n = 1, 0, t",
+        "sign, shift, n = -1, 0, t",
+        ("tests/test_toric.py::test_hirzebruch_every_degree_matches_the_fan",),
+    ),
 )
 
 

@@ -613,6 +613,27 @@ def test_toric_check_cli(tmp_path, capsys):
     assert data["orbits"]["orbit_closed"] is True
 
 
+def test_tower_with_a_bad_permutation_is_an_input_error(tmp_path, capsys, monkeypatch):
+    # swapping the two bundles of F_1 x_{P^1} F_2 breaks the level
+    # structure; the tower is rejected when it is read, with or without
+    # the orbit check, before any grid work
+    data = {"base_dim": 1, "levels": [{"bundles": [[[0], [1]], [[0], [2]]], "perms": [[1, 0]]}]}
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps(data))
+    message = "permutation does not preserve the level structure"
+    for flags in ((), ("--skip-orbits",)):
+        code, out, err = run(capsys, "toric-check", "--tower", str(path), *flags)
+        assert (code, out) == (EX_DATAERR, "") and message in err, flags
+
+    def no_grid_work(tower):
+        raise RuntimeError("the grid was checked")
+
+    monkeypatch.setattr(cli, "check_grid_collection", no_grid_work)
+    for flags in ((), ("--skip-orbits",)):
+        code, out, err = run(capsys, "toric-check", "--tower", str(path), *flags)
+        assert (code, out) == (EX_DATAERR, "") and message in err, flags
+
+
 def test_refuted_grid_writes_json(tmp_path, capsys, monkeypatch):
     # the reversed grid of F_1 has backward Homs; each failure's cohomology
     # is keyed by degree, and the JSON writer takes only str keys
@@ -747,7 +768,7 @@ def test_shared_outcomes_print_as_json_dumps(capsys, argv, report):
     data = report.to_json()
     hom_at_two_indents = 0
     for p, pj in zip(report.pairs, data["pairs"]):
-        assert pj["hom"] == p.hom_character.to_json()
+        assert pj["hom"] == p.outcome.character(0).to_json()
         assert pj["outcome"] == p.outcome.to_json()
         if pj["hom"]:
             assert pj["hom"] is pj["outcome"]["by_degree"]["0"]
@@ -763,7 +784,8 @@ def test_pairs_sharing_an_outcome_render_identically():
     pairs: dict = {}
     for k, p in enumerate(report.pairs):
         pairs.setdefault(id(p.outcome), []).append(k)
-    ks = next(ks for ks in pairs.values() if len(ks) > 1 and report.pairs[ks[0]].hom_character)
+    homs = [p.outcome.character(0) for p in report.pairs]
+    ks = next(ks for ks in pairs.values() if len(ks) > 1 and homs[ks[0]])
     data = report.to_json()
     p1, p2 = (data["pairs"][k] for k in ks[:2])
     assert all(data["pairs"][k]["outcome"] is p1["outcome"] for k in ks)
@@ -890,7 +912,7 @@ def test_streamed_report_is_byte_identical(monkeypatch, argv, report):
     assert len(indices) == len(report.pairs)
     by_outcome: dict = {}
     for p, k in zip(report.pairs, indices):
-        if p.hom_character:
+        if p.outcome.character(0):
             by_outcome.setdefault(id(p.outcome), set()).add(k)
     assert any(len(ks) > 1 for ks in by_outcome.values())
     _code, whole = _streamed(monkeypatch, argv, flush=10**9)

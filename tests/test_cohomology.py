@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from math import comb
 
@@ -13,7 +14,6 @@ from flagcoh.cohomology import (
     CohomologyOutcome,
     cohomology,
     cohomology_stepwise,
-    euler_characteristic,
     ext_groups_best,
 )
 from flagcoh.flagvar import (
@@ -30,9 +30,14 @@ from flagcoh.flagvar import (
     make_monomial,
     sigma_pullback,
     tensor,
-    trivial,
 )
-from flagcoh.kapranov import check_strong_exceptional, enumerate_collection
+from flagcoh.kapranov import (
+    HIGHER,
+    REFUTED,
+    check_strong_exceptional,
+    classify_vanishing,
+    enumerate_collection,
+)
 from flagcoh.schur import CharacterSum, _tensor_terms, pad
 from flagcoh.twists import check_T2
 from flagcoh.weights import _bbw_flat, bbw_resolve, dual_weight
@@ -49,7 +54,7 @@ def line_bundle(n, d):
 
 def test_structure_sheaf():
     for shape in (F123, GR24, FlagShape(5, (1, 2, 4))):
-        out = cohomology(trivial(shape))
+        out = cohomology(make_monomial(shape, ()))
         assert out.grade == EXACT
         assert out.degrees() == [0]
         assert out.character(0) == CharacterSum(shape.n, {pad((), shape.n): 1})
@@ -184,7 +189,7 @@ def test_flat_monomial_cuts_only_nonzero_blocks():
     expected = [(Slot(SUB, 1), (3,)), (Slot(BLOCK, 2), (2,)), (Slot(QUOT, 2), (1,))]
     assert pieces == make_monomial(F123, expected).terms
     assert _tensor_terms.cache_info().currsize == 0
-    assert _flat_monomial(GR24, (0, 0, 0, 0)) == trivial(GR24).terms
+    assert _flat_monomial(GR24, (0, 0, 0, 0)) == make_monomial(GR24, ()).terms
 
 
 def test_engine_builds_products_without_make_monomial(monkeypatch):
@@ -307,7 +312,7 @@ def test_one_shot_bound_and_stepwise_refinement():
 
 def test_stepwise_agrees_on_exact_cases():
     exprs = [
-        trivial(F123),
+        make_monomial(F123, ()),
         make_monomial(F123, [(Slot(SUB, 1), (1,)), (Slot(SUB, 2), (1, 0))]),
         make_monomial(F123, [(Slot(QUOT, 1), (2, 1))]),
         make_monomial(GR24, [(Slot(SUB, 1), (2, 1)), (Slot(QUOT, 1), (0, -1))]),
@@ -322,14 +327,13 @@ def test_stepwise_agrees_on_exact_cases():
 
 
 def test_euler_characteristic():
-    assert euler_characteristic(trivial(GR24)) == CharacterSum(
-        4, {(0, 0, 0, 0): 1}
-    )
+    # an outcome's euler is the virtual character sum_t (-1)^t H^t
+    assert cohomology(make_monomial(GR24, ())).euler == CharacterSum(4, {(0, 0, 0, 0): 1})
     # Case-1 bundle: chi = -Lambda^3
     e = make_monomial(
         GR24, [(Slot(QUOT, 1), (1, 0)), (Slot(SUB, 1), (2, 0))]
     )
-    assert euler_characteristic(e) == CharacterSum(4, {(1, 1, 1, 0): -1})
+    assert cohomology(e).euler == CharacterSum(4, {(1, 1, 1, 0): -1})
 
 
 def test_degree_bound():
@@ -372,7 +376,8 @@ def test_sigma_preserves_outcomes():
     # case 1 on Gr(2,4): Ext^1(sigma*F, G) is Lambda^3, not self-dual
     f = make_monomial(GR24, [(Slot(SUB, 1), (1, 0))])
     g = make_monomial(GR24, [(Slot(SUB, 1), (2, 0))])
-    for x, y, degrees in ((a, b, []), (w1, trivial(F123), [0]), (sigma_pullback(f), g, [1])):
+    o = make_monomial(F123, ())
+    for x, y, degrees in ((a, b, []), (w1, o, [0]), (sigma_pullback(f), g, [1])):
         plain = ext_groups_best(x, y)
         twisted = ext_groups_best(sigma_pullback(x), sigma_pullback(y))
         assert plain.grade == twisted.grade == EXACT
@@ -425,6 +430,29 @@ def test_outcome_builds_its_json_once():
     assert o == fresh and repr(o) == repr(fresh) and data == fresh.to_json()
 
 
+def test_shared_outcome_is_immutable():
+    # the diagonal pairs of P^2's collection share one outcome object, so a
+    # degree added to one would reach the others
+    report = check_strong_exceptional(enumerate_collection(FlagShape(3, (1,))))
+    o = report.pairs[0].outcome
+    assert report.pairs[4].outcome is o and report.pairs[8].outcome is o
+    with pytest.raises(TypeError):
+        o.by_degree[1] = CharacterSum(3, {(0, 0, 0): 1})
+    assert o.degrees() == [0] and report.pairs[8].outcome.degrees() == [0]
+    # an emptied bound relabelled euler_only would read as confirmed
+    given = {1: CharacterSum(2, {(1, 0): 3})}
+    refuted = CohomologyOutcome(2, EXACT, given)
+    assert classify_vanishing(refuted, HIGHER)[0] == REFUTED
+    with pytest.raises(AttributeError):
+        refuted.by_degree.clear()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        refuted.grade = "euler_only"
+    # the outcome reads its own copy of the mapping it was given
+    given.clear()
+    assert refuted.degrees() == [1] and refuted.by_degree == {1: CharacterSum(2, {(1, 0): 3})}
+    assert classify_vanishing(refuted, HIGHER)[0] == REFUTED
+
+
 def test_one_memo_never_mixes_shapes():
     # O -> O(1) on P^1 and on P^2 are the same factor tuples, Sigma^(-1)(W_1),
     # on different shapes; a table shared by both must keep them apart
@@ -440,7 +468,7 @@ def test_one_memo_never_mixes_shapes():
     # into different pieces, so one table must keep the two splits apart
     for dims in ((1, 2), (1, 3), (1, 2), (1, 3)):
         shape = FlagShape(4, dims)
-        o = trivial(shape)
+        o = make_monomial(shape, ())
         b = make_monomial(shape, [(Slot(QUOT, 1), (2, 1, 0)), (Slot(QUOT, 2), (-1,) * (4 - dims[1]))])
         outcome = ext_groups_best(o, b, table)
         assert outcome.to_json() == cohomology_stepwise(b).to_json()

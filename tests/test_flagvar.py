@@ -27,7 +27,6 @@ from flagcoh.flagvar import (
     minimal_base,
     sigma_pullback,
     tensor,
-    trivial,
 )
 from flagcoh.schur import _lr_raw, _strip_zeros, pad
 
@@ -171,9 +170,12 @@ def test_text_and_json_spell_intervals_in_slot_order():
 
 
 def test_tensor_with_trivial():
+    # no factors build O, the trivial monomial once
+    o = make_monomial(GR24, ())
+    assert o.terms == {SchurMonomial(GR24, ()): 1}
     w = make_monomial(GR24, [(Slot(SUB, 1), (1, 0))])
-    assert tensor(w, trivial(GR24)) == w
-    assert tensor(trivial(GR24), w) == w
+    assert tensor(w, o) == w
+    assert tensor(o, w) == w
 
 
 def test_dual_involution():
@@ -230,7 +232,7 @@ def test_minimal_base():
     )
     assert minimal_base(full) == (F123, full)
     # trivial expression reduces to a point
-    shape, reduced = minimal_base(trivial(F123))
+    shape, reduced = minimal_base(make_monomial(F123, ()))
     assert shape.dims == ()
     # interior blocks whose endpoints survive stay blocks
     e = make_monomial(F12345, [(Slot(BLOCK, 3), (1,))])
@@ -306,7 +308,7 @@ def test_graded_expansion_rank_preserved():
 def test_json_roundtrip():
     e = make_monomial(
         F123, [(Slot(SUB, 2), (1, 0)), (Slot(QUOT, 1), (0, -1))]
-    ) + trivial(F123)
+    ) + make_monomial(F123, ())
     assert BundleExpr.from_json(e.to_json()) == e
 
 
@@ -367,7 +369,7 @@ def _reference_expansion(mono):
     factors, one factor at a time; as {block monomial: coeff}."""
     shape = mono.shape
     factors = [_reference_graded_factor(shape, span, w) for span, w in mono.factors]
-    graded = reduce(tensor, factors) if factors else trivial(shape)
+    graded = reduce(tensor, factors) if factors else make_monomial(shape, ())
     return graded.terms
 
 
@@ -389,7 +391,7 @@ def _assert_fold_matches_reference(mono):
 
 def test_tuple_fold_fixed_cases():
     for shape in FOLD_SHAPES:
-        [mono] = trivial(shape).terms
+        [mono] = make_monomial(shape, ()).terms
         _assert_fold_matches_reference(mono)
         assert tuple(_expand_monomial(mono)) == (((0,) * shape.n, 1),)
     # W_4's adjoint grades to L (x) M^v, L^v (x) M, adj(M) and O on
@@ -538,14 +540,14 @@ def test_product_key_fixed_cases():
     [mono] = adj.terms
     assert mono.factors == (((1, 2), (1, 0, -1)),)
     assert mono.spelled() == [(Slot(BLOCK, 2), (1, 0, -1))]
-    both = adj + trivial(F145)
+    both = adj + make_monomial(F145, ())
     for a, b in [(both, adj), (adj, both)]:
         assert _memo_key(a, b) == tensor(dual(a), b)
         assert _memo_key(a, b).terms[mono] == 3
     assert tensor(dual(adj), adj).terms[mono] == 2
     # W_1^v (x) W_1 is trivial: its zero weight is dropped
     w1 = make_monomial(F1234, [(Slot(SUB, 1), (1,))])
-    o = trivial(F1234)
+    o = make_monomial(F1234, ())
     assert _memo_key(w1 + o, w1) == o + w1
     # the source is dualized: Hom(W_1, W_1 (x) W_1) is W_1, not W_1^3
     w1sq = make_monomial(F1234, [(Slot(SUB, 1), (2,))])
@@ -555,9 +557,9 @@ def test_product_key_fixed_cases():
     assert spelled == w1
     assert _memo_key(spelled + o, w1) == _memo_key(w1 + o, w1)
     with pytest.raises(ValueError):
-        _memo_key(w1, trivial(F123))
+        _memo_key(w1, make_monomial(F123, ()))
     with pytest.raises(ValueError):
-        _memo_key(w1 + o, trivial(F123))
+        _memo_key(w1 + o, make_monomial(F123, ()))
 
 
 def _random_expr(data, shape, fewest=1):
@@ -640,7 +642,7 @@ def test_pair_product_fixed_cases(monkeypatch):
     assert product == tensor(dual(a), b)
     assert product.terms[SchurMonomial(F145, (((0, 1), (1,)), ((1, 2), (1, 0, -1))))] == 6
     # a key with no parts is the trivial bundle
-    o = trivial(F1234)
+    o = make_monomial(F1234, ())
     assert _pair_key(o, o)[2] == () and _pair_product(_pair_key(o, o)) == o
     # a pair-memo miss resolves the product built from the key, not a
     # tensor, and so does a call without a table
@@ -662,7 +664,7 @@ def test_pair_key_fixed_cases():
     # W_1^v (x) W_1 is trivial: its zero-weight slot is left out, so the
     # pair keys as O^v (x) O
     w1 = make_monomial(F1234, [(Slot(SUB, 1), (1,))])
-    o = trivial(F1234)
+    o = make_monomial(F1234, ())
     assert _pair_key(w1, w1) == (F1234, 1, ()) == _pair_key(o, o)
     # the source is dualized: Hom(W_1, W_1 (x) W_1) is W_1, not W_1^3
     w1sq = make_monomial(F1234, [(Slot(SUB, 1), (2,))])
@@ -686,8 +688,8 @@ def test_pair_key_fixed_cases():
     # their product itself
     zero = BundleExpr(F1234)
     for a, b in [
-        (adj + trivial(F145), adj),
-        (adj, trivial(F145) + adj),
+        (adj + make_monomial(F145, ()), adj),
+        (adj, make_monomial(F145, ()) + adj),
         (w1 + o, w1),
         (zero, w1),
         (w1, zero),
@@ -695,7 +697,7 @@ def test_pair_key_fixed_cases():
         assert _pair_key(a, b) is None
         assert _memo_key(a, b) == tensor(dual(a), b)
     with pytest.raises(ValueError):
-        _pair_key(w1, trivial(F123))
+        _pair_key(w1, make_monomial(F123, ()))
 
 
 @settings(max_examples=40, deadline=None)

@@ -18,7 +18,6 @@ from flagcoh.kapranov import (
     check_strong_exceptional,
     classify_vanishing,
     enumerate_collection,
-    hom_quiver,
 )
 from flagcoh.twists import check_T2
 from flagcoh.weights import InputError
@@ -109,14 +108,21 @@ def test_order_reversal_property():
         assert report.status == REFUTED
 
 
+def _hom_dims(c):
+    """dim Hom(E_i, E_j) for all ordered pairs, read off the strong check:
+    the degree-0 character of pair i * len(c) + j's outcome."""
+    pairs = check_strong_exceptional(c).pairs
+    n = len(c)
+    return [[pairs[i * n + j].outcome.character(0).dimension() for j in range(n)] for i in range(n)]
+
+
 def test_hom_quiver_p1():
-    q = hom_quiver(enumerate_collection(FlagShape(2, (1,))))
-    assert q["dims"] == [[1, 2], [0, 1]]
+    assert _hom_dims(enumerate_collection(FlagShape(2, (1,)))) == [[1, 2], [0, 1]]
 
 
 def test_hom_quiver_p2():
-    q = hom_quiver(enumerate_collection(FlagShape(3, (1,))))
-    assert q["dims"] == [[1, 3, 6], [0, 1, 3], [0, 0, 1]]
+    dims = _hom_dims(enumerate_collection(FlagShape(3, (1,))))
+    assert dims == [[1, 3, 6], [0, 1, 3], [0, 0, 1]]
 
 
 def test_hom_quiver_gr24_entry():
@@ -129,10 +135,10 @@ def test_hom_quiver_gr24_entry():
             idx["O"] = i
         elif factors[0][1] == (1, 0):
             idx["W"] = i
-    q = hom_quiver(c)
+    dims = _hom_dims(c)
     # Hom(W, O) = H^0(W^v) = V^v, dimension 4
-    assert q["dims"][idx["W"]][idx["O"]] == 4
-    assert q["dims"][idx["O"]][idx["W"]] == 0
+    assert dims[idx["W"]][idx["O"]] == 4
+    assert dims[idx["O"]][idx["W"]] == 0
 
 
 def test_diagonal_simple():
@@ -140,7 +146,7 @@ def test_diagonal_simple():
     for p in report.pairs:
         if p.i == p.j:
             assert p.status == CONFIRMED
-            assert p.hom_character.dimension() == 1
+            assert p.outcome.character(0).dimension() == 1
 
 
 def test_classify_vanishing_requires_valid_requirement():
@@ -172,8 +178,6 @@ def test_empty_collection_rejected():
         check_strong_exceptional(Collection(FlagShape(4, (2,)), []))
     with pytest.raises(InputError, match="empty collection"):
         check_strong_exceptional(Collection(shape, []))
-    with pytest.raises(InputError, match="empty collection"):
-        hom_quiver(Collection(shape, []))
     # a zero candidate bundle is no collection: (T2) says what is missing
     for sigma in (False, True):
         with pytest.raises(InputError, match="the candidate bundle is zero"):
@@ -200,16 +204,10 @@ def test_every_pair_check_makes_one_ext_call_per_ordered_pair(monkeypatch, shape
         TOTAL if p.i > p.j else HIGHER for p in report.pairs
     ]
 
-    del calls[:]
-    q = hom_quiver(c)
-    assert len(calls) == n * n
-    # the quiver is the strong check's Hom characters, which are the
-    # degree-0 part of a direct Ext computation
-    rows = [report.pairs[i * n : (i + 1) * n] for i in range(n)]
-    assert q["characters"] == [[p.hom_character.to_json() for p in row] for row in rows]
-    assert q["dims"] == [[p.hom_character.dimension() for p in row] for row in rows]
+    # a pair's Hom character is the degree-0 part of a direct Ext computation
     for p in report.pairs:
-        assert p.hom_character == ext_groups_best(c.members[p.i], c.members[p.j]).character(0)
+        hom = p.outcome.character(0)
+        assert hom == ext_groups_best(c.members[p.i], c.members[p.j]).character(0)
 
     t = sum(c.members, BundleExpr(shape))
     for sigma in (False, True):

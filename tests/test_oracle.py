@@ -32,7 +32,7 @@ from flagcoh.flagvar import (
 from flagcoh.kapranov import enumerate_collection
 
 
-@pytest.mark.parametrize("oracle", ["bbw_oracle.py", "localization.py"])
+@pytest.mark.parametrize("oracle", ["bbw_oracle.py", "fan_oracle.py", "localization.py"])
 def test_oracle_imports_nothing_from_flagcoh(oracle):
     # an oracle that shared engine code could share its faults
     tree = ast.parse((Path(__file__).parent / oracle).read_text())

@@ -3,6 +3,7 @@ import random
 from math import comb
 
 import pytest
+from fan_oracle import character_cohomology, hirzebruch_cohomology
 from test_golden import _workloads
 
 from flagcoh import toric
@@ -183,6 +184,22 @@ def test_hirzebruch_euler_matches_riemann_roch():
             assert chi == _riemann_roch_euler(a, x, y), (a, x, y, coh)
 
 
+def test_hirzebruch_every_degree_matches_the_fan():
+    # every degree, not only chi, against the fan oracle on F_0 .. F_4; the
+    # oracle's box of characters is derived in its docstring, and one ring
+    # of characters around it contributes nothing
+    for a in range(5):
+        fa = _hirzebruch(a)
+        rays = ((1, 0), (0, 1), (-1, a), (0, -1))
+        for x, y in itertools.product(range(-6, 7), repeat=2):
+            coh = {d: m for d, m in line_bundle_cohomology(fa, (x, y)).items() if m}
+            assert coh == hirzebruch_cohomology(a, x, y), (a, x, y, coh)
+            r1, r2 = abs(x) + a * abs(y) + 1, abs(y) + 1
+            ring = [(m1, m2) for m1 in (-r1, r1) for m2 in range(-r2, r2 + 1)]
+            ring += [(m1, m2) for m1 in range(-r1, r1 + 1) for m2 in (-r2, r2)]
+            assert all(character_cohomology(rays, (x, 0, 0, y), m)[1] == 0 for m in ring)
+
+
 def test_grid_sizes():
     assert len(P2.grid()) == 3
     assert len(F1.grid()) == 4
@@ -297,16 +314,15 @@ def test_orbit_s3():
 
 
 def test_orbit_generator_validation():
-    bad = tower(
-        {
-            "base_dim": 1,
-            "levels": [
-                {"bundles": [[[0], [0]], [[0], [1]]], "perms": [[1, 0]]}
-            ],
-        }
-    )
-    with pytest.raises(ValueError):
-        galois_orbit_check(bad)
+    # the constructor rejects a permutation that breaks the level
+    # structure, so no orbit check or grid check ever sees the tower
+    for bundles in ([[[0], [0]], [[0], [1]]], [[[0], [1]], [[0], [2]]]):
+        data = {"base_dim": 1, "levels": [{"bundles": bundles, "perms": [[1, 0]]}]}
+        with pytest.raises(InputError, match="permutation does not preserve the level structure"):
+            tower(data)
+        level = toric.Level(tuple(tuple(map(tuple, b)) for b in bundles), ((1, 0),))
+        with pytest.raises(InputError, match="permutation does not preserve the level structure"):
+            TowerSpec(1, (level,))
 
 
 def test_tower_json_roundtrip():
@@ -432,13 +448,13 @@ def test_shared_table_answers_do_not_depend_on_query_order():
             assert dict(table.top(d)) == _reference_line_bundle_cohomology(tw, d), (tw, d)
 
 
-def _reference_group_elements(tw):
+def _reference_group_elements(levels):
     """The whole per-level permutation group, one permutation per level,
     enumerated element by element: the form the generator walk replaced,
     kept as a reference."""
-    identity = tuple(tuple(range(level.m)) for level in tw.levels)
+    identity = tuple(tuple(range(level.m)) for level in levels)
     gens = []
-    for li, level in enumerate(tw.levels):
+    for li, level in enumerate(levels):
         for p in level.perms:
             g = list(identity)
             g[li] = tuple(p)
@@ -465,10 +481,13 @@ def _reference_apply(tw, g, d):
     return tuple(out)
 
 
-def _reference_orbits(tw):
+def _reference_orbits(base_dim, levels):
     """None if some group element breaks the level structure, else the
-    orbit classes of the grid under every group element."""
-    elements = _reference_group_elements(tw)
+    orbit classes of the grid under every group element.  The levels'
+    bundles are read from a tower built without their permutations, which
+    is valid even where the permutations are not."""
+    tw = TowerSpec(base_dim, tuple(toric.Level(level.bundles) for level in levels))
+    elements = _reference_group_elements(levels)
     for g in elements:
         for level, perm in zip(tw.levels, g):
             for k in range(level.m):
@@ -488,16 +507,20 @@ def _reference_orbits(tw):
     return classes
 
 
-def _orbits(tw):
+def _orbits(base_dim, levels):
+    """The orbit classes, or None when the tower's constructor rejects its
+    permutations."""
     try:
-        return galois_orbit_check(tw)["orbit_classes"]
+        tw = TowerSpec(base_dim, levels)
     except InputError:
         return None
+    return galois_orbit_check(tw)["orbit_classes"]
 
 
 def _random_tower(rng):
-    """A tower with an S3 level, then one or two levels whose multidegrees
-    it moves; each level is symmetric or, at random, broken."""
+    """(base_dim, levels) of a tower with an S3 level, then one or two
+    levels whose multidegrees it moves; each level is symmetric or, at
+    random, broken."""
 
     def md(width):
         return tuple(rng.randint(0, 2) for _ in range(width))
@@ -528,21 +551,21 @@ def _random_tower(rng):
         perms = ((1, 0),) if m == 2 and rng.random() < 0.6 else ()
         levels.append(toric.Level(tuple(bundles), perms))
         tail += m
-    return TowerSpec(base_dim, tuple(levels))
+    return base_dim, tuple(levels)
 
 
 def test_generator_orbits_match_whole_group():
     towers = _perfbench_towers() + [P1xP1, P1xP1_OVER_BASE, P2, F1, F2, F3, P1CUBE]
     assert len(towers) == 16
     for tw in towers:
-        expected = _reference_orbits(tw)
-        assert expected is not None and _orbits(tw) == expected, tw
+        expected = _reference_orbits(tw.base_dim, tw.levels)
+        assert expected is not None and _orbits(tw.base_dim, tw.levels) == expected, tw
     rng = random.Random(20261018)
     verdicts = []
     for _ in range(400):
         tw = _random_tower(rng)
-        expected = _reference_orbits(tw)
-        assert _orbits(tw) == expected, tw
+        expected = _reference_orbits(*tw)
+        assert _orbits(*tw) == expected, tw
         verdicts.append(expected is not None)
     assert 50 < sum(verdicts) < 350  # both valid and invalid towers occur
 

@@ -15,7 +15,6 @@ from flagcoh.twists import (
     WITH_SIGMA,
     check_T2,
     counterexample_case,
-    orbit_sum,
 )
 from flagcoh.weights import InputError
 
@@ -34,21 +33,21 @@ def kapranov_sum(shape):
 def test_twist_group_validation():
     asym = make_monomial(FlagShape(4, (1,)), [(Slot(SUB, 1), (1,))])
     with pytest.raises(InputError, match="only on symmetric shapes"):
-        orbit_sum(asym, sigma=True)
-    with pytest.raises(InputError, match="only on symmetric shapes"):
         check_T2(asym, sigma=True)
     # inner forms exist on any shape
-    assert orbit_sum(asym) == asym
+    assert check_T2(asym).orbit_members == [asym]
 
 
 def test_orbit_sum():
+    # the orbit sum is t for inner forms and t + sigma*t with the duality
+    # twist; check_T2 reports the orbit's members
     w1 = make_monomial(F123, [(Slot(SUB, 1), (1,))])
-    assert orbit_sum(w1) == w1
-    with_sigma = orbit_sum(w1, sigma=True)
-    assert with_sigma == w1 + sigma_pullback(w1)
-    # orbit of an orbit sum doubles it
-    doubled = orbit_sum(with_sigma, sigma=True)
-    assert doubled == with_sigma + with_sigma
+    assert check_T2(w1).orbit_members == [w1]
+    assert check_T2(w1, sigma=True).orbit_members == [w1, sigma_pullback(w1)]
+    with_sigma = w1 + sigma_pullback(w1)
+    assert with_sigma != w1 + w1
+    # sigma is an involution, so the orbit sum of an orbit sum doubles it
+    assert with_sigma + sigma_pullback(with_sigma) == with_sigma + with_sigma
 
 
 def test_check_t2_inner_confirmed():
