@@ -57,41 +57,104 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError("%s%s: error: %s" % (self.format_usage(), self.prog, message))
 
 
-# the pending chunks (or text lines) at which the report is written out
+# the pending bytes of text lines or of pair texts, and the pending chunks
+# of _json_chunks, at which the report is written out
+FLUSH_BYTES = 1 << 18
 FLUSH_CHUNKS = 8192
 
 
-def _emit(args, payload, lines):
+def _emit(args, payload, lines, pairs=None):
     """Write ``payload()`` as JSON or the lines of ``lines()`` to stdout,
-    as ``args.format`` asks; the other rendering is never built.  Either
-    is written in batches of about ``FLUSH_CHUNKS`` chunks or lines while
-    it is rendered, so a fault while rendering leaves a prefix of the
-    report on stdout; the exit code says whether it is whole.
+    as ``args.format`` asks; the other rendering is never built.
 
     The JSON is the text of ``json.dumps(payload(), sort_keys=True,
-    indent=2)``, written by ``_json_chunks``: ``json.dumps`` uses its C
-    encoder only when ``indent`` is None, so an indented payload of
-    megabytes would otherwise go through the pure-Python encoder.  The
-    memo comes from the payload itself: a non-empty ``hom`` or ``outcome``
-    value that two or more entries of its ``pairs`` hold, by identity
-    (``PairVerdict.to_json``), is rendered once per indent, and its text
-    is reused."""
+    indent=2)``: ``json.dumps`` uses its C encoder only when ``indent`` is
+    None, so an indented report of megabytes would otherwise go through
+    the pure-Python encoder.  For a pair report, ``pairs`` is its list of
+    ``PairVerdict``s and ``payload()`` its head, without the "pairs" key;
+    the list is written at that key's place by ``_pair_texts``, straight
+    from the verdicts, and no pair's JSON value is built.  Any other value
+    is written by ``_json_chunks``.
+
+    The report is written while it is rendered: the lines, and a report's
+    pairs, each time about ``FLUSH_BYTES`` bytes are pending, and
+    ``_json_chunks``'s text in its own batches.  So a fault while
+    rendering leaves a prefix of the report on stdout, and the exit code
+    says whether it is whole."""
     write = sys.stdout.write
     out: list = []
-    if args.format == "json":
-        obj = payload()
-        held = Counter(id(v) for p in obj.get("pairs", ()) for v in (p["hom"], p["outcome"]) if v)
-        memo = {key: {} for key, pairs in held.items() if pairs > 1}
-        _json_chunks(obj, out, "\n", memo, write)
+    if args.format != "json":
+        _batched((line + "\n" for line in lines()), out, write)
+    elif pairs is None:
+        _json_chunks(payload(), out, "\n", write)
         out.append("\n")
     else:
-        for line in lines():
-            out.append(line + "\n")
-            if len(out) >= FLUSH_CHUNKS:
-                write("".join(out))
-                out.clear()
+        head = payload()
+        sep = "{\n  "
+        for key in sorted([*head, "pairs"]):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            sep = ",\n  "
+            if key != "pairs":
+                _json_chunks(head[key], out, "\n  ", write)
+            else:  # a check's report has at least one pair
+                texts = _pair_texts(pairs)
+                _batched(((",\n    " if k else "[\n    ") + t for k, t in enumerate(texts)), out, write)
+                out.append("\n  ]")
+        out.append("\n}\n")
     write("".join(out))
     sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+
+
+def _batched(texts, out: list, write):
+    """Append each of ``texts`` to ``out``, and write ``out`` and clear it
+    each time the text pending in it reaches ``FLUSH_BYTES`` bytes."""
+    size = sum(map(len, out))
+    for text in texts:
+        out.append(text)
+        size += len(text)
+        if size >= FLUSH_BYTES:
+            write("".join(out))
+            out.clear()
+            size = 0
+
+
+# one item of a report's "pairs" list, as json.dumps writes a pair's
+# to_json() there: its keys sorted, each on a line at _PAIR_INDENT
+_PAIR = (
+    '{\n      "hom": %s,\n      "i": %d,\n      "j": %d,\n      "outcome": %s,'
+    '\n      "requirement": %s,\n      "status": %s,\n      "witness": %s\n    }'
+)
+_PAIR_INDENT = "\n      "
+
+
+def _pair_texts(pairs):
+    """Yield the text of each of ``pairs``, ``json.dumps(p.to_json(),
+    sort_keys=True, indent=2)`` at the indent of an item of a report's
+    "pairs" list, rendered from the verdict in the one format ``_PAIR``.
+
+    An outcome object's ``hom`` and ``outcome`` texts are rendered from its
+    ``to_json()`` once.  Only those of an outcome that two or more pairs
+    hold, counted from ``PairVerdict.outcome`` by identity, are kept, and
+    they are dropped after its last holder.  A witness other than None goes
+    through ``_json_chunks``, so one that ``json.dumps`` would write
+    otherwise raises TypeError."""
+    left = Counter(id(p.outcome) for p in pairs)  # holders still to come
+    kept: dict = {}  # id(outcome) -> (hom text, outcome text)
+    for p in pairs:
+        key = id(p.outcome)
+        left[key] = holders = left[key] - 1
+        texts = kept.get(key) if holders else kept.pop(key, None)
+        if texts is None:
+            data = p.outcome.to_json()
+            hom = data["by_degree"].get("0")
+            hom = "[]" if hom is None else _json_text(hom, _PAIR_INDENT)
+            texts = hom, _json_text(data, _PAIR_INDENT)
+            if holders:
+                kept[key] = texts
+        hom, outcome = texts
+        witness = "null" if p.witness is None else _json_text(p.witness, _PAIR_INDENT)
+        requirement, status = map(encode_basestring_ascii, (p.requirement, p.status))
+        yield _PAIR % (hom, p.i, p.j, outcome, requirement, status, witness)
 
 
 # the text of a JSON leaf, looked up by its exact type, so that a bool is
@@ -104,7 +167,14 @@ _LEAF_TEXT = {
 }
 
 
-def _json_chunks(obj, out: list, newline: str, memo: dict | None = None, write=None):
+def _json_text(obj, newline: str) -> str:
+    """The text ``_json_chunks`` writes for ``obj`` at ``newline``."""
+    out: list = []
+    _json_chunks(obj, out, newline)
+    return "".join(out)
+
+
+def _json_chunks(obj, out: list, newline: str, write=None):
     """Append to ``out`` the pieces of ``json.dumps(obj, sort_keys=True,
     indent=2)``; ``newline`` is a newline and the indent of ``obj``'s
     line.  Only dict (with str keys), list, tuple, str, int, bool and None
@@ -113,25 +183,13 @@ def _json_chunks(obj, out: list, newline: str, memo: dict | None = None, write=N
     which ``json.dumps`` would turn into one: every ``to_json`` writes
     str keys, such as a degree as ``str(degree)``.  A leaf inside a dict
     or list is written in its container's loop, without a call of its
-    own.  ``memo`` maps the id of a container that occurs more than once
-    to its texts by indent: such a container is rendered once per indent
-    and its text appended again.  Any other container costs one id lookup
-    while ``memo`` is non-empty, none while it is empty.  With ``write``,
-    after each item of a list ``out`` is written and cleared once it holds
-    ``FLUSH_CHUNKS`` chunks; a memoized container is rendered into a list
-    of its own, never written part-way."""
+    own, and a list of ints, such as a weight, is one chunk.  With
+    ``write``, after each item of a list ``out`` is written and cleared
+    once it holds ``FLUSH_CHUNKS`` chunks."""
     kind = type(obj)
     leaf = _LEAF_TEXT.get(kind)
     if leaf is not None:
         out.append(leaf(obj))
-    elif memo and id(obj) in memo:
-        texts = memo.pop(id(obj))  # so that obj itself is rendered below
-        if newline not in texts:
-            chunks: list = []
-            _json_chunks(obj, chunks, newline, memo)
-            texts[newline] = "".join(chunks)
-        memo[id(obj)] = texts
-        out.append(texts[newline])
     elif kind is dict and obj:
         inner = newline + "  "
         sep = "{" + inner
@@ -143,7 +201,7 @@ def _json_chunks(obj, out: list, newline: str, memo: dict | None = None, write=N
                 out.append(head + leaf(value))
             else:
                 out.append(head)
-                _json_chunks(value, out, inner, memo, write)
+                _json_chunks(value, out, inner, write)
             sep = "," + inner
         out.append(newline + "}")
     elif (kind is list or kind is tuple) and obj:
@@ -158,7 +216,7 @@ def _json_chunks(obj, out: list, newline: str, memo: dict | None = None, write=N
                 out.append(sep + leaf(item))
             else:
                 out.append(sep)
-                _json_chunks(item, out, inner, memo, write)
+                _json_chunks(item, out, inner, write)
                 if write is not None and len(out) >= FLUSH_CHUNKS:
                     write("".join(out))
                     out.clear()
@@ -300,7 +358,7 @@ def _cmd_check_strong(args):
                 witness = p.witness or ""
                 yield "  pair (%d, %d) [%s]: %s %s" % (p.i, p.j, p.requirement, p.status, witness)
 
-    _emit(args, report.to_json, lines)
+    _emit(args, lambda: report.to_json(pairs=False), lines, report.pairs)
     return EXIT_CODE[report.status]
 
 
@@ -320,7 +378,7 @@ def _cmd_twist_check(args):
         for cert in report.certificates():
             yield "  witness pair (%d, %d): %s" % (cert["i"], cert["j"], cert["witness"])
 
-    _emit(args, report.to_json, lines)
+    _emit(args, lambda: report.to_json(pairs=False), lines, report.pairs)
     return EXIT_CODE[report.status]
 
 

@@ -59,9 +59,10 @@ built from it, one Littlewood-Richardson term per interval
 keyed by the product itself.
 An outcome is graded ``EXACT`` or ``E1_BOUND``, never anything else,
 and is immutable once built.  Each of its character sums is built once,
-from pieces summed in a plain dict, and has no mutator.  It builds its
-JSON once, so pairs that share an outcome share its JSON, and the CLI
-writes each shared value once per indent.
+from pieces summed in a plain dict, and has no mutator.  Its JSON is a
+fresh value on every call, so no caller can change what another pair
+that shares the outcome prints; the CLI renders an outcome that two or
+more pairs share once per report.
 """
 
 from __future__ import annotations
@@ -101,16 +102,14 @@ class CohomologyOutcome:
     Pairs of a check with equal products share one outcome, so it is
     immutable: the dataclass is frozen, ``by_degree`` is a read-only view
     of the outcome's own copy of the mapping it was given, and its
-    character sums have no mutator.  ``to_json`` builds its JSON on the
-    first call and returns that same dict on every later one, so that
-    JSON must not be mutated either.
+    character sums have no mutator.  ``to_json`` builds a new value on
+    every call, which its caller may change.
     """
 
     rank: int
     grade: str
     by_degree: Mapping = field(default_factory=dict)
     euler: CharacterSum = None
-    _json: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.grade not in (EXACT, E1_BOUND):
@@ -136,11 +135,8 @@ class CohomologyOutcome:
         return self.character(degree).dimension()
 
     def to_json(self):
-        if self._json is None:
-            by_degree = {str(t): cs.to_json() for t, cs in sorted(self.by_degree.items()) if cs}
-            data = {"grade": self.grade, "by_degree": by_degree, "euler": self.euler.to_json()}
-            object.__setattr__(self, "_json", data)
-        return self._json
+        by_degree = {str(t): cs.to_json() for t, cs in sorted(self.by_degree.items()) if cs}
+        return {"grade": self.grade, "by_degree": by_degree, "euler": self.euler.to_json()}
 
 
 def _monomial_pieces_graded(mono: SchurMonomial) -> tuple:
@@ -199,11 +195,17 @@ class _Table:
         self.pieces, self.bbw, self.splits, self.pairs = {}, {}, {}, {}
 
 
+# what ``_memo`` reads for a missing key; a kept value may be None
+_MISSING = object()
+
+
 def _memo(memo: dict, key, compute, *args):
-    """``memo[key]``, set to ``compute(*args)`` on a miss."""
-    if key not in memo:
-        memo[key] = compute(*args)
-    return memo[key]
+    """``memo[key]``, set to ``compute(*args)`` on a miss; a hit is one
+    lookup."""
+    value = memo.get(key, _MISSING)
+    if value is _MISSING:
+        value = memo[key] = compute(*args)
+    return value
 
 
 def _lower_pieces(terms, shift: int, filtered: bool, table: _Table) -> tuple:

@@ -32,9 +32,6 @@ TOTAL = "total"  # Ext^k must vanish for every k
 
 _STATUS_RANK = {CONFIRMED: 0, INCONCLUSIVE: 1, REFUTED: 2}
 
-# the hom of every pair without degree 0; like an outcome's JSON, never mutated
-_NO_HOM: list = []
-
 
 def worst_status(pairs) -> str:
     """The verdict on a set of pair verdicts: refuted > inconclusive > confirmed."""
@@ -147,16 +144,15 @@ class PairVerdict:
     witness: dict | None = None
 
     def to_json(self):
-        """The pair as JSON.  ``outcome`` is the outcome's own JSON, so pairs
-        that share an outcome object share it, and ``hom`` is its degree-0
-        list, or one empty list shared by every pair without degree 0."""
+        """The pair as a new JSON value: ``hom`` is the degree-0 list of
+        ``outcome``, the outcome's JSON, or an empty list."""
         outcome = self.outcome.to_json()
         return {
             "i": self.i,
             "j": self.j,
             "requirement": self.requirement,
             "status": self.status,
-            "hom": outcome["by_degree"].get("0", _NO_HOM),
+            "hom": outcome["by_degree"].get("0", []),
             "outcome": outcome,
             "witness": self.witness,
         }
@@ -172,13 +168,17 @@ class PairReport:
     def status(self) -> str:
         return worst_status(self.pairs)
 
-    def to_json(self):
-        return {
+    def to_json(self, pairs: bool = True):
+        """The report as JSON; without ``pairs``, only its head, which has
+        no "pairs" key."""
+        data = {
             "flag": self.shape.to_json(),
             "members": [m.to_json() for m in self.members],
             "overall": self.status,
-            "pairs": [p.to_json() for p in self.pairs],
         }
+        if pairs:
+            data["pairs"] = [p.to_json() for p in self.pairs]
+        return data
 
 
 def _check_pairs(members: list, below: str) -> list:

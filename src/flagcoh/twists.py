@@ -66,16 +66,20 @@ class DescentReport:
             if p.status == REFUTED
         ]
 
-    def to_json(self):
-        return {
+    def to_json(self, pairs: bool = True):
+        """The report as JSON; without ``pairs``, only its head, which has
+        no "pairs" key."""
+        data = {
             "group": self.group,
             "flag": self.shape.to_json(),
             "orbit": [m.to_json() for m in self.orbit_members],
             "summands": [s.to_json() for s in self.summands],
             "status": self.status,
             "certificates": self.certificates(),
-            "pairs": [p.to_json() for p in self.pairs],
         }
+        if pairs:
+            data["pairs"] = [p.to_json() for p in self.pairs]
+        return data
 
 
 def check_T2(t: BundleExpr, *, sigma: bool = False) -> DescentReport:

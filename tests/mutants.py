@@ -115,13 +115,6 @@ MUTANTS = (
         ("tests/test_flagvar.py",),
     ),
     Mutant(
-        "outcome JSON rebuilt on every call",
-        "src/flagcoh/cohomology.py",
-        "        if self._json is None:",
-        "        if True:",
-        ("tests/test_cohomology.py",),
-    ),
-    Mutant(
         "ext takes the one-shot route",
         "src/flagcoh/cli.py",
         "    outcome = ext_groups_best(a, b)\n",
@@ -197,6 +190,34 @@ MUTANTS = (
         'object.__setattr__(self, "by_degree", MappingProxyType(dict(self.by_degree)))',
         'object.__setattr__(self, "by_degree", dict(self.by_degree))',
         ("tests/test_cohomology.py::test_shared_outcome_is_immutable",),
+    ),
+    Mutant(
+        "pair format with two keys swapped",
+        "src/flagcoh/cli.py",
+        r"""'{\n      "hom": %s,\n      "i": %d,\n      "j": %d,""",
+        r"""'{\n      "hom": %s,\n      "j": %d,\n      "i": %d,""",
+        ("tests/test_cli.py::test_every_pair_text_is_its_json_dumps",),
+    ),
+    Mutant(
+        "shared outcome text kept at the wrong indent",
+        "src/flagcoh/cli.py",
+        "                kept[key] = texts\n",
+        '                kept[key] = texts[0], texts[1].replace("\\n", "\\n  ")\n',
+        ("tests/test_cli.py::test_pairs_sharing_an_outcome_render_identically",),
+    ),
+    Mutant(
+        "shared outcome text given to the next pair",
+        "src/flagcoh/cli.py",
+        "texts = kept.get(key) if holders",
+        "texts = next(iter(kept.values()), None) if holders",
+        ("tests/test_cli.py::test_every_pair_text_is_its_json_dumps",),
+    ),
+    Mutant(
+        "shared outcome text kept after its last pair",
+        "src/flagcoh/cli.py",
+        "else kept.pop(key, None)",
+        "else kept.get(key)",
+        ("tests/test_cli.py::test_only_shared_outcomes_are_kept_and_rendered_once",),
     ),
     Mutant(
         "dual convention in toric",

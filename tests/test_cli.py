@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import flagcoh
 import flagcoh.cohomology as engine
 from flagcoh import cli, flagvar, kapranov, twists
+from flagcoh.cohomology import CohomologyOutcome
 from flagcoh.cli import EX_DATAERR, EX_SOFTWARE, EX_USAGE, main
 from flagcoh.flagvar import BundleExpr, FlagShape
 from flagcoh.kapranov import Collection, check_strong_exceptional, enumerate_collection
@@ -689,14 +691,12 @@ def test_missing_key_is_named(capsys, tmp_path):
     assert "flagcoh: input error: missing key 'members'" in err
 
 
-def _written(obj, memo=None) -> str:
-    out: list = []
-    cli._json_chunks(obj, out, "\n", memo)
-    return "".join(out)
+def _written(obj) -> str:
+    return cli._json_text(obj, "\n")
 
 
 # quote, backslash, control, non-ASCII and astral characters, plus any other
-_json_text = st.text(st.sampled_from('a"\\/\x00\x1f\n\t\x7f\u00e9\u2603\U0001f600') | st.characters())
+_json_text = st.text(st.sampled_from('a"\\/\x00\x1f\n\t\x7fé☃\U0001f600') | st.characters())
 _json_leaves = (
     st.none()
     | st.booleans()
@@ -720,7 +720,7 @@ def test_json_writer_fixed_cases():
         [],
         (),
         [[], {}, ()],
-        {"b": [1, 2], "a": {"": None, "\u00e9\"\\\x01": "x\u2603"}},
+        {"b": [1, 2], "a": {"": None, "é\"\\\x01": "x☃"}},
         [True, 1, False, 0, -5, 2**64, None],
         [1, 2, 3],
         "plain",
@@ -760,19 +760,46 @@ def _pair_reports():
     ]
 
 
+def _witness_reports():
+    """Reports whose pairs carry every witness kind but ``euler_nonzero``:
+    sigma (T2) on F(2,3;5) refutes by an exact degree, a negative Euler
+    multiplicity and an Euler excess, and a member O + O has Hom = k^4."""
+    f23, p2 = FlagShape(5, (2, 3)), FlagShape(3, (1,))
+    t2 = check_T2(sum(enumerate_collection(f23).members, BundleExpr(f23)), sigma=True)
+    o = enumerate_collection(p2).members[-1]
+    return [t2, check_strong_exceptional(Collection(p2, [o + o]))]
+
+
+def _pair_text(p) -> str:
+    """json.dumps's text of the pair, at the indent of an item of a
+    report's "pairs" list."""
+    return json.dumps(p.to_json(), sort_keys=True, indent=2).replace("\n", "\n    ")
+
+
+def test_every_pair_text_is_its_json_dumps():
+    reports = [report for _argv, report in _pair_reports()] + _witness_reports()
+    kinds = set()
+    for report in reports:
+        texts = list(cli._pair_texts(report.pairs))
+        assert len(texts) == len(report.pairs)
+        for p, text in zip(report.pairs, texts):
+            assert text == _pair_text(p), (p.i, p.j)
+            kinds.add(p.witness and p.witness["kind"])
+    assert kinds == {None, "exact_degree", "euler_negative", "euler_excess", "hom_not_simple"}
+
+
 @pytest.mark.parametrize("argv, report", _pair_reports())
 def test_shared_outcomes_print_as_json_dumps(capsys, argv, report):
-    # pairs with one outcome share their hom and outcome values, and the
-    # hom list is also the outcome's degree-0 list, one indent deeper: the
-    # writer must render a shared value once per indent, not once
+    # pairs that share an outcome print its hom and outcome texts, and the
+    # hom is also the outcome's degree-0 list, one indent deeper: a text
+    # kept for one indent must not be written at the other
     data = report.to_json()
+    holders = Counter(id(p.outcome) for p in report.pairs)
     hom_at_two_indents = 0
     for p, pj in zip(report.pairs, data["pairs"]):
         assert pj["hom"] == p.outcome.character(0).to_json()
         assert pj["outcome"] == p.outcome.to_json()
-        if pj["hom"]:
-            assert pj["hom"] is pj["outcome"]["by_degree"]["0"]
-            hom_at_two_indents += 1
+        hom_at_two_indents += bool(pj["hom"]) and holders[id(p.outcome)] > 1
     assert hom_at_two_indents
     code, out, _err = run(capsys, *argv, "--format", "json")
     assert code == cli.EXIT_CODE[report.status]
@@ -780,78 +807,112 @@ def test_shared_outcomes_print_as_json_dumps(capsys, argv, report):
 
 
 def test_pairs_sharing_an_outcome_render_identically():
+    # a shared outcome's texts, kept from its first holder, are what its
+    # later holders would be given alone
     report = _pair_reports()[0][1]
     pairs: dict = {}
     for k, p in enumerate(report.pairs):
         pairs.setdefault(id(p.outcome), []).append(k)
-    homs = [p.outcome.character(0) for p in report.pairs]
-    ks = next(ks for ks in pairs.values() if len(ks) > 1 and homs[ks[0]])
-    data = report.to_json()
-    p1, p2 = (data["pairs"][k] for k in ks[:2])
-    assert all(data["pairs"][k]["outcome"] is p1["outcome"] for k in ks)
-    assert all(data["pairs"][k]["hom"] is p1["hom"] for k in ks)
-    memo = {id(p1["outcome"]): {}, id(p1["hom"]): {}}
-    texts = []
-    for pj in (p1, p2):
-        part = {"hom": pj["hom"], "outcome": pj["outcome"]}
-        texts.append(_written(part, memo))
-    assert texts[0] == texts[1] == json.dumps(part, sort_keys=True, indent=2)
-    # the outcome was rendered at one indent, the hom at two
-    assert list(memo[id(p1["outcome"])]) == ["\n  "]
-    assert sorted(memo[id(p1["hom"])]) == ["\n  ", "\n      "]
+    ks = next(ks for ks in pairs.values() if len(ks) > 2 and report.pairs[ks[0]].outcome.character(0))
+    texts = list(cli._pair_texts(report.pairs))
+    for k in ks:
+        p = report.pairs[k]
+        [alone] = cli._pair_texts([p])
+        assert texts[k] == alone == _pair_text(p)
+    # the two pairs differ in their indices only
+    p1, p2 = (report.pairs[k] for k in ks[:2])
+    swap = {'"i": %d,' % p1.i: '"i": %d,' % p2.i, '"j": %d,' % p1.j: '"j": %d,' % p2.j}
+    lines = [swap.get(line.strip(), line.strip()) for line in texts[ks[0]].split("\n")]
+    assert lines == [line.strip() for line in texts[ks[1]].split("\n")]
 
 
-def test_an_outcome_object_is_one_json_value(monkeypatch):
-    # fresh reports, whose outcomes have not built their JSON yet
-    reports = [report for _argv, report in _pair_reports()]
-    built = []
-    to_json = CharacterSum.to_json
-    monkeypatch.setattr(CharacterSum, "to_json", lambda cs: built.append(cs) or to_json(cs))
-    for report in reports:
+def test_an_outcome_object_is_one_json_value(capsys, monkeypatch):
+    # the command line builds each outcome object's JSON once, whatever the
+    # number of pairs that hold it, and each of its characters once; the
+    # library's report JSON is a new value on every call
+    built, characters = [], []
+    outcome_json, character_json = CohomologyOutcome.to_json, CharacterSum.to_json
+    for argv, report in _pair_reports():
         data = report.to_json()
-        assert report.to_json() == data
+        again = report.to_json()
+        assert again == data and again["pairs"][0]["outcome"] is not data["pairs"][0]["outcome"]
         outcomes = {id(p.outcome): p.outcome for p in report.pairs}
         assert len(outcomes) < len(report.pairs)
-        values: dict = {}
-        for p, pj in zip(report.pairs, data["pairs"]):
-            outcome, hom = values.setdefault(id(p.outcome), (pj["outcome"], pj["hom"]))
-            assert pj["outcome"] is outcome is p.outcome.to_json() and pj["hom"] is hom
-        # pairs without degree 0 hold one empty list, whatever their outcome
-        assert len({id(pj["hom"]) for pj in data["pairs"] if not pj["hom"]}) == 1
-    # each character of each distinct outcome is written once, not per pair
-    # nor per call
-    characters = [
-        cs
-        for report in reports
-        for o in {id(p.outcome): p.outcome for p in report.pairs}.values()
-        for cs in (*(cs for cs in o.by_degree.values() if cs), o.euler)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "check_strong_exceptional", lambda c, report=report: report)
+            m.setattr(cli, "check_T2", lambda t, sigma, report=report: report)
+            m.setattr(CohomologyOutcome, "to_json", lambda o: built.append(o) or outcome_json(o))
+            m.setattr(CharacterSum, "to_json", lambda cs: characters.append(cs) or character_json(cs))
+            code, out, _err = run(capsys, *argv, "--format", "json")
+        assert code == cli.EXIT_CODE[report.status]
+        assert out == json.dumps(data, sort_keys=True, indent=2) + "\n"
+        assert sorted(map(id, built)) == sorted(outcomes)
+        expected = [
+            cs
+            for o in outcomes.values()
+            for cs in (*(cs for cs in o.by_degree.values() if cs), o.euler)
+        ]
+        assert sorted(map(id, characters)) == sorted(map(id, expected))
+        built.clear()
+        characters.clear()
+
+
+def test_only_shared_outcomes_are_kept_and_rendered_once(monkeypatch):
+    # while the pairs are written, the texts kept are exactly those of the
+    # outcomes that some pair already written and some pair still to come
+    # hold; every outcome object is rendered once
+    rendered = []
+    outcome_json = CohomologyOutcome.to_json
+    monkeypatch.setattr(CohomologyOutcome, "to_json", lambda o: rendered.append(o) or outcome_json(o))
+    for _argv, report in _pair_reports():
+        holders = Counter(id(p.outcome) for p in report.pairs)
+        assert max(holders.values()) > 1 and min(holders.values()) == 1
+        written: Counter = Counter()
+        texts = cli._pair_texts(report.pairs)
+        kept_at_most = 0
+        for p in report.pairs:
+            next(texts)
+            written[id(p.outcome)] += 1
+            expected = {key for key, n in written.items() if n < holders[key]}
+            assert set(texts.gi_frame.f_locals["kept"]) == expected
+            kept_at_most = max(kept_at_most, len(expected))
+        assert kept_at_most
+        assert next(texts, None) is None
+        assert sorted(map(id, rendered)) == sorted(holders)
+        rendered.clear()
+
+
+def test_cli_json_builds_no_pair_value(capsys, monkeypatch):
+    # the command line writes a pair report's pairs from the verdicts
+    expected = [
+        (argv, json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n")
+        for argv, report in _pair_reports()
     ]
-    assert sorted(map(id, built)) == sorted(map(id, characters))
+
+    def unwanted(self):
+        raise AssertionError("built a pair's JSON value")
+
+    monkeypatch.setattr(kapranov.PairVerdict, "to_json", unwanted)
+    for argv, text in expected:
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (out, err) == (text, "") and code in cli.EXIT_CODE.values()
 
 
-def test_emit_memo_is_what_pairs_share(capsys, monkeypatch):
-    # the writer's memo holds exactly the outcome dicts that two or more
-    # pairs hold and their non-empty degree-0 lists, and renders each
-    memos = []
-    json_chunks = cli._json_chunks
-
-    def recording(obj, out, newline, memo=None, write=None):
-        if newline == "\n":  # the payload, not a value inside it
-            held: dict = {}
-            for pj in obj["pairs"]:
-                held.setdefault(id(pj["outcome"]), []).append(pj["outcome"])
-            repeated = [os[0] for os in held.values() if len(os) > 1]
-            homs = {id(o["by_degree"]["0"]) for o in repeated if "0" in o["by_degree"]}
-            memos.append((memo, {id(o) for o in repeated} | homs))
-        return json_chunks(obj, out, newline, memo, write)
-
-    monkeypatch.setattr(cli, "_json_chunks", recording)
-    for argv, _report in _pair_reports():
-        run(capsys, *argv, "--format", "json")
-    assert len(memos) == 2
-    for memo, expected in memos:
-        assert expected and set(memo) == expected
-        assert all(memo.values())
+def test_an_edited_outcome_json_reaches_no_other_pair(capsys, monkeypatch):
+    # the diagonal pairs of P^2's collection share one outcome object; what
+    # a caller does with the JSON it was given changes no other pair
+    report = check_strong_exceptional(enumerate_collection(FlagShape(3, (1,))))
+    assert report.pairs[4].outcome is report.pairs[0].outcome
+    pair = report.pairs[4].to_json()
+    text = json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
+    data = report.pairs[0].outcome.to_json()
+    data["by_degree"].clear()
+    data["grade"] = "e1bound"
+    report.pairs[0].to_json()["hom"].append("edited")
+    assert report.pairs[4].to_json() == pair
+    monkeypatch.setattr(cli, "check_strong_exceptional", lambda c: report)
+    code, out, _err = run(capsys, "check-strong", "--n", "3", "--dims", "1", "--format", "json")
+    assert (code, out) == (0, text)
 
 
 class _Writes:
@@ -871,11 +932,13 @@ class _Writes:
         return "".join(self.writes)
 
 
-def _streamed(monkeypatch, argv, flush=None):
+def _streamed(monkeypatch, argv, flush_bytes=None, flush_chunks=None):
     """(exit code, writes) of ``main(argv)`` with stdout recorded, and the
-    flush size lowered to ``flush`` when given."""
-    if flush is not None:
-        monkeypatch.setattr(cli, "FLUSH_CHUNKS", flush)
+    flush sizes lowered when given."""
+    if flush_bytes is not None:
+        monkeypatch.setattr(cli, "FLUSH_BYTES", flush_bytes)
+    if flush_chunks is not None:
+        monkeypatch.setattr(cli, "FLUSH_CHUNKS", flush_chunks)
     out = _Writes()
     with monkeypatch.context() as m:
         m.setattr(sys, "stdout", out)
@@ -901,25 +964,29 @@ def _pair_write_indices(text, writes) -> list:
 
 @pytest.mark.parametrize("argv, report", _pair_reports())
 def test_streamed_report_is_byte_identical(monkeypatch, argv, report):
-    # a lowered flush size makes a small job write many times; the text is
+    # lowered flush sizes make a small job write many times: each pair's
+    # text on its own, and the head in batches of 16 chunks; the text is
     # still json.dumps's, and the text format the unbatched one
-    code, out = _streamed(monkeypatch, argv + ["--format", "json"], flush=16)
-    assert code == cli.EXIT_CODE[report.status] and len(out.writes) > 10
+    code, out = _streamed(monkeypatch, argv + ["--format", "json"], flush_bytes=1, flush_chunks=16)
     text = out.text()
+    assert code == cli.EXIT_CODE[report.status]
     assert text == json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
-    # pairs sharing an outcome are written on both sides of a flush
+    # one write per pair, after the head's first batches
     indices = _pair_write_indices(text, out.writes)
     assert len(indices) == len(report.pairs)
+    assert indices == list(range(indices[0], indices[0] + len(indices)))
+    assert indices[0] > 1
+    # pairs sharing an outcome are written on both sides of a flush
     by_outcome: dict = {}
     for p, k in zip(report.pairs, indices):
         if p.outcome.character(0):
             by_outcome.setdefault(id(p.outcome), set()).add(k)
     assert any(len(ks) > 1 for ks in by_outcome.values())
-    _code, whole = _streamed(monkeypatch, argv, flush=10**9)
+    _code, whole = _streamed(monkeypatch, argv, flush_bytes=10**9)
     assert len(whole.writes) == 1
-    _code, batched = _streamed(monkeypatch, argv, flush=16)
-    assert batched.text() == whole.text()
-    assert len(batched.writes) == 1 + len(whole.text().splitlines()) // 16
+    # a batch is written once it reaches FLUSH_BYTES
+    _code, batched = _streamed(monkeypatch, argv, flush_bytes=1)
+    assert batched.writes == [line + "\n" for line in whole.text().splitlines()] + [""]
 
 
 def test_render_fault_after_a_write_leaves_a_prefix(capsys, monkeypatch):
@@ -934,24 +1001,26 @@ def test_render_fault_after_a_write_leaves_a_prefix(capsys, monkeypatch):
         return report
 
     monkeypatch.setattr(cli, "check_strong_exceptional", check)
-    monkeypatch.setattr(cli, "FLUSH_CHUNKS", 16)
+    monkeypatch.setattr(cli, "FLUSH_BYTES", 1)  # each pair written as it is rendered
     code, out, err = run(capsys, "check-strong", "--n", "4", "--dims", "1,2,3", "--format", "json")
     assert code == EX_SOFTWARE and "TypeError" in err
     [report] = spoiled
     whole = json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
     assert out and len(out) < len(whole) and whole.startswith(out)
+    # every pair but the spoiled one was written
+    assert out.count('\n      "witness": ') == len(report.pairs) - 1
 
 
 def test_large_report_is_written_in_bounded_batches(monkeypatch):
-    # a chunk is an indented JSON line or one shared value's text, about
-    # 110 bytes on average here, so a batch of FLUSH_CHUNKS of them stays
-    # below this bound (the largest is 0.95 MB), while the 8.8 MB report,
-    # joined and written at once, would not
-    bound = 256 * cli.FLUSH_CHUNKS
+    # the pairs are written each time FLUSH_BYTES bytes are pending, so no
+    # batch exceeds it by more than one pair's text (at most 3,925 bytes
+    # here, 600 on average), while the 8.8 MB report, joined and written
+    # at once, would; the head before the pairs is 85 kB, in one batch
+    bound = cli.FLUSH_BYTES + 4096
     argv = ["check-strong", "--n", "5", "--dims", "1,2,3,4", "--format", "json"]
     code, out = _streamed(monkeypatch, argv)
     sizes = [len(w) for w in out.writes]
-    assert code == 0 and sum(sizes) > 4 * bound
+    assert code == 0 and sum(sizes) > 16 * bound
     assert max(sizes) <= bound
 
 
@@ -998,6 +1067,41 @@ def _env_with_src() -> dict:
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+# the modules that importing the command line loads into a bare CPython
+# 3.11 (python -I -S); each is import-time work in every job's start
+_CLI_IMPORTS = """
+__future__ _ast _bisect _collections _collections_abc _functools _json
+_opcode _operator _sre _stat _typing _weakrefset argparse ast bisect
+collections collections.abc contextlib copy copyreg dataclasses dis enum
+flagcoh flagcoh.cli flagcoh.cohomology flagcoh.flagvar flagcoh.kapranov
+flagcoh.schur flagcoh.toric flagcoh.twists flagcoh.weights functools
+genericpath gettext importlib importlib._bootstrap
+importlib._bootstrap_external importlib.machinery inspect itertools json
+json.decoder json.encoder json.scanner keyword linecache math opcode
+operator os os.path posixpath re re._casefix re._compiler re._constants
+re._parser reprlib stat token tokenize types typing typing.io typing.re
+warnings weakref
+""".split()
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="the pinned set is CPython 3.11's",
+)
+def test_importing_the_cli_loads_only_the_pinned_modules():
+    # a module added here is paid for by every job, so it must be declared
+    code = (
+        "import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
+        "import flagcoh.cli; print(*sorted(set(sys.modules) - before))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, src], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == sorted(_CLI_IMPORTS)
 
 
 def test_python_m_flagcoh_runs_the_cli(tmp_path):

@@ -419,15 +419,21 @@ def test_euler_only_outcome():
         assert CohomologyOutcome(2, grade, {1: CharacterSum(2, {(1, 0): 3})}).euler == euler
 
 
-def test_outcome_builds_its_json_once():
+def test_outcome_json_is_a_new_value_each_call():
     w1 = make_monomial(F123, [(Slot(SUB, 1), (1,))])
     w2 = make_monomial(F123, [(Slot(SUB, 2), (1, 0))])
     o = cohomology(tensor(dual(w2), w1))
     fresh = CohomologyOutcome(o.rank, o.grade, dict(o.by_degree))
     data = o.to_json()
-    assert o.to_json() is data and data["by_degree"]
-    # the kept JSON is no field: it leaves equality and repr alone
-    assert o == fresh and repr(o) == repr(fresh) and data == fresh.to_json()
+    assert data["by_degree"] and o.to_json() == data == fresh.to_json()
+    # the caller owns what it is given: an edit reaches no later call
+    data["by_degree"]["0"].append({"weight": [9, 9, 9, 9], "mult": 1})
+    data["euler"].clear()
+    data["grade"] = E1_BOUND
+    assert o.to_json() == fresh.to_json() != data
+    # the outcome keeps no JSON: its fields are its value
+    assert [f.name for f in dataclasses.fields(o)] == ["rank", "grade", "by_degree", "euler"]
+    assert o == fresh and repr(o) == repr(fresh)
 
 
 def test_shared_outcome_is_immutable():
