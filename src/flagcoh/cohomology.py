@@ -21,10 +21,11 @@ Two routes are provided for H^*(F, E):
   ``_flat_factor`` as the one-shot route, and cuts each flat piece into
   monomials on the block intervals with ``_flat_monomial``.  The push onto
   the base merges the fibre's BBW weight into the relabelled factors with
-  ``flagvar._merge_factors``; both steps pass {SchurMonomial:
-  multiplicity} dicts, and no ``BundleExpr`` is built below the top.  It
-  handles one level of the tower per call.  It often certifies exact
-  vanishing where the one-shot route only yields a bound.
+  ``flagvar._merge_factors``; both steps pass {factors: multiplicity}
+  dicts of canonical factor tuples, and below the top no ``BundleExpr``
+  and no ``SchurMonomial`` is built.  It handles one level of the tower
+  per call.  It often certifies exact vanishing where the one-shot route
+  only yields a bound.
 
 Both routes end in ``weights._bbw_flat``, the package's one
 Borel-Bott-Weil, on a flat piece and its block sizes: the one-shot route
@@ -44,9 +45,10 @@ fold.
 
 The stepwise route keeps what it computes in a ``_Table`` made for one
 top-level call and dropped when the call returns: the pieces of each
-monomial, so a state reached along several branches or pairs is pushed
-once, the fibre's Borel-Bott-Weil per (flat piece, sizes), the split of
-each factor on V/W_{d_1} per (shape, weight) and the pair outcomes.  The
+monomial, keyed by its shape and factor tuple, so a state reached along
+several branches or pairs is pushed once, the fibre's Borel-Bott-Weil
+per (flat piece, sizes), the split of each factor on V/W_{d_1} per
+(shape, weight) and the pair outcomes.  The
 one-shot route keeps nothing: its pieces rarely repeat.  A pair loop
 passes one table to ``ext_groups_best`` for all its pairs, whose outcomes
 it keys by the product a^v (x) b, so each distinct product is resolved
@@ -68,7 +70,6 @@ more pairs share once per report.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .flagvar import (
@@ -86,13 +87,12 @@ from .flagvar import (
     tensor,
 )
 from .schur import CharacterSum, pad
-from .weights import _bbw_flat
+from .weights import _bbw_flat, _immutable
 
 EXACT = "exact"
 E1_BOUND = "e1bound"
 
 
-@dataclass(frozen=True)
 class CohomologyOutcome:
     """Per-degree character sums with a certainty grade, ``EXACT`` or
     ``E1_BOUND``; any other grade raises ValueError.
@@ -100,23 +100,47 @@ class CohomologyOutcome:
     ``euler`` is always the exact alternating sum; ``by_degree`` is the
     true cohomology when ``grade`` is exact and an upper bound otherwise.
     Pairs of a check with equal products share one outcome, so it is
-    immutable: the dataclass is frozen, ``by_degree`` is a read-only view
-    of the outcome's own copy of the mapping it was given, and its
-    character sums have no mutator.  ``to_json`` builds a new value on
-    every call, which its caller may change.
+    immutable: assigning to it raises AttributeError, ``by_degree`` is a
+    read-only view of the outcome's own copy of the mapping it was given,
+    and its character sums have no mutator.  ``to_json`` builds a new
+    value on every call, which its caller may change.
     """
 
-    rank: int
-    grade: str
-    by_degree: Mapping = field(default_factory=dict)
-    euler: CharacterSum = None
+    __slots__ = ("rank", "grade", "by_degree", "euler")
+    __setattr__ = __delattr__ = _immutable
+    __hash__ = None  # by_degree is a mapping
 
-    def __post_init__(self):
-        if self.grade not in (EXACT, E1_BOUND):
-            raise ValueError("grade %r is neither %r nor %r" % (self.grade, EXACT, E1_BOUND))
-        object.__setattr__(self, "by_degree", MappingProxyType(dict(self.by_degree)))
-        if self.euler is None:
-            object.__setattr__(self, "euler", self._alternating_sum())
+    def __init__(
+        self,
+        rank: int,
+        grade: str,
+        by_degree: Mapping | None = None,
+        euler: CharacterSum | None = None,
+    ):
+        if grade not in (EXACT, E1_BOUND):
+            raise ValueError("grade %r is neither %r nor %r" % (grade, EXACT, E1_BOUND))
+        init = object.__setattr__
+        init(self, "rank", rank)
+        init(self, "grade", grade)
+        init(self, "by_degree", MappingProxyType(dict(by_degree or {})))
+        init(self, "euler", self._alternating_sum() if euler is None else euler)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine = (self.rank, self.grade, self.by_degree, self.euler)
+        return mine == (other.rank, other.grade, other.by_degree, other.euler)
+
+    def __repr__(self):
+        return "CohomologyOutcome(rank=%r, grade=%r, by_degree=%r, euler=%r)" % (
+            self.rank,
+            self.grade,
+            self.by_degree,
+            self.euler,
+        )
+
+    def __reduce__(self):
+        return CohomologyOutcome, (self.rank, self.grade, dict(self.by_degree), self.euler)
 
     def _alternating_sum(self) -> CharacterSum:
         terms: dict = {}
@@ -185,9 +209,10 @@ def cohomology(e: BundleExpr) -> CohomologyOutcome:
 
 class _Table:
     """What the stepwise route computes during one top-level call:
-    ``pieces`` per monomial, the fibre's Borel-Bott-Weil (``bbw``) per
-    (flat piece, sizes), the ``splits`` of a factor on V/W_{d_1} per
-    (shape, weight) and the ``pairs``' outcomes per product key.  A call
+    ``pieces`` per monomial, keyed by (shape, factors), the fibre's
+    Borel-Bott-Weil (``bbw``) per (flat piece, sizes), the ``splits`` of a
+    factor on V/W_{d_1} per (shape, weight) and the ``pairs``' outcomes
+    per product key.  A call
     that is given no table makes its own, and nothing outlives the call
     that made it."""
 
@@ -208,21 +233,25 @@ def _memo(memo: dict, key, compute, *args):
     return value
 
 
-def _lower_pieces(terms, shift: int, filtered: bool, table: _Table) -> tuple:
-    """Sum the stepwise pieces of the (monomial, mult) pairs ``terms``,
-    ``shift`` degrees up; ``filtered`` is or-ed with theirs."""
+def _lower_pieces(shape, terms, shift: int, filtered: bool, table: _Table) -> tuple:
+    """Sum the stepwise pieces of the (factors, mult) pairs ``terms`` on
+    ``shape``, ``shift`` degrees up; ``filtered`` is or-ed with theirs."""
     acc: dict = {}
-    for mono, mult in terms:
-        pieces, below = _memo(table.pieces, mono, _monomial_pieces_stepwise, mono, table)
+    for factors, mult in terms:
+        pieces, below = _memo(
+            table.pieces, (shape, factors), _monomial_pieces_stepwise, shape, factors, table
+        )
         filtered = filtered or below
         for d, w, c in pieces:
             acc[d + shift, w] = acc.get((d + shift, w), 0) + c * mult
     return tuple((d, w, c) for (d, w), c in acc.items() if c), filtered
 
 
-def _monomial_pieces_stepwise(mono: SchurMonomial, table: _Table) -> tuple:
-    """Stepwise pieces of a monomial, ((degree, weight, mult), ...) plus the
-    filtration flag, one level of the tower per call.
+def _monomial_pieces_stepwise(shape, factors: tuple, table: _Table) -> tuple:
+    """Stepwise pieces of the monomial with the canonical ``factors`` on
+    ``shape``, ((degree, weight, mult), ...) plus the filtration flag, one
+    level of the tower per call.  No monomial is built: the factors stay
+    a tuple of (interval, weight) pairs.
 
     A factor on V/W_{d_1} is first split into its filtration pieces on the
     blocks above d_1.  Otherwise F(d_1, d_2, ...) -> F(d_2, ...) is the
@@ -231,25 +260,24 @@ def _monomial_pieces_stepwise(mono: SchurMonomial, table: _Table) -> tuple:
     W_{d_2}/W_{d_1} into one weight on W_{d_2}, and the rest of the
     monomial is relabelled onto the base.  What the lower levels compute
     is kept in ``table``."""
-    shape = mono.shape
     if shape.s == 0:
-        w = mono.factors[0][1] if mono.factors else pad((), shape.n)
+        w = factors[0][1] if factors else pad((), shape.n)
         return ((0, w, 1),), False
-    factors = dict(mono.factors)
+    by_span = dict(factors)
     sizes = shape.blocks()
     q1 = (1, shape.s + 1)
-    if shape.s >= 2 and q1 in factors:
-        w = factors.pop(q1)
+    if shape.s >= 2 and q1 in by_span:
+        w = by_span.pop(q1)
         split = _memo(table.splits, (shape, w), _flat_factor, shape, q1, w)
-        rest = list(factors.items())
+        rest = list(by_span.items())
         terms = [
             (piece, c * m)
             for flat, c in split
             for piece, m in _flat_monomial(shape, flat, rest).items()
         ]
-        return _lower_pieces(terms, 0, len(split) > 1, table)
-    alpha = factors.pop((0, 1), pad((), sizes[0]))
-    beta = factors.pop((1, 2), pad((), sizes[1]))
+        return _lower_pieces(shape, terms, 0, len(split) > 1, table)
+    alpha = by_span.pop((0, 1), pad((), sizes[0]))
+    beta = by_span.pop((1, 2), pad((), sizes[1]))
     key = alpha + beta, sizes[:2]
     res = _memo(table.bbw, key, _bbw_flat, *key)
     if res is None:
@@ -258,15 +286,20 @@ def _monomial_pieces_stepwise(mono: SchurMonomial, table: _Table) -> tuple:
     if shape.s == 1:
         return ((degree, weight, 1),), False
     lower, factor = _forget_steps(shape, shape.dims[1:])
-    pushed = [factor(span, w) for span, w in factors.items()] + [((0, 1), weight)]
-    return _lower_pieces(_merge_factors(lower, pushed).items(), degree, False, table)
+    pushed = [factor(span, w) for span, w in by_span.items()] + [((0, 1), weight)]
+    return _lower_pieces(lower, _merge_factors(pushed).items(), degree, False, table)
 
 
 def cohomology_stepwise(e: BundleExpr, table: _Table | None = None) -> CohomologyOutcome:
     """H^*(F, e) by level-by-level relative pushforward, keeping what it
     computes in ``table``, a fresh one when None."""
     table = _Table() if table is None else table
-    return _run(e, lambda mono: _memo(table.pieces, mono, _monomial_pieces_stepwise, mono, table))
+
+    def route(mono):
+        key = mono.shape, mono.factors
+        return _memo(table.pieces, key, _monomial_pieces_stepwise, mono.shape, mono.factors, table)
+
+    return _run(e, route)
 
 
 # ---------------------------------------------------------------------------

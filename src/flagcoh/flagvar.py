@@ -12,8 +12,10 @@ its interval through the shape's table, and ``__str__`` and ``to_json``
 spell each interval back by its canonical slot (Block(1) is Sub(1) and
 Block(s+1) is Quot(s)).  Every map inside the engine works on intervals.
 Everything is immutable and hashable so results can be
-cached aggressively.  Shapes, slots and monomials compute their hash once;
-it is valid only in the process that made them, so they are not pickled.
+cached aggressively: shapes, slots and monomials are plain slotted
+classes, and assigning to one raises AttributeError.  They compute their
+hash once, valid only in the process that made them, so a copy or a
+pickle of one is rebuilt from its constructor's arguments.
 
 A graded piece of the filtration by the flag has one form everywhere,
 a flat vector: one n-tuple that concatenates one weight per
@@ -28,10 +30,13 @@ are nonzero.
 block intervals (j, j+1), for the stepwise route in ``cohomology``.
 
 A product is what the merge returns.  ``_merge_factors`` and its grow
-step ``_grow_factors`` turn (interval, weight) factors into
-{SchurMonomial: multiplicity}, and are the engine's one step from factor
-tuples to monomials: ``tensor``, ``_pair_product``, ``_flat_monomial``
-and the stepwise route in ``cohomology`` call them directly.
+step ``_grow_factors`` turn (interval, weight) factors into {factors:
+multiplicity}, a canonical factor tuple per product: ``tensor``,
+``_pair_product``, ``_flat_monomial`` and the stepwise route in
+``cohomology`` call them directly, and the stepwise route stays on
+factor tuples below its top.  A ``SchurMonomial`` is built, and
+validated, only where a ``BundleExpr`` leaves the engine: in
+``make_monomial``, ``tensor``, ``_pair_product`` and ``_relabel``.
 ``make_monomial`` is the builder for input only (``BundleExpr.from_json``,
 the Kapranov enumeration, the counterexample families): it reads each
 place, checks each weight's length and calls ``_merge_factors``.
@@ -39,16 +44,22 @@ place, checks each weight's length and calls ``_merge_factors``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import lru_cache
 from operator import add
-from typing import Iterable
 
 from .schur import _lr_raw, _strip_zeros, _tensor_terms, pad, schur_dim
-from .weights import _check_keys, _ints, _json_list, dual_weight, is_weakly_decreasing, strict_int
+from .weights import (
+    _check_keys,
+    _immutable,
+    _ints,
+    _json_list,
+    dual_weight,
+    is_weakly_decreasing,
+    strict_int,
+)
 
 
-@dataclass(frozen=True)
 class FlagShape:
     """F(d_1, ..., d_s; V) with dim V = n.  ``dims=()`` is a point.
 
@@ -56,20 +67,22 @@ class FlagShape:
     shared tuple per interval (``interval``), and every slot interval back
     to its one spelling (``slot``)."""
 
-    n: int
-    dims: tuple
+    __slots__ = (
+        "n", "dims", "_bounds", "_intervals", "_spans", "_slots", "_blocks", "_cuts", "_hash"
+    )
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(self.dims))
-        if self.n < 1:
+    def __init__(self, n: int, dims: tuple):
+        dims = tuple(dims)
+        if n < 1:
             raise ValueError("ambient dimension must be >= 1")
         prev = 0
-        for d in self.dims:
-            if not prev < d < self.n:
+        for d in dims:
+            if not prev < d < n:
                 raise ValueError("dims must satisfy 0 < d_1 < ... < d_s < n")
             prev = d
-        ds = (0,) + self.dims + (self.n,)
-        s = len(self.dims)
+        ds = (0,) + dims + (n,)
+        s = len(dims)
         spellings = [(Slot(SUB, i), (0, i)) for i in range(1, s + 1)]
         spellings += [(Slot(QUOT, i), (i, s + 1)) for i in range(1, s + 1)]
         spellings += [(Slot(BLOCK, j), (j - 1, j)) for j in range(1, s + 2)]
@@ -77,18 +90,31 @@ class FlagShape:
         for slot, span in spellings:  # the first spelling is the canonical one
             slots.setdefault(span, slot)
         intervals = {span: span for span in slots}
-        object.__setattr__(self, "_bounds", ds)
-        object.__setattr__(self, "_intervals", intervals)
-        object.__setattr__(self, "_spans", {slot: intervals[span] for slot, span in spellings})
-        object.__setattr__(self, "_slots", slots)
-        object.__setattr__(self, "_blocks", tuple(b - a for a, b in zip(ds, ds[1:])))
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "dims", dims)
+        init(self, "_bounds", ds)
+        init(self, "_intervals", intervals)
+        init(self, "_spans", {slot: intervals[span] for slot, span in spellings})
+        init(self, "_slots", slots)
+        init(self, "_blocks", tuple(b - a for a, b in zip(ds, ds[1:])))
         # each block interval (j, j+1) with the slice of a flat vector it holds
-        cuts = tuple((intervals[j, j + 1], ds[j], ds[j + 1]) for j in range(s + 1))
-        object.__setattr__(self, "_cuts", cuts)
-        object.__setattr__(self, "_hash", hash((self.n, self.dims)))
+        init(self, "_cuts", tuple((intervals[j, j + 1], ds[j], ds[j + 1]) for j in range(s + 1)))
+        init(self, "_hash", hash((n, dims)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.dims) == (other.n, other.dims)
 
     def __hash__(self):
         return self._hash
+
+    def __repr__(self):
+        return "FlagShape(n=%r, dims=%r)" % (self.n, self.dims)
+
+    def __reduce__(self):
+        return FlagShape, (self.n, self.dims)
 
     @property
     def s(self) -> int:
@@ -135,20 +161,33 @@ SUB, QUOT, BLOCK = "sub", "quot", "block"
 _SLOT_ORDER = {SUB: 0, BLOCK: 1, QUOT: 2}
 
 
-@dataclass(frozen=True)
 class Slot:
-    kind: str
-    index: int  # 1-based
+    __slots__ = ("kind", "index", "_hash")
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self):
-        if self.kind not in (SUB, QUOT, BLOCK):
-            raise ValueError("bad slot kind %r" % self.kind)
-        if type(self.index) is not int:  # 1.0 or True would find Sub(1) in a slot table
-            raise ValueError("bad slot index %r" % (self.index,))
-        object.__setattr__(self, "_hash", hash((self.kind, self.index)))
+    def __init__(self, kind: str, index: int):  # index is 1-based
+        if kind not in (SUB, QUOT, BLOCK):
+            raise ValueError("bad slot kind %r" % kind)
+        if type(index) is not int:  # 1.0 or True would find Sub(1) in a slot table
+            raise ValueError("bad slot index %r" % (index,))
+        init = object.__setattr__
+        init(self, "kind", kind)
+        init(self, "index", index)
+        init(self, "_hash", hash((kind, index)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.index) == (other.kind, other.index)
 
     def __hash__(self):
         return self._hash
+
+    def __repr__(self):
+        return "Slot(kind=%r, index=%r)" % (self.kind, self.index)
+
+    def __reduce__(self):
+        return Slot, (self.kind, self.index)
 
     def span(self, shape: FlagShape) -> tuple:
         """(lo, hi): this slot is W_{d_hi}/W_{d_lo} on ``shape``."""
@@ -168,20 +207,20 @@ class Slot:
         return "%s(%d)" % (self.kind, self.index)
 
 
-@dataclass(frozen=True)
 class SchurMonomial:
     """Tensor product of Schur functors on distinct slot intervals of one
     shape: ``factors`` is a tuple of ((lo, hi), weight) pairs, intervals
-    ascending, no trivial factors.  ``spelled`` gives them as slots."""
+    ascending, no trivial factors.  ``spelled`` gives them as slots.
+    Built only where an expression leaves the engine, and validated
+    there; the engine itself works on the factor tuples."""
 
-    shape: FlagShape
-    factors: tuple
+    __slots__ = ("shape", "factors", "_hash")
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self):
-        shape = self.shape
+    def __init__(self, shape: FlagShape, factors: tuple):
         d = shape._bounds
         prev = ()
-        for span, w in self.factors:
+        for span, w in factors:
             if span not in shape._intervals:
                 raise ValueError("%r is not a slot interval of %r" % (span, shape))
             if span <= prev:
@@ -191,10 +230,24 @@ class SchurMonomial:
                 raise ValueError("weight %r has wrong length for %s" % (w, shape.slot(*span)))
             if not is_weakly_decreasing(w):
                 raise ValueError("weight %r not weakly decreasing" % (w,))
-        object.__setattr__(self, "_hash", hash((self.shape, self.factors)))
+        init = object.__setattr__
+        init(self, "shape", shape)
+        init(self, "factors", factors)
+        init(self, "_hash", hash((shape, factors)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.factors, self.shape) == (other.factors, other.shape)
 
     def __hash__(self):
         return self._hash
+
+    def __repr__(self):
+        return "SchurMonomial(shape=%r, factors=%r)" % (self.shape, self.factors)
+
+    def __reduce__(self):
+        return SchurMonomial, (self.shape, self.factors)
 
     def rank(self) -> int:
         d = self.shape._bounds
@@ -222,7 +275,7 @@ def make_monomial(shape: FlagShape, factors: Iterable) -> "BundleExpr":
     place being a ``Slot`` or an interval (lo, hi), merging the factors on
     one interval by Littlewood-Richardson at its rank.  Every weight must
     have that rank as its length.  The engine's own products come from
-    ``_merge_factors`` directly."""
+    ``_merge_factors`` directly, as factor tuples."""
     d = shape._bounds
     placed = []
     for place, w in factors:
@@ -231,16 +284,24 @@ def make_monomial(shape: FlagShape, factors: Iterable) -> "BundleExpr":
         if len(w) != d[span[1]] - d[span[0]]:
             raise ValueError("weight %r has wrong length for %s" % (w, shape.slot(*span)))
         placed.append((span, w))
-    return BundleExpr(shape, _merge_factors(shape, placed))
+    return BundleExpr(shape, _monomials(shape, _merge_factors(placed)))
 
 
-def _merge_factors(shape: FlagShape, factors) -> dict:
-    """The product of the (interval, weight) ``factors`` on ``shape`` as
-    {SchurMonomial: multiplicity}: the weights on one interval are merged
-    by Littlewood-Richardson at its rank, the intervals ascend, and
-    all-zero weights are dropped.  Every interval must be one of the
-    shape's and every weight of its length; a lone weight is checked by
-    ``SchurMonomial``, merged ones by ``_tensor_terms``."""
+def _monomials(shape: FlagShape, products: dict) -> dict:
+    """{SchurMonomial: multiplicity} on ``shape`` from {factors:
+    multiplicity}: where a product leaves the engine as an expression,
+    each factor tuple is validated as a monomial."""
+    return {SchurMonomial(shape, fs): m for fs, m in products.items()}
+
+
+def _merge_factors(factors) -> dict:
+    """The product of the (interval, weight) ``factors`` as {factors:
+    multiplicity}: the weights on one interval are merged by
+    Littlewood-Richardson at its rank, the intervals ascend, and all-zero
+    weights are dropped.  Every interval must be one of a shape's and
+    every weight of its length; merged weights are checked by
+    ``_tensor_terms``, and the products by ``SchurMonomial`` where they
+    leave the engine."""
     by_span: dict = {}
     for span, w in factors:
         by_span.setdefault(span, []).append(w)
@@ -254,16 +315,16 @@ def _merge_factors(shape: FlagShape, factors) -> dict:
                     merged[lam] = merged.get(lam, 0) + c * mult
             pieces = merged
         parts.append((span, pieces.items()))
-    return _grow_factors(shape, 1, parts)
+    return _grow_factors(1, parts)
 
 
-def _grow_factors(shape: FlagShape, mult: int, parts) -> dict:
-    """{SchurMonomial: multiplicity} on ``shape``, grown from the trivial
-    monomial with multiplicity ``mult`` by each (interval, ((weight, mult),
-    ...)) of ``parts`` in turn: one factor per weight, the multiplicities
-    multiplied, an all-zero weight dropped.  Factors grown in ascending
-    interval order are already canonical.  The engine's one step from
-    factor tuples to monomials."""
+def _grow_factors(mult: int, parts) -> dict:
+    """{factors: multiplicity}, grown from the trivial monomial's empty
+    factor tuple with multiplicity ``mult`` by each (interval, ((weight,
+    mult), ...)) of ``parts`` in turn: one factor per weight, the
+    multiplicities multiplied, an all-zero weight dropped.  Factors grown
+    in ascending interval order are already canonical, so no monomial is
+    built here."""
     products = {(): mult}
     for span, terms in parts:
         grown: dict = {}
@@ -272,7 +333,7 @@ def _grow_factors(shape: FlagShape, mult: int, parts) -> dict:
                 new = fs + ((span, w),) if any(w) else fs
                 grown[new] = grown.get(new, 0) + m * c
         products = grown
-    return {SchurMonomial(shape, fs): m for fs, m in products.items()}
+    return products
 
 
 class BundleExpr:
@@ -392,9 +453,9 @@ def tensor(e1: BundleExpr, e2: BundleExpr) -> BundleExpr:
     terms: dict = {}
     for m1, c1 in e1.terms.items():
         for m2, c2 in e2.terms.items():
-            for mono, c in _merge_factors(e1.shape, m1.factors + m2.factors).items():
-                terms[mono] = terms.get(mono, 0) + c * c1 * c2
-    return BundleExpr(e1.shape, terms)
+            for fs, c in _merge_factors(m1.factors + m2.factors).items():
+                terms[fs] = terms.get(fs, 0) + c * c1 * c2
+    return BundleExpr(e1.shape, _monomials(e1.shape, terms))
 
 
 @lru_cache(maxsize=None)
@@ -443,7 +504,7 @@ def _pair_product(key: tuple) -> BundleExpr:
     its multiplicity the terms' times c1 c2, with an all-zero weight
     dropped: ``_grow_factors`` started from c1 c2."""
     shape, mult, parts = key
-    return BundleExpr(shape, _grow_factors(shape, mult, parts))
+    return BundleExpr(shape, _monomials(shape, _grow_factors(mult, parts)))
 
 
 def _referenced_dims(mono: SchurMonomial) -> set:
@@ -570,11 +631,12 @@ def _flat_factor(shape: FlagShape, span: tuple, w: tuple) -> tuple:
 
 def _flat_monomial(shape: FlagShape, flat: tuple, factors=()) -> dict:
     """The graded piece with flat vector ``flat``, tensored with the
-    (interval, weight) ``factors``, as {SchurMonomial: multiplicity}: the
-    one cut of a flat piece into factors on the block intervals (j, j+1),
-    leaving out every all-zero block, merged by ``_merge_factors``."""
+    (interval, weight) ``factors``, as {factors: multiplicity}: the one
+    cut of a flat piece into factors on the block intervals (j, j+1) of
+    ``shape``, leaving out every all-zero block, merged by
+    ``_merge_factors``."""
     blocks = [(span, w) for span, a, b in shape._cuts if any(w := flat[a:b])]
-    return _merge_factors(shape, [*factors, *blocks])
+    return _merge_factors([*factors, *blocks])
 
 
 def _expand_monomial(mono: SchurMonomial):

@@ -11,8 +11,6 @@ reported whenever the engine's bound cannot decide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .cohomology import (
     EXACT,
     CohomologyOutcome,
@@ -21,7 +19,7 @@ from .cohomology import (
 )
 from .flagvar import SUB, BundleExpr, FlagShape, Slot, _subpartitions, make_monomial
 from .schur import CharacterSum, pad
-from .weights import InputError, _check_keys, _json_list
+from .weights import InputError, _check_keys, _immutable, _json_list
 
 CONFIRMED = "confirmed"
 REFUTED = "refuted"
@@ -38,18 +36,34 @@ def worst_status(pairs) -> str:
     return max((p.status for p in pairs), key=_STATUS_RANK.__getitem__, default=CONFIRMED)
 
 
-@dataclass(frozen=True)
 class Collection:
-    """An ordered collection of bundles on one shape; frozen, so the shape
-    its members were checked against stays theirs."""
+    """An ordered collection of bundles on one shape; immutable, so the
+    shape its members were checked against stays theirs.  ``members`` is a
+    tuple of BundleExprs, each a single SchurMonomial."""
 
-    shape: FlagShape
-    members: tuple  # tuple[BundleExpr], each a single SchurMonomial
+    __slots__ = ("shape", "members")
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
-        if any(m.shape != self.shape for m in self.members):
+    def __init__(self, shape: FlagShape, members):
+        members = tuple(members)
+        if any(m.shape != shape for m in members):
             raise InputError("member shape mismatch")
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "members", members)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.shape, self.members) == (other.shape, other.members)
+
+    def __hash__(self):
+        return hash((self.shape, self.members))
+
+    def __repr__(self):
+        return "Collection(shape=%r, members=%r)" % (self.shape, self.members)
+
+    def __reduce__(self):
+        return Collection, (self.shape, self.members)
 
     def __len__(self):
         return len(self.members)
@@ -134,14 +148,61 @@ def classify_vanishing(outcome: CohomologyOutcome, requirement: str):
     return INCONCLUSIVE, None
 
 
-@dataclass
+def _copied(value):
+    """A copy of the JSON value ``value`` at every depth: each dict and
+    list is new, and the leaves are shared."""
+    if isinstance(value, dict):
+        return {k: _copied(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_copied(v) for v in value]
+    return value
+
+
 class PairVerdict:
-    i: int
-    j: int
-    requirement: str
-    status: str
-    outcome: CohomologyOutcome
-    witness: dict | None = None
+    """The verdict on one ordered pair (i, j): its requirement, its status
+    and the outcome it was read from, with a witness (a JSON value) when
+    refuted and, on the diagonal, when Hom is not simple.  Immutable, and
+    its witness is its own copy: the one it was given is copied, and
+    ``to_json`` copies it again, so no caller can change what is printed
+    for the pair."""
+
+    __slots__ = ("i", "j", "requirement", "status", "outcome", "witness")
+    __setattr__ = __delattr__ = _immutable
+    __hash__ = None  # a witness is a dict
+
+    def __init__(
+        self,
+        i: int,
+        j: int,
+        requirement: str,
+        status: str,
+        outcome: CohomologyOutcome,
+        witness: dict | None = None,
+    ):
+        init = object.__setattr__
+        init(self, "i", i)
+        init(self, "j", j)
+        init(self, "requirement", requirement)
+        init(self, "status", status)
+        init(self, "outcome", outcome)
+        init(self, "witness", None if witness is None else _copied(witness))
+
+    def _values(self):
+        return self.i, self.j, self.requirement, self.status, self.outcome, self.witness
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        return (
+            "PairVerdict(i=%r, j=%r, requirement=%r, status=%r, outcome=%r, witness=%r)"
+            % self._values()
+        )
+
+    def __reduce__(self):
+        return PairVerdict, self._values()
 
     def to_json(self):
         """The pair as a new JSON value: ``hom`` is the degree-0 list of
@@ -154,15 +215,23 @@ class PairVerdict:
             "status": self.status,
             "hom": outcome["by_degree"].get("0", []),
             "outcome": outcome,
-            "witness": self.witness,
+            "witness": _copied(self.witness),
         }
 
 
-@dataclass
 class PairReport:
-    shape: FlagShape
-    members: list
-    pairs: list = field(default_factory=list)
+    def __init__(self, shape: FlagShape, members: list, pairs: list | None = None):
+        self.shape = shape
+        self.members = members
+        self.pairs = [] if pairs is None else pairs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.shape, self.members, self.pairs) == (other.shape, other.members, other.pairs)
+
+    def __repr__(self):
+        return "PairReport(shape=%r, members=%r, pairs=%r)" % (self.shape, self.members, self.pairs)
 
     @property
     def status(self) -> str:
@@ -208,9 +277,11 @@ def check_strong_exceptional(c: Collection) -> PairReport:
     if not c.members:
         raise InputError("empty collection")
     pairs = _check_pairs(c.members, TOTAL)
-    for p in pairs[:: len(c) + 1]:  # the diagonal
+    for k in range(0, len(pairs), len(c) + 1):  # the diagonal
+        p = pairs[k]
         if p.status == CONFIRMED:
-            p.status, p.witness = _classify_simple(p.outcome)
+            status, witness = _classify_simple(p.outcome)
+            pairs[k] = PairVerdict(p.i, p.j, p.requirement, status, p.outcome, witness)
     return PairReport(c.shape, list(c.members), pairs)
 
 

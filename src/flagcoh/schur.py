@@ -13,7 +13,7 @@ and has no mutator, so a sum shared by many answers cannot change.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from .weights import is_weakly_decreasing
 

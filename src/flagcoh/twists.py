@@ -19,8 +19,6 @@ give genuinely different outcomes; both are emitted, neither adjudicated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .cohomology import CohomologyOutcome, cohomology, cohomology_stepwise
 from .flagvar import (
     SUB,
@@ -37,6 +35,7 @@ from .kapranov import (
     INCONCLUSIVE,
     REFUTED,
     _check_pairs,
+    _copied,
     classify_vanishing,
     worst_status,
 )
@@ -47,13 +46,29 @@ INNER_ONLY = "inner_only"
 WITH_SIGMA = "with_sigma"
 
 
-@dataclass
 class DescentReport:
-    group: str  # INNER_ONLY or WITH_SIGMA
-    shape: FlagShape
-    orbit_members: list
-    summands: list  # single-monomial BundleExprs, pairwise checked
-    pairs: list = field(default_factory=list)
+    def __init__(
+        self, group: str, shape: FlagShape, orbit_members: list, summands: list, pairs=None
+    ):
+        self.group = group  # INNER_ONLY or WITH_SIGMA
+        self.shape = shape
+        self.orbit_members = orbit_members
+        self.summands = summands  # single-monomial BundleExprs, pairwise checked
+        self.pairs = [] if pairs is None else pairs
+
+    def _values(self):
+        return self.group, self.shape, self.orbit_members, self.summands, self.pairs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        return (
+            "DescentReport(group=%r, shape=%r, orbit_members=%r, summands=%r, pairs=%r)"
+            % self._values()
+        )
 
     @property
     def status(self) -> str:
@@ -61,7 +76,7 @@ class DescentReport:
 
     def certificates(self):
         return [
-            {"i": p.i, "j": p.j, "witness": p.witness}
+            {"i": p.i, "j": p.j, "witness": _copied(p.witness)}
             for p in self.pairs
             if p.status == REFUTED
         ]
@@ -111,16 +126,49 @@ def _column(k: int, rows: int) -> tuple:
     return pad((1,) * k, rows)
 
 
-@dataclass
 class ReadingReport:
-    label: str
-    F: BundleExpr
-    G: BundleExpr
-    sigma_F: BundleExpr
-    ext_outcome: CohomologyOutcome  # one-shot graded view
-    refined: CohomologyOutcome  # stepwise view
-    status: str  # classified on the stepwise outcome
-    certificate: dict | None
+    def __init__(
+        self,
+        label: str,
+        F: BundleExpr,
+        G: BundleExpr,
+        sigma_F: BundleExpr,
+        ext_outcome: CohomologyOutcome,
+        refined: CohomologyOutcome,
+        status: str,
+        certificate: dict | None,
+    ):
+        self.label = label
+        self.F = F
+        self.G = G
+        self.sigma_F = sigma_F
+        self.ext_outcome = ext_outcome  # one-shot graded view
+        self.refined = refined  # stepwise view
+        self.status = status  # classified on the stepwise outcome
+        self.certificate = certificate
+
+    def _values(self):
+        return (
+            self.label,
+            self.F,
+            self.G,
+            self.sigma_F,
+            self.ext_outcome,
+            self.refined,
+            self.status,
+            self.certificate,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        return (
+            "ReadingReport(label=%r, F=%r, G=%r, sigma_F=%r, ext_outcome=%r, refined=%r, "
+            "status=%r, certificate=%r)" % self._values()
+        )
 
     def to_json(self):
         return {
@@ -135,11 +183,23 @@ class ReadingReport:
         }
 
 
-@dataclass
 class CounterexampleReport:
-    case: int
-    shape: FlagShape
-    readings: list
+    def __init__(self, case: int, shape: FlagShape, readings: list):
+        self.case = case
+        self.shape = shape
+        self.readings = readings
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.case, self.shape, self.readings) == (other.case, other.shape, other.readings)
+
+    def __repr__(self):
+        return "CounterexampleReport(case=%r, shape=%r, readings=%r)" % (
+            self.case,
+            self.shape,
+            self.readings,
+        )
 
     @property
     def established(self) -> bool:

@@ -10,18 +10,25 @@ its fibres' answers in its per-call table, and the one-shot route's
 pieces rarely repeat.
 
 Weights are plain tuples of Python ints, so there is no overflow concern
-and every operation here is pure.
+and every operation here is pure.  ``_immutable`` is the one rule that
+makes the package's value types read-only.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Sequence
+from collections.abc import Sequence
 
 
 def dual_weight(chi: Sequence[int]) -> tuple:
     """Reversed negation: the highest weight of the dual representation."""
     return tuple(-c for c in reversed(chi))
+
+
+def _immutable(self, name, value=None):
+    """``__setattr__`` and ``__delattr__`` of a value that never changes
+    once built; its constructor sets each slot with ``object.__setattr__``."""
+    raise AttributeError("cannot assign to %s.%s" % (type(self).__name__, name))
 
 
 class InputError(ValueError):

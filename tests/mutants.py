@@ -159,7 +159,7 @@ MUTANTS = (
     Mutant(
         "outcome accepts any grade",
         "src/flagcoh/cohomology.py",
-        "if self.grade not in (EXACT, E1_BOUND):",
+        "if grade not in (EXACT, E1_BOUND):",
         "if False:",
         ("tests/test_cohomology.py::test_euler_only_outcome",),
     ),
@@ -187,8 +187,8 @@ MUTANTS = (
     Mutant(
         "outcome by_degree writable",
         "src/flagcoh/cohomology.py",
-        'object.__setattr__(self, "by_degree", MappingProxyType(dict(self.by_degree)))',
-        'object.__setattr__(self, "by_degree", dict(self.by_degree))',
+        'init(self, "by_degree", MappingProxyType(dict(by_degree or {})))',
+        'init(self, "by_degree", dict(by_degree or {}))',
         ("tests/test_cohomology.py::test_shared_outcome_is_immutable",),
     ),
     Mutant(
@@ -225,6 +225,21 @@ MUTANTS = (
         "sign, shift, n = 1, 0, t",
         "sign, shift, n = -1, 0, t",
         ("tests/test_toric.py::test_hirzebruch_every_degree_matches_the_fan",),
+    ),
+    Mutant(
+        "SchurMonomial skips the weakly-decreasing check",
+        "src/flagcoh/flagvar.py",
+        "            if not is_weakly_decreasing(w):\n"
+        '                raise ValueError("weight %r not weakly decreasing" % (w,))\n',
+        "",
+        ("tests/test_cli.py::test_unsorted_lone_weight_is_an_input_error_on_every_path",),
+    ),
+    Mutant(
+        "FlagShape equality ignores dims",
+        "src/flagcoh/flagvar.py",
+        "return (self.n, self.dims) == (other.n, other.dims)",
+        "return self.n == other.n",
+        ("tests/test_flagvar.py::test_value_types_compare_hash_and_print_by_value",),
     ),
 )
 

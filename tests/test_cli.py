@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ import flagcoh.cohomology as engine
 from flagcoh import cli, flagvar, kapranov, twists
 from flagcoh.cohomology import CohomologyOutcome
 from flagcoh.cli import EX_DATAERR, EX_SOFTWARE, EX_USAGE, main
-from flagcoh.flagvar import BundleExpr, FlagShape
+from flagcoh.flagvar import SUB, BundleExpr, FlagShape, Slot, make_monomial
 from flagcoh.kapranov import Collection, check_strong_exceptional, enumerate_collection
 from flagcoh.schur import CharacterSum
 from flagcoh.toric import TowerSpec, check_grid_collection
@@ -303,7 +304,7 @@ def test_engine_fault_while_reading_is_an_internal_error(tmp_path, capsys, monke
     path = tmp_path / "expr.json"
     path.write_text(json.dumps(_cohom_expr()))
 
-    def broken(shape, factors):
+    def broken(factors):
         raise fault("engine bug")
 
     monkeypatch.setattr(flagvar, "_merge_factors", broken)
@@ -317,7 +318,7 @@ def test_internal_errors_exit_70(tmp_path, capsys, monkeypatch):
     path = tmp_path / "expr.json"
     path.write_text(json.dumps(_cohom_expr()))
 
-    def broken(mono, table):
+    def broken(shape, factors, table):
         raise AssertionError("unconsumed factors at the last level")
 
     monkeypatch.setattr(engine, "_monomial_pieces_stepwise", broken)
@@ -355,7 +356,7 @@ def test_engine_value_error_is_not_an_input_error(tmp_path, capsys, monkeypatch)
     path = tmp_path / "expr.json"
     path.write_text(json.dumps(_cohom_expr()))
 
-    def broken(mono, table):
+    def broken(shape, factors, table):
         raise ValueError("engine bug")
 
     monkeypatch.setattr(engine, "_monomial_pieces_stepwise", broken)
@@ -447,6 +448,30 @@ def test_unsorted_merged_weight_is_an_input_error(tmp_path, capsys):
         code, out, err = run(capsys, "cohom", "--expr", str(path))
         assert code == EX_DATAERR and out == ""
         assert "flagcoh: input error: weight (0, 1) is not weakly decreasing" in err
+
+
+def test_unsorted_lone_weight_is_an_input_error_on_every_path(tmp_path, capsys):
+    # a weight alone on its interval is merged with nothing, so it is the
+    # monomial built from the input that checks it, on every reader
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    expr = _cohom_expr(weight=(0, 1))
+    bad.write_text(json.dumps(expr))
+    good.write_text(json.dumps(_cohom_expr()))
+    collection = tmp_path / "collection.json"
+    collection.write_text(json.dumps({"flag": expr["flag"], "members": [expr]}))
+    for argv in (
+        ["cohom", "--expr", str(bad)],
+        ["cohom", "--expr", str(bad), "--stepwise"],
+        ["cohom", "--expr", str(bad), "--euler-only"],
+        ["ext", "--expr", str(good), "--expr", str(bad)],
+        ["check-strong", "--collection", str(collection)],
+        ["twist-check", "--n", "4", "--dims", "2", "--sigma", "--expr", str(bad)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == EX_DATAERR and out == "", argv
+        assert "flagcoh: input error: weight (0, 1) not weakly decreasing" in err, argv
+    with pytest.raises(ValueError, match="not weakly decreasing"):
+        make_monomial(FlagShape(4, (2,)), [(Slot(SUB, 1), (0, 1))])
 
 
 @pytest.mark.parametrize("kind, index", [("quot", 3), ("block", 0)])
@@ -915,6 +940,57 @@ def test_an_edited_outcome_json_reaches_no_other_pair(capsys, monkeypatch):
     assert (code, out) == (0, text)
 
 
+def _containers(value, path=()):
+    """The path of every dict and list in the JSON value ``value``, its
+    own first, so an edit can be tried at every depth."""
+    if isinstance(value, (dict, list)):
+        yield path
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _containers(item, path + (key,))
+
+
+def _edit_at(value, path):
+    """Change the dict or list at ``path`` in ``value`` in place."""
+    for key in path:
+        value = value[key]
+    if isinstance(value, dict):
+        value["edited"] = 99
+    else:
+        value.append(99)
+
+
+def test_an_edited_witness_reaches_no_verdict():
+    # on the reversed P^2 collection a pair is refuted with an exact_degree
+    # witness; an edit, at any depth, of that pair's to_json() witness, of
+    # the witness a verdict was built from, or of a certificate, changes
+    # neither the verdict nor what is printed for it
+    c = enumerate_collection(FlagShape(3, (1,)))
+    report = check_strong_exceptional(Collection(c.shape, reversed(c.members)))
+    p = next(p for p in report.pairs if p.witness)
+    text, data = next(cli._pair_texts([p])), p.to_json()
+    paths = list(_containers(p.witness))
+    # the witness, its character, a term of that and the term's weight
+    assert [len(path) for path in paths] == [0, 1, 2, 3]
+    for path in paths:
+        _edit_at(p.to_json()["witness"], path)
+        given = json.loads(json.dumps(data["witness"]))
+        q = kapranov.PairVerdict(p.i, p.j, p.requirement, p.status, p.outcome, given)
+        _edit_at(given, path)
+        for verdict in (p, q):
+            assert verdict.to_json() == data and next(cli._pair_texts([verdict])) == text
+    for name in ("witness", "status"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, None)
+    # a (T2) report's certificates are copies too
+    t = sum(enumerate_collection(FlagShape(3, (1, 2))).members, BundleExpr(FlagShape(3, (1, 2))))
+    descent = check_T2(t, sigma=True)
+    certificates = descent.certificates()
+    texts = list(cli._pair_texts(descent.pairs))
+    for path in _containers(certificates[0]["witness"]):
+        _edit_at(descent.to_json()["certificates"][0]["witness"], path)
+    assert descent.certificates() == certificates and list(cli._pair_texts(descent.pairs)) == texts
+
+
 class _Writes:
     """A stdout or stderr that records each write, to see where the report
     was cut or how often a message was written."""
@@ -996,7 +1072,8 @@ def test_render_fault_after_a_write_leaves_a_prefix(capsys, monkeypatch):
 
     def check(c):
         report = check_strong_exceptional(c)
-        report.pairs[-1].witness = 0.5
+        p = report.pairs[-1]
+        report.pairs[-1] = kapranov.PairVerdict(p.i, p.j, p.requirement, p.status, p.outcome, 0.5)
         spoiled.append(report)
         return report
 
@@ -1072,17 +1149,13 @@ def _env_with_src() -> dict:
 # the modules that importing the command line loads into a bare CPython
 # 3.11 (python -I -S); each is import-time work in every job's start
 _CLI_IMPORTS = """
-__future__ _ast _bisect _collections _collections_abc _functools _json
-_opcode _operator _sre _stat _typing _weakrefset argparse ast bisect
-collections collections.abc contextlib copy copyreg dataclasses dis enum
-flagcoh flagcoh.cli flagcoh.cohomology flagcoh.flagvar flagcoh.kapranov
+__future__ _bisect _collections _collections_abc _functools _json _operator
+_sre _stat argparse bisect collections collections.abc contextlib copyreg
+enum flagcoh flagcoh.cli flagcoh.cohomology flagcoh.flagvar flagcoh.kapranov
 flagcoh.schur flagcoh.toric flagcoh.twists flagcoh.weights functools
-genericpath gettext importlib importlib._bootstrap
-importlib._bootstrap_external importlib.machinery inspect itertools json
-json.decoder json.encoder json.scanner keyword linecache math opcode
-operator os os.path posixpath re re._casefix re._compiler re._constants
-re._parser reprlib stat token tokenize types typing typing.io typing.re
-warnings weakref
+genericpath gettext itertools json json.decoder json.encoder json.scanner
+keyword math operator os os.path posixpath re re._casefix re._compiler
+re._constants re._parser reprlib stat types warnings
 """.split()
 
 
@@ -1102,6 +1175,47 @@ def test_importing_the_cli_loads_only_the_pinned_modules():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == sorted(_CLI_IMPORTS)
+
+
+# modules whose import costs a job more than it gives: dataclasses and
+# typing, and what they import
+_NOT_IMPORTED = {"dataclasses", "typing", "inspect", "ast", "dis", "tokenize", "linecache", "copy"}
+
+
+def test_no_module_of_the_package_imports_dataclasses_or_typing():
+    # the pinned set above holds on CPython 3.11 only; this scan holds on
+    # every Python, for each import statement anywhere in the package
+    src = Path(__file__).resolve().parents[1] / "src" / "flagcoh"
+    paths = sorted(src.glob("*.py"))
+    assert paths
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            assert not {name.split(".")[0] for name in names} & _NOT_IMPORTED, (path.name, names)
+
+
+def test_sigma_check_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # the engine keys its memos by tuples of ints and shapes; no order in
+    # which a memo is filled may reach the report, whatever the hashes
+    argv = ["twist-check", "--n", "5", "--dims", "2,3", "--sigma", "--format", "json"]
+    runs = []
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "flagcoh", *argv],
+            cwd=tmp_path,
+            env=dict(_env_with_src(), PYTHONHASHSEED=seed),
+            capture_output=True,
+            timeout=300,
+        )
+        assert proc.stderr == b""
+        runs.append((proc.returncode, proc.stdout))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == cli.EXIT_CODE["refuted"] and runs[0][1].startswith(b"{\n")
 
 
 def test_python_m_flagcoh_runs_the_cli(tmp_path):

@@ -1,4 +1,3 @@
-import dataclasses
 import sys
 from math import comb
 
@@ -28,6 +27,7 @@ from flagcoh.flagvar import (
     _flat_monomial,
     dual,
     make_monomial,
+    minimal_base,
     sigma_pullback,
     tensor,
 )
@@ -133,7 +133,7 @@ def test_flat_bbw_matches_bbw_resolve(data):
     flat = tuple(x for w in ws for x in w)
     assert _bbw_flat(flat, shape.blocks()) == expected
     # the flat vector is the one cut of the block monomial with those weights
-    assert _flat_monomial(shape, flat) == {_block_monomial(shape, ws): 1}
+    assert _flat_monomial(shape, flat) == {_block_monomial(shape, ws).factors: 1}
 
 
 def test_flat_bbw_fixed_cases():
@@ -187,9 +187,11 @@ def test_flat_monomial_cuts_only_nonzero_blocks():
     _tensor_terms.cache_clear()
     pieces = _flat_monomial(F123, (0, 2, 1), [((0, 1), (3,))])
     expected = [(Slot(SUB, 1), (3,)), (Slot(BLOCK, 2), (2,)), (Slot(QUOT, 2), (1,))]
-    assert pieces == make_monomial(F123, expected).terms
+    [mono] = make_monomial(F123, expected).terms
+    assert pieces == {mono.factors: 1} == {(((0, 1), (3,)), ((1, 2), (2,)), ((2, 3), (1,))): 1}
     assert _tensor_terms.cache_info().currsize == 0
-    assert _flat_monomial(GR24, (0, 0, 0, 0)) == make_monomial(GR24, ()).terms
+    # the trivial monomial is the empty factor tuple
+    assert _flat_monomial(GR24, (0, 0, 0, 0)) == {(): 1}
 
 
 def test_engine_builds_products_without_make_monomial(monkeypatch):
@@ -227,6 +229,26 @@ def test_engine_builds_products_without_make_monomial(monkeypatch):
                     patched.append(name)
     assert "flagcoh.flagvar" in patched
     assert results() == expected
+
+
+def test_stepwise_route_builds_no_monomial_below_the_top(monkeypatch):
+    # below its top the route stays on factor tuples: an expression already
+    # on its minimal base is resolved with no SchurMonomial built at all
+    e = make_monomial(F246, [(Slot(QUOT, 1), (4, 2, 1, 0)), (Slot(SUB, 2), (0, 0, -1, -4))])
+    assert minimal_base(e)[1] is e
+    expected = cohomology_stepwise(e).to_json()
+    built = []
+    init = SchurMonomial.__init__
+
+    def counted(self, shape, factors):
+        built.append(factors)
+        init(self, shape, factors)
+
+    monkeypatch.setattr(SchurMonomial, "__init__", counted)
+    assert cohomology_stepwise(e).to_json() == expected and built == []
+    # the counter counts: a relabel leaves the engine as an expression
+    dual(e)
+    assert built
 
 
 def test_canonical_bundle_serre():
@@ -431,8 +453,15 @@ def test_outcome_json_is_a_new_value_each_call():
     data["euler"].clear()
     data["grade"] = E1_BOUND
     assert o.to_json() == fresh.to_json() != data
-    # the outcome keeps no JSON: its fields are its value
-    assert [f.name for f in dataclasses.fields(o)] == ["rank", "grade", "by_degree", "euler"]
+    # the outcome keeps no JSON: its four values are all it holds
+    assert type(o).__slots__ == ("rank", "grade", "by_degree", "euler")
+    assert not hasattr(o, "__dict__")
+    assert (o.rank, o.grade, o.by_degree, o.euler) == (
+        fresh.rank,
+        fresh.grade,
+        fresh.by_degree,
+        fresh.euler,
+    )
     assert o == fresh and repr(o) == repr(fresh)
 
 
@@ -451,7 +480,7 @@ def test_shared_outcome_is_immutable():
     assert classify_vanishing(refuted, HIGHER)[0] == REFUTED
     with pytest.raises(AttributeError):
         refuted.by_degree.clear()
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         refuted.grade = "euler_only"
     # the outcome reads its own copy of the mapping it was given
     given.clear()

@@ -140,6 +140,38 @@ def test_monomial_validation():
         SchurMonomial(F123, (((0, 3), (1, 0, 0)),))  # V is not a slot interval
 
 
+def test_value_types_compare_hash_and_print_by_value():
+    # shapes, slots and monomials are plain slotted classes: equal and
+    # hashed alike by value, printed by their fields, and immutable
+    shape = FlagShape(4, [1, 2, 3])
+    assert shape == F1234 and hash(shape) == hash(F1234) and shape.dims == (1, 2, 3)
+    assert shape != FlagShape(4, (1, 3)) and shape != FlagShape(5, (1, 2, 3))
+    assert shape != (4, (1, 2, 3)) and repr(shape) == "FlagShape(n=4, dims=(1, 2, 3))"
+    slot = Slot(SUB, 1)
+    assert slot == Slot("sub", 1) and hash(slot) == hash(Slot("sub", 1))
+    assert slot != Slot(QUOT, 1) and slot != Slot(SUB, 2)
+    assert repr(slot) == "Slot(kind='sub', index=1)"
+    mono = SchurMonomial(shape, (((0, 1), (2,)),))
+    assert mono == SchurMonomial(F1234, (((0, 1), (2,)),)) and hash(mono) == hash(
+        SchurMonomial(F1234, (((0, 1), (2,)),))
+    )
+    # the same factors on another shape are another monomial
+    assert mono != SchurMonomial(FlagShape(4, (1, 3)), (((0, 1), (2,)),))
+    assert mono != SchurMonomial(F1234, (((0, 1), (1,)),))
+    assert repr(mono) == (
+        "SchurMonomial(shape=FlagShape(n=4, dims=(1, 2, 3)), factors=(((0, 1), (2,)),))"
+    )
+    for value, name in ((shape, "dims"), (slot, "index"), (mono, "factors")):
+        before = repr(value)
+        with pytest.raises(AttributeError):
+            setattr(value, name, ())
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert not hasattr(value, "__dict__") and repr(value) == before
+
+
 def test_monomial_rejects_repeated_or_unordered_interval():
     # Sub(1) and Block(1) are the one interval (0, 1): a monomial with both
     # is rejected when built, not inside minimal_base
@@ -261,9 +293,9 @@ def test_minimal_base():
 
 def _graded_pieces(e):
     """The one-shot graded pieces of ``e``, monomial by monomial, as
-    (flat vector, block monomial, multiplicity): each piece of
+    (flat vector, block factor tuple, multiplicity): each piece of
     ``_expand_monomial`` is cut by ``_flat_monomial`` into exactly one
-    monomial on the blocks."""
+    factor tuple on the blocks."""
     out = []
     for mono, m in e.monomials():
         for flat, c in _expand_monomial(mono):
@@ -271,6 +303,12 @@ def _graded_pieces(e):
             assert k == 1
             out.append((flat, gm, c * m))
     return out
+
+
+def _graded_rank(e):
+    """The rank of the one-shot graded pieces of ``e``, each factor tuple
+    validated as a monomial."""
+    return sum(SchurMonomial(e.shape, gm).rank() * m for _, gm, m in _graded_pieces(e))
 
 
 def test_graded_expansion_examples():
@@ -301,8 +339,7 @@ def test_graded_expansion_rank_preserved():
         make_monomial(FlagShape(5, (2, 3)), [(Slot(QUOT, 1), (2, 1, 0))]),
     ]
     for e in exprs:
-        total = sum(gm.rank() * m for _, gm, m in _graded_pieces(e))
-        assert total == e.rank()
+        assert _graded_rank(e) == e.rank()
 
 
 def test_json_roundtrip():
@@ -346,8 +383,7 @@ def test_dual_rank_and_involution_random(data):
     e = make_monomial(shape, factors)
     assert dual(dual(e)) == e
     assert dual(e).rank() == e.rank()
-    total = sum(gm.rank() * m for _, gm, m in _graded_pieces(e))
-    assert total == e.rank()
+    assert _graded_rank(e) == e.rank()
 
 
 def _reference_graded_factor(shape, span, w):
@@ -366,11 +402,11 @@ def _reference_graded_factor(shape, span, w):
 
 def _reference_expansion(mono):
     """The one-shot fold on validated monomials: ``tensor`` over the graded
-    factors, one factor at a time; as {block monomial: coeff}."""
+    factors, one factor at a time; as {block factor tuple: coeff}."""
     shape = mono.shape
     factors = [_reference_graded_factor(shape, span, w) for span, w in mono.factors]
     graded = reduce(tensor, factors) if factors else make_monomial(shape, ())
-    return graded.terms
+    return {gm.factors: c for gm, c in graded.terms.items()}
 
 
 # blocks of rank <= 2 have Littlewood-Richardson coefficients 0 or 1, so
