@@ -152,7 +152,8 @@ def _pair_texts(pairs):
             if holders:
                 kept[key] = texts
         hom, outcome = texts
-        witness = "null" if p.witness is None else _json_text(p.witness, _PAIR_INDENT)
+        witness = p.witness  # a copy on every read
+        witness = "null" if witness is None else _json_text(witness, _PAIR_INDENT)
         requirement, status = map(encode_basestring_ascii, (p.requirement, p.status))
         yield _PAIR % (hom, p.i, p.j, outcome, requirement, status, witness)
 
@@ -242,11 +243,21 @@ def _parsing():
         raise InputError(str(exc)) from exc
 
 
+def integer(text: str) -> int:
+    """An integer written as ASCII digits after at most a minus sign.
+    ``int`` would also read "1_0" as 10, and take "+2", " 2" and the
+    digits of other scripts; each is rejected here, never coerced."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError("invalid integer %r" % text)
+    return int(text)
+
+
 def _parse_ints(s: str) -> tuple:
-    """Comma-separated integers; the empty string is the empty tuple, and
-    an empty item is an error."""
+    """Comma-separated integers, each read by ``integer``; the empty
+    string is the empty tuple, and an empty item is an error."""
     try:
-        return tuple(int(x) for x in s.split(",")) if s else ()
+        return tuple(map(integer, s.split(","))) if s else ()
     except ValueError:
         raise InputError("expected comma-separated integers, got %r" % s)
 
@@ -444,7 +455,7 @@ def build_parser() -> _Parser:
         return p
 
     p = add("bbw", _cmd_bbw, "resolve a line-bundle weight on the full flag")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.add_argument("--weight", required=True, help="comma-separated, length n")
 
     p = add("cohom", _cmd_cohom, "cohomology of a bundle expression")
@@ -459,23 +470,23 @@ def build_parser() -> _Parser:
     )
 
     p = add("kapranov", _cmd_kapranov, "enumerate the exceptional collection")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.add_argument("--dims", required=True, help="comma-separated flag dimensions")
 
     p = add("check-strong", _cmd_check_strong, "strong exceptionality check")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=integer)
     p.add_argument("--dims")
     p.add_argument("--collection", help="collection JSON file")
 
     p = add("twist-check", _cmd_twist_check, "descent condition (T2) check")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.add_argument("--dims", required=True)
     p.add_argument("--sigma", action="store_true", help="outer form (duality twist)")
     p.add_argument("--expr", help="candidate bundle JSON (default: collection sum)")
 
     p = add("counterexample", _cmd_counterexample, "run a counterexample family")
-    p.add_argument("--case", type=int, required=True, choices=(1, 2, 3))
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--case", type=integer, required=True, choices=(1, 2, 3))
+    p.add_argument("--n", type=integer, required=True)
     p.add_argument("--dims", required=True)
 
     p = add("toric-check", _cmd_toric_check, "toric tower grid and orbit checks")

@@ -87,13 +87,13 @@ from .flagvar import (
     tensor,
 )
 from .schur import CharacterSum, pad
-from .weights import _bbw_flat, _immutable
+from .weights import _bbw_flat, _Frozen
 
 EXACT = "exact"
 E1_BOUND = "e1bound"
 
 
-class CohomologyOutcome:
+class CohomologyOutcome(_Frozen):
     """Per-degree character sums with a certainty grade, ``EXACT`` or
     ``E1_BOUND``; any other grade raises ValueError.
 
@@ -106,8 +106,7 @@ class CohomologyOutcome:
     value on every call, which its caller may change.
     """
 
-    __slots__ = ("rank", "grade", "by_degree", "euler")
-    __setattr__ = __delattr__ = _immutable
+    __slots__ = _fields = ("rank", "grade", "by_degree", "euler")
     __hash__ = None  # by_degree is a mapping
 
     def __init__(
@@ -125,21 +124,7 @@ class CohomologyOutcome:
         init(self, "by_degree", MappingProxyType(dict(by_degree or {})))
         init(self, "euler", self._alternating_sum() if euler is None else euler)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        mine = (self.rank, self.grade, self.by_degree, self.euler)
-        return mine == (other.rank, other.grade, other.by_degree, other.euler)
-
-    def __repr__(self):
-        return "CohomologyOutcome(rank=%r, grade=%r, by_degree=%r, euler=%r)" % (
-            self.rank,
-            self.grade,
-            self.by_degree,
-            self.euler,
-        )
-
-    def __reduce__(self):
+    def __reduce__(self):  # a mapping view does not pickle
         return CohomologyOutcome, (self.rank, self.grade, dict(self.by_degree), self.euler)
 
     def _alternating_sum(self) -> CharacterSum:

@@ -47,11 +47,12 @@ from __future__ import annotations
 from collections.abc import Iterable
 from functools import lru_cache
 from operator import add
+from types import MappingProxyType
 
 from .schur import _lr_raw, _strip_zeros, _tensor_terms, pad, schur_dim
 from .weights import (
     _check_keys,
-    _immutable,
+    _Frozen,
     _ints,
     _json_list,
     dual_weight,
@@ -60,17 +61,17 @@ from .weights import (
 )
 
 
-class FlagShape:
+class FlagShape(_Frozen):
     """F(d_1, ..., d_s; V) with dim V = n.  ``dims=()`` is a point.
 
     Its slot table maps every valid slot to its interval (lo, hi), one
     shared tuple per interval (``interval``), and every slot interval back
     to its one spelling (``slot``)."""
 
+    _fields = ("n", "dims")
     __slots__ = (
         "n", "dims", "_bounds", "_intervals", "_spans", "_slots", "_blocks", "_cuts", "_hash"
     )
-    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, n: int, dims: tuple):
         dims = tuple(dims)
@@ -102,19 +103,8 @@ class FlagShape:
         init(self, "_cuts", tuple((intervals[j, j + 1], ds[j], ds[j + 1]) for j in range(s + 1)))
         init(self, "_hash", hash((n, dims)))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.dims) == (other.n, other.dims)
-
-    def __hash__(self):
+    def __hash__(self):  # stored: shapes are hashed in every table key
         return self._hash
-
-    def __repr__(self):
-        return "FlagShape(n=%r, dims=%r)" % (self.n, self.dims)
-
-    def __reduce__(self):
-        return FlagShape, (self.n, self.dims)
 
     @property
     def s(self) -> int:
@@ -161,9 +151,9 @@ SUB, QUOT, BLOCK = "sub", "quot", "block"
 _SLOT_ORDER = {SUB: 0, BLOCK: 1, QUOT: 2}
 
 
-class Slot:
-    __slots__ = ("kind", "index", "_hash")
-    __setattr__ = __delattr__ = _immutable
+class Slot(_Frozen):
+    _fields = ("kind", "index")
+    __slots__ = _fields + ("_hash",)
 
     def __init__(self, kind: str, index: int):  # index is 1-based
         if kind not in (SUB, QUOT, BLOCK):
@@ -175,19 +165,8 @@ class Slot:
         init(self, "index", index)
         init(self, "_hash", hash((kind, index)))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.index) == (other.kind, other.index)
-
-    def __hash__(self):
+    def __hash__(self):  # stored: slots key every shape's slot table
         return self._hash
-
-    def __repr__(self):
-        return "Slot(kind=%r, index=%r)" % (self.kind, self.index)
-
-    def __reduce__(self):
-        return Slot, (self.kind, self.index)
 
     def span(self, shape: FlagShape) -> tuple:
         """(lo, hi): this slot is W_{d_hi}/W_{d_lo} on ``shape``."""
@@ -207,15 +186,15 @@ class Slot:
         return "%s(%d)" % (self.kind, self.index)
 
 
-class SchurMonomial:
+class SchurMonomial(_Frozen):
     """Tensor product of Schur functors on distinct slot intervals of one
     shape: ``factors`` is a tuple of ((lo, hi), weight) pairs, intervals
     ascending, no trivial factors.  ``spelled`` gives them as slots.
     Built only where an expression leaves the engine, and validated
     there; the engine itself works on the factor tuples."""
 
-    __slots__ = ("shape", "factors", "_hash")
-    __setattr__ = __delattr__ = _immutable
+    _fields = ("shape", "factors")
+    __slots__ = _fields + ("_hash",)
 
     def __init__(self, shape: FlagShape, factors: tuple):
         d = shape._bounds
@@ -235,19 +214,8 @@ class SchurMonomial:
         init(self, "factors", factors)
         init(self, "_hash", hash((shape, factors)))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.factors, self.shape) == (other.factors, other.shape)
-
-    def __hash__(self):
+    def __hash__(self):  # stored: monomials key every expression's terms
         return self._hash
-
-    def __repr__(self):
-        return "SchurMonomial(shape=%r, factors=%r)" % (self.shape, self.factors)
-
-    def __reduce__(self):
-        return SchurMonomial, (self.shape, self.factors)
 
     def rank(self) -> int:
         d = self.shape._bounds
@@ -336,32 +304,30 @@ def _grow_factors(mult: int, parts) -> dict:
     return products
 
 
-class BundleExpr:
-    """Formal nonnegative combination of Schur monomials on one shape."""
+class BundleExpr(_Frozen):
+    """Formal nonnegative combination of Schur monomials on one shape.
+    Immutable: ``terms`` is a read-only view of the expression's own
+    {SchurMonomial: multiplicity}, with no zero multiplicity."""
 
-    __slots__ = ("shape", "terms")
+    __slots__ = _fields = ("shape", "terms")
 
     def __init__(self, shape: FlagShape, terms: dict | None = None):
-        self.shape = shape
-        self.terms = {}
-        if terms:
-            for mono, m in terms.items():
-                if mono.shape != shape:
-                    raise ValueError("monomial shape mismatch")
-                if m < 0:
-                    raise ValueError("multiplicities must be nonnegative")
-                if m:
-                    self.terms[mono] = self.terms.get(mono, 0) + m
+        kept: dict = {}
+        for mono, m in (terms or {}).items():
+            if mono.shape != shape:
+                raise ValueError("monomial shape mismatch")
+            if m < 0:
+                raise ValueError("multiplicities must be nonnegative")
+            if m:
+                kept[mono] = kept.get(mono, 0) + m
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "terms", MappingProxyType(kept))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, BundleExpr)
-            and self.shape == other.shape
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
+    def __hash__(self):  # terms is a mapping
         return hash((self.shape, frozenset(self.terms.items())))
+
+    def __reduce__(self):  # a mapping view does not pickle
+        return BundleExpr, (self.shape, dict(self.terms))
 
     def __add__(self, other: "BundleExpr") -> "BundleExpr":
         if self.shape != other.shape:

@@ -19,7 +19,7 @@ from .cohomology import (
 )
 from .flagvar import SUB, BundleExpr, FlagShape, Slot, _subpartitions, make_monomial
 from .schur import CharacterSum, pad
-from .weights import InputError, _check_keys, _immutable, _json_list
+from .weights import InputError, _check_keys, _Frozen, _json_list, _Value
 
 CONFIRMED = "confirmed"
 REFUTED = "refuted"
@@ -36,13 +36,12 @@ def worst_status(pairs) -> str:
     return max((p.status for p in pairs), key=_STATUS_RANK.__getitem__, default=CONFIRMED)
 
 
-class Collection:
+class Collection(_Frozen):
     """An ordered collection of bundles on one shape; immutable, so the
     shape its members were checked against stays theirs.  ``members`` is a
     tuple of BundleExprs, each a single SchurMonomial."""
 
-    __slots__ = ("shape", "members")
-    __setattr__ = __delattr__ = _immutable
+    __slots__ = _fields = ("shape", "members")
 
     def __init__(self, shape: FlagShape, members):
         members = tuple(members)
@@ -50,20 +49,6 @@ class Collection:
             raise InputError("member shape mismatch")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "members", members)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.shape, self.members) == (other.shape, other.members)
-
-    def __hash__(self):
-        return hash((self.shape, self.members))
-
-    def __repr__(self):
-        return "Collection(shape=%r, members=%r)" % (self.shape, self.members)
-
-    def __reduce__(self):
-        return Collection, (self.shape, self.members)
 
     def __len__(self):
         return len(self.members)
@@ -158,16 +143,16 @@ def _copied(value):
     return value
 
 
-class PairVerdict:
+class PairVerdict(_Frozen):
     """The verdict on one ordered pair (i, j): its requirement, its status
     and the outcome it was read from, with a witness (a JSON value) when
     refuted and, on the diagonal, when Hom is not simple.  Immutable, and
-    its witness is its own copy: the one it was given is copied, and
-    ``to_json`` copies it again, so no caller can change what is printed
-    for the pair."""
+    its witness is its own: the one it was given is copied, and
+    ``witness`` gives a new copy on every read, so no caller can change
+    what is printed for the pair."""
 
-    __slots__ = ("i", "j", "requirement", "status", "outcome", "witness")
-    __setattr__ = __delattr__ = _immutable
+    _fields = ("i", "j", "requirement", "status", "outcome", "witness")
+    __slots__ = _fields[:-1] + ("_witness",)
     __hash__ = None  # a witness is a dict
 
     def __init__(
@@ -185,24 +170,12 @@ class PairVerdict:
         init(self, "requirement", requirement)
         init(self, "status", status)
         init(self, "outcome", outcome)
-        init(self, "witness", None if witness is None else _copied(witness))
+        init(self, "_witness", None if witness is None else _copied(witness))
 
-    def _values(self):
-        return self.i, self.j, self.requirement, self.status, self.outcome, self.witness
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self):
-        return (
-            "PairVerdict(i=%r, j=%r, requirement=%r, status=%r, outcome=%r, witness=%r)"
-            % self._values()
-        )
-
-    def __reduce__(self):
-        return PairVerdict, self._values()
+    @property
+    def witness(self) -> dict | None:
+        witness = self._witness  # None on most pairs, read for each
+        return None if witness is None else _copied(witness)
 
     def to_json(self):
         """The pair as a new JSON value: ``hom`` is the degree-0 list of
@@ -215,23 +188,17 @@ class PairVerdict:
             "status": self.status,
             "hom": outcome["by_degree"].get("0", []),
             "outcome": outcome,
-            "witness": _copied(self.witness),
+            "witness": self.witness,
         }
 
 
-class PairReport:
+class PairReport(_Value):
+    _fields = ("shape", "members", "pairs")
+
     def __init__(self, shape: FlagShape, members: list, pairs: list | None = None):
         self.shape = shape
         self.members = members
         self.pairs = [] if pairs is None else pairs
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.shape, self.members, self.pairs) == (other.shape, other.members, other.pairs)
-
-    def __repr__(self):
-        return "PairReport(shape=%r, members=%r, pairs=%r)" % (self.shape, self.members, self.pairs)
 
     @property
     def status(self) -> str:

@@ -45,35 +45,28 @@ from math import comb
 from operator import add, mul, sub
 
 from .kapranov import CONFIRMED, REFUTED
-from .weights import InputError, _check_keys, _immutable, _ints, _json_list, strict_int
+from .weights import (
+    InputError,
+    _check_keys,
+    _Frozen,
+    _ints,
+    _json_list,
+    _Value,
+    strict_int,
+)
 
 
-class Level:
+class Level(_Frozen):
     """One stage of the tower: m parallel projectivized split bundles of a
     common rank, given by their summand multidegrees over the stage below,
     plus permutation generators on the m factors.  Immutable."""
 
-    __slots__ = ("bundles", "perms")
-    __setattr__ = __delattr__ = _immutable
+    __slots__ = _fields = ("bundles", "perms")
 
     def __init__(self, bundles: tuple, perms: tuple = ()):
         # bundles: tuple[bundle]; bundle = tuple[multidegree]; multidegree = tuple[int]
         object.__setattr__(self, "bundles", bundles)
         object.__setattr__(self, "perms", perms)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.bundles, self.perms) == (other.bundles, other.perms)
-
-    def __hash__(self):
-        return hash((self.bundles, self.perms))
-
-    def __repr__(self):
-        return "Level(bundles=%r, perms=%r)" % (self.bundles, self.perms)
-
-    def __reduce__(self):
-        return Level, (self.bundles, self.perms)
 
     @property
     def m(self) -> int:
@@ -88,12 +81,11 @@ class Level:
         return self.rank - 1
 
 
-class TowerSpec:
+class TowerSpec(_Frozen):
     """A tower over P^base_dim with its ``levels``, bottom first.
     Immutable; it is validated when it is built."""
 
-    __slots__ = ("base_dim", "levels")
-    __setattr__ = __delattr__ = _immutable
+    __slots__ = _fields = ("base_dim", "levels")
 
     def __init__(self, base_dim: int, levels: tuple):
         object.__setattr__(self, "base_dim", base_dim)
@@ -121,20 +113,6 @@ class TowerSpec:
                     raise ValueError("bad permutation %r at level %d" % (perm, li))
             below += level.m
         _validate_generators(self, _generators(self))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.base_dim, self.levels) == (other.base_dim, other.levels)
-
-    def __hash__(self):
-        return hash((self.base_dim, self.levels))
-
-    def __repr__(self):
-        return "TowerSpec(base_dim=%r, levels=%r)" % (self.base_dim, self.levels)
-
-    def __reduce__(self):
-        return TowerSpec, (self.base_dim, self.levels)
 
     @property
     def base_picard(self) -> int:
@@ -316,19 +294,13 @@ def line_bundle_cohomology(tower: TowerSpec, d) -> dict:
     return dict(_CohomologyTable(tower).top(d))
 
 
-class GridReport:
+class GridReport(_Value):
+    _fields = ("tower", "grid", "failures")
+
     def __init__(self, tower: TowerSpec, grid: list, failures: list | None = None):
         self.tower = tower
         self.grid = grid
         self.failures = [] if failures is None else failures
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.tower, self.grid, self.failures) == (other.tower, other.grid, other.failures)
-
-    def __repr__(self):
-        return "GridReport(tower=%r, grid=%r, failures=%r)" % (self.tower, self.grid, self.failures)
 
     @property
     def status(self) -> str:

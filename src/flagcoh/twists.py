@@ -35,18 +35,19 @@ from .kapranov import (
     INCONCLUSIVE,
     REFUTED,
     _check_pairs,
-    _copied,
     classify_vanishing,
     worst_status,
 )
 from .schur import pad
-from .weights import InputError
+from .weights import InputError, _Value
 
 INNER_ONLY = "inner_only"
 WITH_SIGMA = "with_sigma"
 
 
-class DescentReport:
+class DescentReport(_Value):
+    _fields = ("group", "shape", "orbit_members", "summands", "pairs")
+
     def __init__(
         self, group: str, shape: FlagShape, orbit_members: list, summands: list, pairs=None
     ):
@@ -56,27 +57,13 @@ class DescentReport:
         self.summands = summands  # single-monomial BundleExprs, pairwise checked
         self.pairs = [] if pairs is None else pairs
 
-    def _values(self):
-        return self.group, self.shape, self.orbit_members, self.summands, self.pairs
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self):
-        return (
-            "DescentReport(group=%r, shape=%r, orbit_members=%r, summands=%r, pairs=%r)"
-            % self._values()
-        )
-
     @property
     def status(self) -> str:
         return worst_status(self.pairs)
 
     def certificates(self):
         return [
-            {"i": p.i, "j": p.j, "witness": _copied(p.witness)}
+            {"i": p.i, "j": p.j, "witness": p.witness}
             for p in self.pairs
             if p.status == REFUTED
         ]
@@ -126,7 +113,9 @@ def _column(k: int, rows: int) -> tuple:
     return pad((1,) * k, rows)
 
 
-class ReadingReport:
+class ReadingReport(_Value):
+    _fields = ("label", "F", "G", "sigma_F", "ext_outcome", "refined", "status", "certificate")
+
     def __init__(
         self,
         label: str,
@@ -147,29 +136,6 @@ class ReadingReport:
         self.status = status  # classified on the stepwise outcome
         self.certificate = certificate
 
-    def _values(self):
-        return (
-            self.label,
-            self.F,
-            self.G,
-            self.sigma_F,
-            self.ext_outcome,
-            self.refined,
-            self.status,
-            self.certificate,
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self):
-        return (
-            "ReadingReport(label=%r, F=%r, G=%r, sigma_F=%r, ext_outcome=%r, refined=%r, "
-            "status=%r, certificate=%r)" % self._values()
-        )
-
     def to_json(self):
         return {
             "label": self.label,
@@ -183,23 +149,13 @@ class ReadingReport:
         }
 
 
-class CounterexampleReport:
+class CounterexampleReport(_Value):
+    _fields = ("case", "shape", "readings")
+
     def __init__(self, case: int, shape: FlagShape, readings: list):
         self.case = case
         self.shape = shape
         self.readings = readings
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.case, self.shape, self.readings) == (other.case, other.shape, other.readings)
-
-    def __repr__(self):
-        return "CounterexampleReport(case=%r, shape=%r, readings=%r)" % (
-            self.case,
-            self.shape,
-            self.readings,
-        )
 
     @property
     def established(self) -> bool:

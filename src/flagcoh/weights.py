@@ -10,14 +10,20 @@ its fibres' answers in its per-call table, and the one-shot route's
 pieces rarely repeat.
 
 Weights are plain tuples of Python ints, so there is no overflow concern
-and every operation here is pure.  ``_immutable`` is the one rule that
-makes the package's value types read-only.
+and every operation here is pure.
+
+The package's value types and reports, all but ``schur.CharacterSum``,
+derive from ``_Value``, which compares, prints, copies and pickles a
+value by the fields its class names once in ``_fields``; the value
+types derive from ``_Frozen``, which adds ``_immutable``, the one rule
+that makes them read-only, and a hash by those fields.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections.abc import Sequence
+from operator import attrgetter
 
 
 def dual_weight(chi: Sequence[int]) -> tuple:
@@ -29,6 +35,48 @@ def _immutable(self, name, value=None):
     """``__setattr__`` and ``__delattr__`` of a value that never changes
     once built; its constructor sets each slot with ``object.__setattr__``."""
     raise AttributeError("cannot assign to %s.%s" % (type(self).__name__, name))
+
+
+class _Value:
+    """A value given by its fields: ``_fields`` names its constructor's
+    parameters in order, at least two, each read back as the attribute of
+    that name, and ``_fields_of(value)`` is the tuple of their values.  Two values
+    are equal when they are of one class and their fields are equal;
+    ``repr`` spells each field by name, and a copy or a pickle is rebuilt
+    through the constructor, so it is validated again.  A subclass keeps
+    its own validating ``__init__``."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls):
+        if cls._fields:  # one C call reads them all: shapes are compared often
+            cls._fields_of = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if self is other:  # most shape compares, as in ``mono.shape != shape``
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        read = self._fields_of
+        return read(self) == read(other)
+
+    def __repr__(self):
+        fields = ", ".join("%s=%r" % (name, getattr(self, name)) for name in self._fields)
+        return "%s(%s)" % (type(self).__name__, fields)
+
+    def __reduce__(self):
+        return type(self), self._fields_of(self)
+
+
+class _Frozen(_Value):
+    """A ``_Value`` that never changes once built, hashed by its fields."""
+
+    __slots__ = ()
+    __setattr__ = __delattr__ = _immutable
+
+    def __hash__(self):
+        return hash(self._fields_of(self))
 
 
 class InputError(ValueError):

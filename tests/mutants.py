@@ -237,9 +237,23 @@ MUTANTS = (
     Mutant(
         "FlagShape equality ignores dims",
         "src/flagcoh/flagvar.py",
-        "return (self.n, self.dims) == (other.n, other.dims)",
-        "return self.n == other.n",
+        '_fields = ("n", "dims")',
+        '_fields = ("n",)',
         ("tests/test_flagvar.py::test_value_types_compare_hash_and_print_by_value",),
+    ),
+    Mutant(
+        "value fields read only the first",
+        "src/flagcoh/weights.py",
+        "attrgetter(*cls._fields)",
+        "attrgetter(*cls._fields[:1])",
+        ("tests/test_values.py::test_changing_any_one_field_breaks_equality",),
+    ),
+    Mutant(
+        "witness read without a copy",
+        "src/flagcoh/kapranov.py",
+        "return None if witness is None else _copied(witness)",
+        "return witness",
+        ("tests/test_kapranov.py::test_witness_cannot_be_changed_through_the_verdict",),
     ),
 )
 

@@ -386,6 +386,36 @@ def test_bad_arguments_are_input_errors(capsys, argv):
     assert "flagcoh: input error:" in err
 
 
+# int() reads each of these as 2 or 10: it drops "_" between digits, a
+# plus sign and spaces, and reads the digits of every script
+COERCED = ["1_0", "+2", " 2", "2 ", "\u0662", "\uff12"]
+
+
+@pytest.mark.parametrize("spelling", COERCED)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bbw", "--n", "2", "--weight", "{},0"],
+        ["kapranov", "--n", "4", "--dims", "1,{}"],
+        ["twist-check", "--n", "4", "--dims", "{},3"],
+        ["bbw", "--n", "{}", "--weight", "1,0"],
+        ["kapranov", "--n", "{}", "--dims", "1"],
+        ["check-strong", "--n", "{}", "--dims", "1"],
+        ["twist-check", "--n", "{}", "--dims", "1"],
+        ["counterexample", "--case", "1", "--n", "{}", "--dims", "1"],
+        ["counterexample", "--case", "{}", "--n", "4", "--dims", "2"],
+    ],
+)
+def test_integers_are_ascii_digits_never_coerced(capsys, spelling, argv):
+    # a bad list item is an input error, a bad flag value a usage error
+    code, out, err = run(capsys, *(arg.format(spelling) for arg in argv))
+    assert out == ""
+    if "{}" in argv:
+        assert code == EX_USAGE and "invalid integer value: %r" % spelling in err
+    else:
+        assert code == EX_DATAERR and "expected comma-separated integers" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -7,7 +7,7 @@ import pytest
 
 import flagcoh.cohomology as engine
 from flagcoh import kapranov
-from flagcoh.cli import EXIT_CODE
+from flagcoh.cli import EXIT_CODE, _pair_texts
 from flagcoh.cohomology import EXACT, ext_groups_best
 from flagcoh.flagvar import BundleExpr, FlagShape, dual, tensor
 from flagcoh.kapranov import (
@@ -98,6 +98,44 @@ def test_collection_is_frozen():
     assert c.to_json() == as_list
     assert Collection(c.shape, list(c.members)) == c
     assert check_strong_exceptional(c).to_json()["flag"] == {"n": 3, "dims": [1]}
+
+
+def test_collection_members_are_frozen():
+    # a member changed in place would leave the collection with a member
+    # of another shape, which the pair check met as an internal error
+    c = enumerate_collection(FlagShape(3, (1,)))
+    m = c.members[0]
+    [mono] = m.terms
+    with pytest.raises(AttributeError):
+        m.shape = FlagShape(4, (2,))
+    with pytest.raises(AttributeError):
+        m.terms = {}
+    with pytest.raises(AttributeError):
+        m.terms.clear()
+    with pytest.raises(TypeError):
+        m.terms[mono] = 2
+    # the terms are the expression's own, not the mapping it was given
+    given = {mono: 1}
+    e = BundleExpr(c.shape, given)
+    given[mono] = 5
+    assert e.terms == {mono: 1} and e == m and hash(e) == hash(m)
+    assert check_strong_exceptional(c).status == CONFIRMED
+
+
+def test_witness_cannot_be_changed_through_the_verdict():
+    # on the reversed P^2 collection, an edit through ``witness`` at any
+    # depth reaches neither the verdict nor what the command line writes
+    c = enumerate_collection(FlagShape(3, (1,)))
+    report = check_strong_exceptional(Collection(c.shape, reversed(c.members)))
+    p = next(p for p in report.pairs if p.witness)
+    original, text = copy.deepcopy(p.witness), list(_pair_texts([p]))
+    p.witness["degree"] = 99
+    p.witness["character"].append({"weight": [9, 9, 9], "mult": 9})
+    p.witness["character"][0]["mult"] = 99
+    p.witness["character"][0]["weight"][0] = 99
+    p.witness.clear()
+    assert p.witness == original and list(_pair_texts([p])) == text
+    assert p.to_json()["witness"] == original
 
 
 def test_strong_exceptional_projective_spaces():
