@@ -152,7 +152,7 @@ def _pair_texts(pairs):
             if holders:
                 kept[key] = texts
         hom, outcome = texts
-        witness = p.witness  # a copy on every read
+        witness = p.witness  # derived from the outcome on every read
         witness = "null" if witness is None else _json_text(witness, _PAIR_INDENT)
         requirement, status = map(encode_basestring_ascii, (p.requirement, p.status))
         yield _PAIR % (hom, p.i, p.j, outcome, requirement, status, witness)

@@ -6,7 +6,10 @@ over partitions in a d_r x (d_{r+1} - d_r) box (d_{s+1} = n), ordered so
 that strong exceptionality is expected to hold; ``check_strong_exceptional``
 verifies it pair by pair with three-valued verdicts that are always sound:
 a Refuted verdict carries a machine-checkable witness and Inconclusive is
-reported whenever the engine's bound cannot decide.
+reported whenever the engine's bound cannot decide.  A verdict follows
+from its outcome: ``PairVerdict`` is given no status and no witness; it
+classifies its outcome by ``classify_vanishing`` when built and derives
+its witness from it on every read.
 """
 
 from __future__ import annotations
@@ -133,49 +136,39 @@ def classify_vanishing(outcome: CohomologyOutcome, requirement: str):
     return INCONCLUSIVE, None
 
 
-def _copied(value):
-    """A copy of the JSON value ``value`` at every depth: each dict and
-    list is new, and the leaves are shared."""
-    if isinstance(value, dict):
-        return {k: _copied(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_copied(v) for v in value]
-    return value
-
-
 class PairVerdict(_Frozen):
-    """The verdict on one ordered pair (i, j): its requirement, its status
-    and the outcome it was read from, with a witness (a JSON value) when
-    refuted and, on the diagonal, when Hom is not simple.  Immutable, and
-    its witness is its own: the one it was given is copied, and
-    ``witness`` gives a new copy on every read, so no caller can change
-    what is printed for the pair."""
+    """The verdict on one ordered pair (i, j): the outcome of Ext^*(E_i,
+    E_j) read against its requirement and, on a ``simple`` pair (the
+    diagonal of a strong check), against Hom = k as well.  The verdict
+    classifies itself once, by ``_classify``, and keeps only its
+    ``status``; ``witness``, None unless refuted, is derived from the
+    outcome on every read, so no caller can change what is printed for
+    the pair."""
 
-    _fields = ("i", "j", "requirement", "status", "outcome", "witness")
-    __slots__ = _fields[:-1] + ("_witness",)
-    __hash__ = None  # a witness is a dict
+    _fields = ("i", "j", "requirement", "outcome", "simple")
+    __slots__ = _fields + ("status",)
 
     def __init__(
         self,
         i: int,
         j: int,
         requirement: str,
-        status: str,
         outcome: CohomologyOutcome,
-        witness: dict | None = None,
+        simple: bool = False,
     ):
         init = object.__setattr__
         init(self, "i", i)
         init(self, "j", j)
         init(self, "requirement", requirement)
-        init(self, "status", status)
         init(self, "outcome", outcome)
-        init(self, "_witness", None if witness is None else _copied(witness))
+        init(self, "simple", simple)
+        init(self, "status", _classify(outcome, requirement, simple)[0])
 
     @property
     def witness(self) -> dict | None:
-        witness = self._witness  # None on most pairs, read for each
-        return None if witness is None else _copied(witness)
+        if self.status != REFUTED:  # most pairs, read for each
+            return None
+        return _classify(self.outcome, self.requirement, self.simple)[1]
 
     def to_json(self):
         """The pair as a new JSON value: ``hom`` is the degree-0 list of
@@ -217,21 +210,19 @@ class PairReport(_Value):
         return data
 
 
-def _check_pairs(members: list, below: str) -> list:
+def _check_pairs(members: list, below: str, simple: bool = False) -> list:
     """The one loop over ordered pairs: Ext^*(members[i], members[j]) by
     ``ext_groups_best``, classified against ``higher`` for i <= j and
-    against ``below`` for i > j.  The loop's one table lives for the
-    call, so pairs with equal products a^v (x) b share one outcome,
-    resolved once, and pair products share their stepwise pieces."""
-    pairs = []
+    against ``below`` for i > j, and with ``simple`` against Hom = k on
+    the diagonal.  The loop's one table lives for the call, so pairs with
+    equal products a^v (x) b share one outcome, resolved once, and pair
+    products share their stepwise pieces."""
     table = _Table()
-    for i, a in enumerate(members):
-        for j, b in enumerate(members):
-            outcome = ext_groups_best(a, b, table)
-            requirement = below if i > j else HIGHER
-            status, witness = classify_vanishing(outcome, requirement)
-            pairs.append(PairVerdict(i, j, requirement, status, outcome, witness))
-    return pairs
+    return [
+        PairVerdict(i, j, below if i > j else HIGHER, ext_groups_best(a, b, table), simple and i == j)
+        for i, a in enumerate(members)
+        for j, b in enumerate(members)
+    ]
 
 
 def check_strong_exceptional(c: Collection) -> PairReport:
@@ -243,23 +234,19 @@ def check_strong_exceptional(c: Collection) -> PairReport:
     """
     if not c.members:
         raise InputError("empty collection")
-    pairs = _check_pairs(c.members, TOTAL)
-    for k in range(0, len(pairs), len(c) + 1):  # the diagonal
-        p = pairs[k]
-        if p.status == CONFIRMED:
-            status, witness = _classify_simple(p.outcome)
-            pairs[k] = PairVerdict(p.i, p.j, p.requirement, status, p.outcome, witness)
-    return PairReport(c.shape, list(c.members), pairs)
+    return PairReport(c.shape, list(c.members), _check_pairs(c.members, TOTAL, simple=True))
 
 
-def _classify_simple(outcome: CohomologyOutcome):
-    """Given confirmed higher vanishing, decide whether Hom = k."""
-    unit = CharacterSum(outcome.rank, {pad((), outcome.rank): 1})
+def _classify(outcome: CohomologyOutcome, requirement: str, simple: bool):
+    """(status, witness) of a pair: ``classify_vanishing``, and on a
+    ``simple`` pair whose vanishing is confirmed, whether Hom = k."""
+    verdict = classify_vanishing(outcome, requirement)
+    if not simple or verdict[0] != CONFIRMED:
+        return verdict
     bound0 = outcome.character(0)
-    if bound0 == unit:
+    if bound0 == CharacterSum(outcome.rank, {pad((), outcome.rank): 1}):
         # Hom always contains the identity; a bound equal to k pins it
-        return CONFIRMED, None
+        return verdict
     if outcome.grade == EXACT:
         return REFUTED, {"kind": "hom_not_simple", "hom": bound0.to_json()}
     return INCONCLUSIVE, None
-

@@ -60,8 +60,9 @@ class CharacterSum:
     def items(self):
         return sorted(self._terms.items(), key=lambda kv: kv[0], reverse=True)
 
-    def __iter__(self):
-        return iter(self.items())
+    # neither iteration nor ``in``: a mapping would give weights, the
+    # terms are pairs, so a reader says which by ``cs[w]`` or ``items()``
+    __iter__ = None
 
     def __bool__(self):
         return bool(self._terms)

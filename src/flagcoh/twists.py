@@ -9,7 +9,9 @@ T + sigma*T with the duality twist, and descent condition (T2) -- no
 higher self-extensions of the orbit sum -- is checked pairwise over the
 orbit's monomial summands.  Each report carries a ``status`` from the
 verdict lattice of ``kapranov``; only the command line maps a status to
-an exit code.
+an exit code.  A counterexample reading's status and certificate are
+read from its stepwise outcome by ``classify_vanishing``, the rule of
+the pair checks, and are not stored.
 
 ``counterexample_case`` packages the three families of (F, G) pairs for
 which Ext^{>0}(sigma*F, G) is nonzero, refuting (T2) for the outer form.
@@ -114,7 +116,10 @@ def _column(k: int, rows: int) -> tuple:
 
 
 class ReadingReport(_Value):
-    _fields = ("label", "F", "G", "sigma_F", "ext_outcome", "refined", "status", "certificate")
+    """One reading (sigma*F, G) of a counterexample family: Ext^*(sigma*F,
+    G) by both routes, classified on the stepwise one on every read."""
+
+    _fields = ("label", "F", "G", "sigma_F", "ext_outcome", "refined")
 
     def __init__(
         self,
@@ -124,8 +129,6 @@ class ReadingReport(_Value):
         sigma_F: BundleExpr,
         ext_outcome: CohomologyOutcome,
         refined: CohomologyOutcome,
-        status: str,
-        certificate: dict | None,
     ):
         self.label = label
         self.F = F
@@ -133,8 +136,14 @@ class ReadingReport(_Value):
         self.sigma_F = sigma_F
         self.ext_outcome = ext_outcome  # one-shot graded view
         self.refined = refined  # stepwise view
-        self.status = status  # classified on the stepwise outcome
-        self.certificate = certificate
+
+    @property
+    def status(self) -> str:
+        return classify_vanishing(self.refined, HIGHER)[0]
+
+    @property
+    def certificate(self) -> dict | None:
+        return classify_vanishing(self.refined, HIGHER)[1]
 
     def to_json(self):
         return {
@@ -181,8 +190,7 @@ def _reading(label: str, F: BundleExpr, G: BundleExpr) -> ReadingReport:
     # both routes compute the Euler character exactly
     if ext_outcome.euler != refined.euler:
         raise RuntimeError("routes disagree on the Euler character of %s" % e)
-    status, certificate = classify_vanishing(refined, HIGHER)
-    return ReadingReport(label, F, G, sigma_F, ext_outcome, refined, status, certificate)
+    return ReadingReport(label, F, G, sigma_F, ext_outcome, refined)
 
 
 def counterexample_case(case: int, shape: FlagShape) -> CounterexampleReport:

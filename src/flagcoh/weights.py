@@ -50,6 +50,8 @@ class _Value:
     _fields = ()
 
     def __init_subclass__(cls):
+        if len(cls._fields) == 1:  # attrgetter would read a bare value, not a tuple
+            raise TypeError("%s has one field; a value has at least two" % cls.__name__)
         if cls._fields:  # one C call reads them all: shapes are compared often
             cls._fields_of = attrgetter(*cls._fields)
 

@@ -238,7 +238,7 @@ MUTANTS = (
         "FlagShape equality ignores dims",
         "src/flagcoh/flagvar.py",
         '_fields = ("n", "dims")',
-        '_fields = ("n",)',
+        '_fields = ("n", "n")',
         ("tests/test_flagvar.py::test_value_types_compare_hash_and_print_by_value",),
     ),
     Mutant(
@@ -249,11 +249,25 @@ MUTANTS = (
         ("tests/test_values.py::test_changing_any_one_field_breaks_equality",),
     ),
     Mutant(
-        "witness read without a copy",
+        "diagonal skips the Hom = k rule",
         "src/flagcoh/kapranov.py",
-        "return None if witness is None else _copied(witness)",
-        "return witness",
-        ("tests/test_kapranov.py::test_witness_cannot_be_changed_through_the_verdict",),
+        "_check_pairs(c.members, TOTAL, simple=True)",
+        "_check_pairs(c.members, TOTAL)",
+        ("tests/test_kapranov.py::test_a_diagonal_pair_with_hom_bigger_than_k_is_refuted",),
+    ),
+    Mutant(
+        "derived witness ignores the Hom = k case",
+        "src/flagcoh/kapranov.py",
+        "return _classify(self.outcome, self.requirement, self.simple)[1]",
+        "return classify_vanishing(self.outcome, self.requirement)[1]",
+        ("tests/test_kapranov.py::test_every_verdict_follows_from_its_outcome",),
+    ),
+    Mutant(
+        "character sum iterates its pairs",
+        "src/flagcoh/schur.py",
+        "__iter__ = None",
+        "def __iter__(self):\n        return iter(self.items())",
+        ("tests/test_schur.py::test_a_character_sum_is_read_by_weight_or_by_items_only",),
     ),
 )
 

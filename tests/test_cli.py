@@ -884,7 +884,9 @@ def test_pairs_sharing_an_outcome_render_identically():
 def test_an_outcome_object_is_one_json_value(capsys, monkeypatch):
     # the command line builds each outcome object's JSON once, whatever the
     # number of pairs that hold it, and each of its characters once; the
-    # library's report JSON is a new value on every call
+    # library's report JSON is a new value on every call.  A witness is
+    # derived on each read, so an exact_degree witness's character is
+    # built again for its pair and, in a (T2) report, for its certificate
     built, characters = [], []
     outcome_json, character_json = CohomologyOutcome.to_json, CharacterSum.to_json
     for argv, report in _pair_reports():
@@ -907,6 +909,12 @@ def test_an_outcome_object_is_one_json_value(capsys, monkeypatch):
             for o in outcomes.values()
             for cs in (*(cs for cs in o.by_degree.values() if cs), o.euler)
         ]
+        witnessed = [
+            p.outcome.character(p.witness["degree"])
+            for p in report.pairs
+            if p.witness and p.witness["kind"] == "exact_degree"
+        ]
+        expected += witnessed * (1 + hasattr(report, "certificates"))
         assert sorted(map(id, characters)) == sorted(map(id, expected))
         built.clear()
         characters.clear()
@@ -992,8 +1000,9 @@ def _edit_at(value, path):
 def test_an_edited_witness_reaches_no_verdict():
     # on the reversed P^2 collection a pair is refuted with an exact_degree
     # witness; an edit, at any depth, of that pair's to_json() witness, of
-    # the witness a verdict was built from, or of a certificate, changes
-    # neither the verdict nor what is printed for it
+    # a witness read from the verdict, or of a certificate, changes neither
+    # the verdict, nor one built again from its outcome, nor what is
+    # printed for it
     c = enumerate_collection(FlagShape(3, (1,)))
     report = check_strong_exceptional(Collection(c.shape, reversed(c.members)))
     p = next(p for p in report.pairs if p.witness)
@@ -1003,15 +1012,14 @@ def test_an_edited_witness_reaches_no_verdict():
     assert [len(path) for path in paths] == [0, 1, 2, 3]
     for path in paths:
         _edit_at(p.to_json()["witness"], path)
-        given = json.loads(json.dumps(data["witness"]))
-        q = kapranov.PairVerdict(p.i, p.j, p.requirement, p.status, p.outcome, given)
-        _edit_at(given, path)
+        _edit_at(p.witness, path)
+        q = kapranov.PairVerdict(p.i, p.j, p.requirement, p.outcome, p.simple)
         for verdict in (p, q):
             assert verdict.to_json() == data and next(cli._pair_texts([verdict])) == text
     for name in ("witness", "status"):
         with pytest.raises(AttributeError):
             setattr(p, name, None)
-    # a (T2) report's certificates are copies too
+    # a (T2) report's certificates are new values too
     t = sum(enumerate_collection(FlagShape(3, (1, 2))).members, BundleExpr(FlagShape(3, (1, 2))))
     descent = check_T2(t, sigma=True)
     certificates = descent.certificates()
@@ -1096,14 +1104,17 @@ def test_streamed_report_is_byte_identical(monkeypatch, argv, report):
 
 
 def test_render_fault_after_a_write_leaves_a_prefix(capsys, monkeypatch):
-    # a float witness in the last pair is written by json.dumps; the writer
-    # refuses it after the report's first batches have been written
+    # a float multiplicity in the last pair's outcome, and so in its
+    # witness, is written by json.dumps; the writer refuses it after the
+    # report's first batches have been written
     spoiled = []
 
     def check(c):
         report = check_strong_exceptional(c)
         p = report.pairs[-1]
-        report.pairs[-1] = kapranov.PairVerdict(p.i, p.j, p.requirement, p.status, p.outcome, 0.5)
+        rank = p.outcome.rank
+        outcome = CohomologyOutcome(rank, engine.EXACT, {1: CharacterSum(rank, {(0,) * rank: 0.5})})
+        report.pairs[-1] = kapranov.PairVerdict(p.i, p.j, p.requirement, outcome, p.simple)
         spoiled.append(report)
         return report
 

@@ -21,7 +21,7 @@ from flagcoh.kapranov import (
     enumerate_collection,
 )
 from flagcoh.toric import Level, TowerSpec
-from flagcoh.twists import check_T2
+from flagcoh.twists import check_T2, counterexample_case
 from flagcoh.weights import InputError
 
 
@@ -205,6 +205,61 @@ def test_diagonal_simple():
         if p.i == p.j:
             assert p.status == CONFIRMED
             assert p.outcome.character(0).dimension() == 1
+
+
+def test_a_diagonal_pair_with_hom_bigger_than_k_is_refuted():
+    # O + O on P^2 has no higher self-Ext, but Hom = k^4: the strong check
+    # refutes its one pair by the Hom = k rule of the diagonal alone
+    p2 = FlagShape(3, (1,))
+    o = enumerate_collection(p2).members[-1]
+    [p] = check_strong_exceptional(Collection(p2, [o + o])).pairs
+    assert p.simple and classify_vanishing(p.outcome, HIGHER) == (CONFIRMED, None)
+    assert p.status == REFUTED
+    assert p.witness == {"kind": "hom_not_simple", "hom": [{"weight": [0, 0, 0], "mult": 4}]}
+
+
+def _verdict_reports():
+    """Reports with every status and every witness kind but
+    ``euler_nonzero``: sigma (T2) on F(2,3;5), the strong check of
+    F(1,2,3;4) in both orders, and of a member O + O on P^2."""
+    f23, f123, p2 = FlagShape(5, (2, 3)), FlagShape(4, (1, 2, 3)), FlagShape(3, (1,))
+    members = enumerate_collection(f123).members
+    o = enumerate_collection(p2).members[-1]
+    return [
+        check_T2(sum(enumerate_collection(f23).members, BundleExpr(f23)), sigma=True),
+        check_strong_exceptional(Collection(f123, members)),
+        check_strong_exceptional(Collection(f123, reversed(members))),
+        check_strong_exceptional(Collection(p2, [o + o])),
+    ]
+
+
+def test_every_verdict_follows_from_its_outcome():
+    # a pair's status and witness are a fresh classification of its
+    # outcome against its requirement and, on a strong check's diagonal,
+    # against Hom = k; a counterexample reading's status and certificate
+    # are its stepwise outcome read against higher vanishing
+    statuses, kinds = set(), set()
+    for report in _verdict_reports():
+        strong = isinstance(report, kapranov.PairReport)
+        for p in report.pairs:
+            assert p.simple == (strong and p.i == p.j)
+            expected = classify_vanishing(p.outcome, p.requirement)
+            hom, rank = p.outcome.character(0), p.outcome.rank
+            if p.simple and expected[0] == CONFIRMED and hom.items() != [((0,) * rank, 1)]:
+                if p.outcome.grade == EXACT:
+                    expected = REFUTED, {"kind": "hom_not_simple", "hom": hom.to_json()}
+                else:
+                    expected = kapranov.INCONCLUSIVE, None
+            assert (p.status, p.witness) == expected, (p.i, p.j)
+            statuses.add(p.status)
+            kinds.add(p.witness and p.witness["kind"])
+    assert statuses == {CONFIRMED, REFUTED, kapranov.INCONCLUSIVE}
+    assert kinds == {None, "exact_degree", "euler_negative", "euler_excess", "hom_not_simple"}
+    cases = ((1, FlagShape(4, (2,))), (2, FlagShape(4, (1, 3))), (3, FlagShape(3, (1, 2))))
+    readings = [r for case, shape in cases for r in counterexample_case(case, shape).readings]
+    for r in readings:
+        assert (r.status, r.certificate) == classify_vanishing(r.refined, HIGHER)
+    assert [r.status for r in readings] == [REFUTED, REFUTED, CONFIRMED, REFUTED]
 
 
 def test_classify_vanishing_requires_valid_requirement():

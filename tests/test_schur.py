@@ -48,6 +48,18 @@ def test_character_sum_basics():
     assert not hasattr(cs, "add_term")
 
 
+def test_a_character_sum_is_read_by_weight_or_by_items_only():
+    # a mapping iterates and answers ``in`` by its keys, a sum's terms are
+    # (weight, multiplicity) pairs: so neither is offered, and a reader
+    # says which it means
+    cs = CharacterSum(2, {(1, 0): 2, (0, 0): -1})
+    assert cs[(1, 0)] == 2 and cs[(2, 0)] == 0
+    assert cs.items() == [((1, 0), 2), ((0, 0), -1)]
+    for read in (iter, list, dict, lambda cs: (1, 0) in cs, lambda cs: ((1, 0), 2) in cs):
+        with pytest.raises(TypeError, match="not iterable"):
+            read(cs)
+
+
 def test_schur_dim():
     assert schur_dim((0, 0, 0, 0), 4) == 1
     assert schur_dim((1, 0, 0, 0), 4) == 4
